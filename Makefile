@@ -5,7 +5,7 @@ PYTHON ?= python
 # Let every target run from a fresh clone, installed or not.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-faults test-service test-fleet test-workloads test-loadsim lint check bench bench-smoke serve-smoke fleet-smoke pattern-smoke loadsim-smoke figures figures-fast results clean clean-cache help
+.PHONY: install test test-faults test-service test-fleet test-workloads test-loadsim lint check bench bench-smoke serve-smoke fleet-smoke loadsim-smoke figures figures-fast results clean clean-cache help
 
 # The compiled workload store (see docs/performance.md).  `make clean`
 # leaves it alone -- warm starts are the point; `make clean-cache`
@@ -14,19 +14,18 @@ REPRO_STREAM_CACHE ?= .repro-cache
 
 help:
 	@echo "install      editable install (falls back to setup.py develop)"
-	@echo "test         run the unit/property test suite"
+	@echo "test         run the unit/property test suite and perfbench's self-tests"
 	@echo "test-faults  fault-injection / supervision tests only (hard per-test deadlines)"
 	@echo "test-service experiment-service tests only (hard per-test deadlines)"
 	@echo "test-fleet   worker-fleet tests only: leases, heartbeats, re-dispatch, chaos (hard per-test deadlines)"
 	@echo "test-workloads pattern-generator and trace-replay tests only (hard per-test deadlines)"
 	@echo "test-loadsim load-simulator tests only: engine, arrivals, determinism, golden percentiles (hard per-test deadlines)"
 	@echo "lint         ruff check (skips with a notice when ruff is not installed)"
-	@echo "check        lint + test suite + fault tests + bench-smoke + serve-smoke + fleet-smoke + pattern-smoke + loadsim-smoke (the default pre-commit gate)"
-	@echo "bench        measure replay-engine throughput -> BENCH_PR1.json"
-	@echo "bench-smoke  tiny-budget bench harness validation -> BENCH_SMOKE.json"
-	@echo "serve-smoke  boot the job service, run a sweep through the client SDK, assert bit-identity with serial"
+	@echo "check        lint + test suite + bench-smoke + serve-smoke + fleet-smoke + loadsim-smoke (the default pre-commit gate)"
+	@echo "bench        kernel/store/pattern/loadsim throughput gates, full budget -> BENCH_THROUGHPUT.json"
+	@echo "bench-smoke  the same gates at a tiny budget (seconds) -> BENCH_THROUGHPUT.json"
+	@echo "serve-smoke  boot the job service, run a benchmark and a Zipf sweep through the client SDK; bit-identical to serial, full dedup, 400 for bad specs"
 	@echo "fleet-smoke  chaos gate: fleet server + 2 workers, one chaos-killed mid-lease; re-dispatch must yield a bit-identical sweep"
-	@echo "pattern-smoke tiny Zipf-skew sweep through the service; must be bit-identical to serial, dedup fully, and 400 bad specs"
 	@echo "loadsim-smoke tiny 2-tenant load simulation, DBRB vs LRU; asserts byte-identical determinism and non-degenerate latency percentiles"
 	@echo "figures      regenerate every paper table and figure"
 	@echo "figures-fast quick figure pass (scale 1/32, short traces)"
@@ -37,8 +36,10 @@ help:
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
+# No path argument: pytest's testpaths (pyproject.toml) cover tests/
+# and perfbench's self-tests.
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest
 
 # The fault-injection tests kill, stall, and time out sweep workers on
 # purpose; each runs under a hard SIGALRM deadline (see tests/conftest.py)
@@ -80,7 +81,9 @@ lint:
 		echo "lint: ruff not installed, skipping (pip install ruff to enable)"; \
 	fi
 
-check: lint test test-faults bench-smoke serve-smoke fleet-smoke pattern-smoke loadsim-smoke
+# `test` already runs the faults-marked tests under the same deadlines,
+# so `check` does not run test-faults a second time.
+check: lint test bench-smoke serve-smoke fleet-smoke loadsim-smoke
 
 bench:
 	$(PYTHON) benchmarks/bench_throughput.py
@@ -88,33 +91,31 @@ bench:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_throughput.py --smoke
 
-# Boots a real job server on an ephemeral port, runs a tiny sweep
-# through the client SDK (parallel workers + shared-memory streams),
-# and asserts bit-identity with the serial harness path.  Runs under a
-# hard SIGALRM deadline so a wedged server fails the gate loudly.
+# The smoke scenarios live in src/repro/smoke.py; each runs under a hard
+# SIGALRM deadline so a wedged server or event loop fails loudly.
+#
+# Boots a real job server on an ephemeral port (parallel workers +
+# stream store + shared-memory streams), runs a benchmark sweep and a
+# two-point Zipf-skew sweep through the client SDK, and requires
+# bit-identity with the serial harness path, full dedup on
+# resubmission, and a 400 with a closest-match suggestion for a
+# misspelled pattern family.
 serve-smoke:
-	$(PYTHON) -m repro.service.smoke
+	$(PYTHON) -m repro.smoke serve
 
 # Boots a fleet-mode server plus two real `repro worker` subprocesses,
 # chaos-kills one mid-lease (REPRO_CHAOS=kill:1@1), and requires the
 # re-dispatched sweep to come out bit-identical to the serial run with
 # the re-dispatch/dedup counters visible in /v1/stats.
 fleet-smoke:
-	$(PYTHON) -m repro.service.smoke_fleet
-
-# Runs a tiny two-point Zipf-skew sweep through a live server (parallel
-# workers + stream store + shm) and requires bit-identity with the
-# serial harness, full dedup on resubmission, and a 400 with a
-# closest-match suggestion for a misspelled pattern family.
-pattern-smoke:
-	$(PYTHON) -m repro.service.smoke_patterns
+	$(PYTHON) -m repro.smoke fleet
 
 # Tiny 2-tenant load-simulation scenario, DBRB vs LRU: re-runs must be
 # byte-identical (event-log digest + latency series), both techniques
 # must see the same arrivals, and the latency percentiles must be
 # non-degenerate.
 loadsim-smoke:
-	$(PYTHON) -m repro.loadsim.smoke
+	$(PYTHON) -m repro.smoke loadsim
 
 figures:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -125,9 +126,9 @@ figures-fast:
 results:
 	@for f in benchmarks/results/*.txt; do echo; cat $$f; done
 
-# BENCH_PR*.json are committed per-PR baselines and must survive a
-# clean; every other BENCH_*.json at the repo root (e.g. BENCH_SMOKE)
-# is a dropping from a local bench run.  The compiled workload store is
+# The committed per-PR bench reports are read-only history and must
+# survive a clean; every other BENCH_*.json at the repo root (e.g.
+# BENCH_THROUGHPUT) is a dropping from a local bench run.  The compiled workload store is
 # deliberately NOT cleaned here -- that is what clean-cache is for.
 clean:
 	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results src/repro.egg-info

@@ -14,9 +14,6 @@ Commands:
   under a fixed seed (docs/loadsim.md).
 * ``report --timeseries [BENCHMARK ...]`` -- sparkline phase report
   across benchmarks (docs/observability.md).
-* ``report --bench`` -- tabulate the committed BENCH_PR*.json
-  performance baselines (replay substrate, workload store, array
-  kernel).
 * ``profile BENCHMARK`` -- reuse-distance profile of a workload.
 * ``cache`` -- inspect or prune the compiled workload store
   (``--footprint`` / ``--evict`` / ``--clear``).
@@ -243,131 +240,6 @@ def _cmd_telemetry(args) -> int:
     return 0
 
 
-def _render_substrate(s) -> str:
-    return (
-        "    replay substrate: "
-        f"{s['before_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['after_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({s['speedup']:.2f}x over the pre-PR1 engine, "
-        f"{s['accesses']} accesses)"
-    )
-
-
-def _render_store(s) -> str:
-    return (
-        "    workload store:   "
-        f"cold {s['cold_seconds']:.2f}s, "
-        f"warm {s['warm_speedup']:.1f}x, "
-        f"shm {s['shm_speedup']:.1f}x "
-        f"({s['store_bytes'] / 1e6:.1f} MB on disk)"
-    )
-
-
-def _render_array_kernel(s) -> str:
-    speedup = s.get("speedup")
-    shown = "n/a" if speedup is None else f"{speedup:.2f}x"
-    return (
-        "    array kernel:     "
-        f"{s['object_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['array_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({shown} over the object kernel on eligible cells, "
-        f"{s['accesses']} accesses)"
-    )
-
-
-def _render_sampler_kernel(s) -> str:
-    speedup = s.get("speedup")
-    shown = "n/a" if speedup is None else f"{speedup:.2f}x"
-    return (
-        "    sampler kernel:   "
-        f"{s['object_acc_per_sec'] / 1e6:.2f}M/s -> "
-        f"{s['array_acc_per_sec'] / 1e6:.2f}M/s "
-        f"({shown} over the object kernel on the DBRB cells, "
-        f"{s['accesses']} accesses)"
-    )
-
-
-def _render_patterns(s) -> str:
-    return (
-        "    pattern workloads: "
-        f"generate {s['generate_rec_per_sec'] / 1e6:.2f}M rec/s, "
-        f"trace import {s['import_rec_per_sec'] / 1e6:.2f}M rec/s, "
-        f"replay {s['replay_rec_per_sec'] / 1e6:.2f}M rec/s "
-        f"({s['records']} records)"
-    )
-
-
-def _render_loadsim_bench(s) -> str:
-    return (
-        "    load simulator:   "
-        f"{s['events_per_sec'] / 1e3:.1f}k events/s "
-        f"({s['events']} events, {s['requests']} requests; "
-        f"p99 {s['p99_latency']:.0f}cy, "
-        f"digest {str(s['event_log_digest'])[:12]})"
-    )
-
-
-#: BENCH_PR*.json section -> renderer for ``report --bench``.
-_BENCH_SECTIONS = (
-    ("substrate", _render_substrate),
-    ("store", _render_store),
-    ("array_kernel", _render_array_kernel),
-    ("sampler_kernel", _render_sampler_kernel),
-    ("patterns", _render_patterns),
-    ("loadsim", _render_loadsim_bench),
-)
-
-
-def _render_bench_baselines() -> int:
-    """Tabulate the committed BENCH_PR*.json baselines (repo root).
-
-    Baselines accrue one file per PR and old files never grow new
-    sections, so missing sections are normal; a *partial* section
-    (present but lacking expected fields -- e.g. a baseline written by
-    an older bench harness) is skipped with a note instead of crashing
-    the whole report.
-    """
-    import json
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[2]
-    paths = sorted(root.glob("BENCH_PR*.json"))
-    if not paths:
-        print(f"no BENCH_PR*.json baselines under {root}")
-        return 1
-    print(f"bench baselines ({root}):")
-    for path in paths:
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            print(f"  {path.name:16s} unreadable: {exc}")
-            continue
-        if not isinstance(report, dict):
-            print(f"  {path.name:16s} not a bench report object; skipped")
-            continue
-        config = report.get("config") or {}
-        if not isinstance(config, dict):
-            config = {}
-        print(
-            f"  {path.name:16s} {report.get('schema', '?'):22s} "
-            f"scale=1/{config.get('scale', '?')} "
-            f"instructions={config.get('instructions', '?')}"
-        )
-        for key, render in _BENCH_SECTIONS:
-            section = report.get(key)
-            total = section.get("total") if isinstance(section, dict) else None
-            if not isinstance(total, dict):
-                continue
-            try:
-                print(render(total))
-            except (KeyError, TypeError, ValueError) as exc:
-                print(
-                    f"    {key}: partial section in {path.name} "
-                    f"({exc.__class__.__name__}: {exc}); skipped"
-                )
-    return 0
-
-
 def _cmd_loadsim(args) -> int:
     """``loadsim``: service-level latency under open-loop tenant load."""
     from repro.harness import loadsim_experiment
@@ -480,14 +352,10 @@ def _cmd_pattern_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from repro.telemetry import render_report
 
-    if args.bench:
-        return _render_bench_baselines()
     if args.pattern_sweep:
         return _cmd_pattern_sweep(args)
     if not args.timeseries:
-        raise SystemExit(
-            "report: pass --timeseries, --bench, or --pattern-sweep"
-        )
+        raise SystemExit("report: pass --timeseries or --pattern-sweep")
     config = ExperimentConfig.from_env()
     benchmarks = args.benchmarks or list(SINGLE_THREAD_SUBSET[:3])
     first = True
@@ -934,10 +802,6 @@ def main(argv=None) -> int:
         "--timeseries", action="store_true",
         help="per-benchmark phase plot: miss rate, coverage, false "
              "positives, bypass, sampler/table gauges over epochs",
-    )
-    report_parser.add_argument(
-        "--bench", action="store_true",
-        help="tabulate the committed BENCH_PR*.json performance baselines",
     )
     report_parser.add_argument(
         "--pattern-sweep", action="store_true",

@@ -28,7 +28,8 @@ turns the same machinery into a long-lived, multi-tenant dispatcher:
 
 Results served through the service are bit-identical to ``make``-driven
 sweeps; ``tests/test_service_http.py`` pins the golden equality and
-``make serve-smoke`` re-checks it end-to-end on every ``make check``.
+``python -m repro.smoke serve`` (``make serve-smoke``) re-checks it
+end to end on every ``make check``.
 See docs/service.md.
 """
 
