@@ -3,13 +3,14 @@
 Measures the fast paths in isolation and writes one report
 (``"schema": "repro-bench/2"``, ``BENCH_THROUGHPUT.json`` by default):
 
-* **array_kernel**: the array-eligible technique cells replayed through
-  the object kernel (``REPRO_ARRAY_KERNEL=0``) and the array kernels
+* **array_kernel**: the simple-policy technique cells replayed through
+  the object kernel (:func:`repro.sim.replay._replay_fast`) and through
+  :func:`~repro.sim.replay.replay`, which takes the array kernels
   (:mod:`repro.sim.replay_array`), interleaved best-of-N per cell with
   the shared :class:`~repro.cache.soa.ReplayIndex` prebuilt.  Both
   kernels must produce identical hit vectors and statistics; cells the
   substrate declines (e.g. ``small-stream``) are recorded as skipped,
-  and one ineligible technique is probed to prove the automatic
+  and :data:`FALLBACK_PROBE_TECHNIQUE` is probed to prove the automatic
   fallback.  The aggregate must reach :data:`MIN_ARRAY_SPEEDUP`.
 * **sampler_kernel**: the paper's headline cells -- DBRB over the
   sampling predictor on the LRU and random defaults -- replayed
@@ -44,10 +45,8 @@ fails; a divergence between two paths aborts with a message.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
-import os
 import sys
 import tempfile
 import time
@@ -61,7 +60,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.cache.cache import Cache  # noqa: E402
 from repro.harness.runner import ExperimentConfig, WorkloadCache  # noqa: E402
 from repro.harness.techniques import TECHNIQUES  # noqa: E402
-from repro.sim.replay import replay  # noqa: E402
+from repro.sim.replay import _replay_fast, replay  # noqa: E402
 from repro.sim.streamstore import (  # noqa: E402
     SharedStreamExport,
     StreamStore,
@@ -88,9 +87,9 @@ MIN_STORE_SPEEDUP = 3.0
 #: behaviour, not in speed.
 LOADSIM_DIGEST = "77a92c4c4ae64deeff1ef1cf4891301eca56eebd4fb1ea9d6cc733a4852e9355"
 
-#: Techniques whose policies register array replay kernels (the
-#: Figure 4-8 baseline families); the array_kernel section measures
-#: these cells object-vs-array.
+#: Techniques whose policies have an array replay kernel (the Figure
+#: 4-8 baseline families); the array_kernel section measures these
+#: cells object-vs-array, at the smoke budget too.
 ARRAY_TECHNIQUES = ("lru", "dip", "rrip", "random")
 
 #: The paper's headline cells: DBRB over the sampling predictor, both
@@ -102,33 +101,12 @@ SAMPLER_TECHNIQUES = ("sampler", "random_sampler")
 #: kept (single-vCPU boxes jitter absolute rates, ratios stay stable).
 _ARRAY_TRIALS = 5
 
+#: A technique with no array kernel: the probe cell proving the replay
+#: declines to the object kernel on its own.
+FALLBACK_PROBE_TECHNIQUE = "tdbp"
+
 _SMOKE_BENCHMARKS = ("perlbench", "mcf")
-_SMOKE_ARRAY_TECHNIQUES = ("lru",)
 _SMOKE_INSTRUCTIONS = 40_000
-
-
-@contextlib.contextmanager
-def _array_kernel_env(value: str):
-    """Pin ``REPRO_ARRAY_KERNEL`` for one timed run, then restore it."""
-    saved = os.environ.get("REPRO_ARRAY_KERNEL")
-    os.environ["REPRO_ARRAY_KERNEL"] = value
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_ARRAY_KERNEL", None)
-        else:
-            os.environ["REPRO_ARRAY_KERNEL"] = saved
-
-
-def _ineligible_probe_key() -> Optional[str]:
-    """The first registered technique that is *not* array-eligible: the
-    probe cell proving the replay declines to the object kernel on its
-    own."""
-    for key, technique in TECHNIQUES.items():
-        if not technique.array_eligible:
-            return key
-    return None
 
 
 def _measure_kernel_cells(
@@ -172,34 +150,31 @@ def _measure_kernel_cells(
             best_object = best_array = None
             declined = None
             for _ in range(_ARRAY_TRIALS):
-                with _array_kernel_env("0"):
-                    cache = Cache(geometry, technique.build(geometry, accesses))
-                    gc_was_enabled = gc.isenabled()
-                    gc.disable()
-                    start = time.perf_counter()
-                    object_hits = replay(
-                        cache, accesses, stream.set_indices, stream.tags,
-                        stream=stream,
-                    )
-                    elapsed = time.perf_counter() - start
-                    if gc_was_enabled:
-                        gc.enable()
+                cache = Cache(geometry, technique.build(geometry, accesses))
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
+                start = time.perf_counter()
+                object_hits = _replay_fast(
+                    cache, accesses, stream.set_indices, stream.tags
+                )
+                elapsed = time.perf_counter() - start
+                if gc_was_enabled:
+                    gc.enable()
                 object_stats = cache.stats.snapshot()
                 if best_object is None or elapsed < best_object:
                     best_object = elapsed
 
-                with _array_kernel_env("1"):
-                    cache = Cache(geometry, technique.build(geometry, accesses))
-                    gc_was_enabled = gc.isenabled()
-                    gc.disable()
-                    start = time.perf_counter()
-                    array_hits = replay(
-                        cache, accesses, stream.set_indices, stream.tags,
-                        stream=stream,
-                    )
-                    elapsed = time.perf_counter() - start
-                    if gc_was_enabled:
-                        gc.enable()
+                cache = Cache(geometry, technique.build(geometry, accesses))
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
+                start = time.perf_counter()
+                array_hits = replay(
+                    cache, accesses, stream.set_indices, stream.tags,
+                    stream=stream,
+                )
+                elapsed = time.perf_counter() - start
+                if gc_was_enabled:
+                    gc.enable()
                 if cache.last_replay_kernel != "array":
                     declined = cache.last_replay_fallback
                     break
@@ -233,14 +208,11 @@ def _measure_kernel_cells(
             measured_any = True
 
         if fallback_probe is None and measured_any and probe_key in TECHNIQUES:
-            # One ineligible technique, array path enabled: the replay
-            # must decline to the object kernel on its own.
+            # One technique with no array kernel: the replay must
+            # decline to the object kernel on its own.
             technique = TECHNIQUES[probe_key]
-            with _array_kernel_env("1"):
-                cache = Cache(geometry, technique.build(geometry, accesses))
-                replay(
-                    cache, accesses, stream.set_indices, stream.tags, stream=stream
-                )
+            cache = Cache(geometry, technique.build(geometry, accesses))
+            replay(cache, accesses, stream.set_indices, stream.tags, stream=stream)
             if cache.last_replay_kernel != "object":
                 raise SystemExit(
                     f"FALLBACK FAILURE: {probe_key} cell ran kernel "
@@ -284,10 +256,10 @@ def _measure_kernel_cells(
 
 def _measure_array_kernel(workload_cache, technique_keys, benchmarks) -> Dict:
     """The Figure 4-8 baseline families, object vs array kernels, with
-    the fallback probe on an ineligible technique."""
+    the fallback probe on a technique that has no array kernel."""
     return _measure_kernel_cells(
         workload_cache, technique_keys, benchmarks,
-        probe_key=_ineligible_probe_key(),
+        probe_key=FALLBACK_PROBE_TECHNIQUE,
     )
 
 
@@ -699,11 +671,9 @@ def main(argv=None) -> int:
             scale=ExperimentConfig().scale, instructions=_SMOKE_INSTRUCTIONS
         )
         benchmarks = _SMOKE_BENCHMARKS
-        array_techniques = _SMOKE_ARRAY_TECHNIQUES
     else:
         config = ExperimentConfig.from_env()
         benchmarks = SINGLE_THREAD_SUBSET
-        array_techniques = ARRAY_TECHNIQUES
 
     print(f"machine: {config.describe()}")
     workload_cache = WorkloadCache(config)
@@ -717,7 +687,7 @@ def main(argv=None) -> int:
             "seed": config.seed,
         },
         "array_kernel": _measure_array_kernel(
-            workload_cache, array_techniques, benchmarks
+            workload_cache, ARRAY_TECHNIQUES, benchmarks
         ),
         "sampler_kernel": _measure_sampler_kernel(workload_cache, benchmarks),
         "telemetry": _measure_telemetry_overhead(workload_cache, benchmarks),

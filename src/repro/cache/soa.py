@@ -10,8 +10,8 @@ materialize object state once, at the end of the replay:
 * :class:`SoACache` holds the frame planes -- ``array('q')`` tags and
   fill positions, ``bytearray`` valid/dirty/predicted-dead -- indexed by
   ``frame = set_index * associativity + way``, plus the per-set
-  ``tag -> way`` dicts.  Recency state (LRU stacks, PLRU trees, RRIP
-  counters) is *policy* state, already array-shaped inside each policy;
+  ``tag -> way`` dicts.  Recency state (LRU stacks, RRIP counters) is
+  *policy* state, already array-shaped inside each policy;
   the kernels mutate it directly (or rebuild it from their own compact
   encodings) and leave it exactly as the object kernel would.
 * :class:`ReplayIndex` is the per-stream side: the stream's positions

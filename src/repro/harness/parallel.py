@@ -196,6 +196,39 @@ def _run_cell_on(cache: WorkloadCache, cell: Cell) -> RunResult:
     )
 
 
+def _cell_clock(cache: WorkloadCache) -> Tuple[float, float, int, int]:
+    """Start readings for :func:`_cell_timing`: wall and CPU clocks plus
+    the workload cache's store hit and miss counters."""
+    return (
+        time.perf_counter(),
+        time.process_time(),
+        cache.stream_hits,
+        cache.stream_misses,
+    )
+
+
+def _cell_timing(
+    cache: WorkloadCache, start: Tuple[float, float, int, int], result: RunResult
+) -> Dict[str, object]:
+    """The per-cell timing record the NDJSON events and the manifest
+    carry: wall and CPU seconds and store hits/misses since ``start``,
+    plus the replay kernel and any fallback reason the cell reported."""
+    wall_start, cpu_start, hits_start, misses_start = start
+    timing: Dict[str, object] = {
+        "wall_seconds": time.perf_counter() - wall_start,
+        "cpu_seconds": time.process_time() - cpu_start,
+        "store_hits": cache.stream_hits - hits_start,
+        "store_misses": cache.stream_misses - misses_start,
+    }
+    kernel = getattr(result, "kernel", None)
+    if kernel is not None:
+        timing["kernel"] = kernel
+    fallback = getattr(result, "kernel_fallback", None)
+    if fallback is not None:
+        timing["kernel_fallback"] = fallback
+    return timing
+
+
 def _run_cell(
     task: Tuple[str, Optional[str]]
 ) -> Tuple[str, Optional[str], RunResult]:
@@ -224,26 +257,12 @@ def _run_cell_supervised(
     queue-inclusive latencies.
     """
     benchmark, technique_key, attempt, timeout = task
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    hits_start = _WORKER_CACHE.stream_hits
-    misses_start = _WORKER_CACHE.stream_misses
+    start = _cell_clock(_WORKER_CACHE)
     try:
         with cell_deadline(timeout):
             maybe_inject_fault(benchmark, technique_key, attempt)
             _, _, result = _run_cell((benchmark, technique_key))
-        timing = {
-            "wall_seconds": time.perf_counter() - wall_start,
-            "cpu_seconds": time.process_time() - cpu_start,
-            "store_hits": _WORKER_CACHE.stream_hits - hits_start,
-            "store_misses": _WORKER_CACHE.stream_misses - misses_start,
-        }
-        kernel = getattr(result, "kernel", None)
-        if kernel is not None:
-            timing["kernel"] = kernel
-        fallback = getattr(result, "kernel_fallback", None)
-        if fallback is not None:
-            timing["kernel_fallback"] = fallback
+        timing = _cell_timing(_WORKER_CACHE, start, result)
         return benchmark, technique_key, "ok", result, timing
     except DeadlineExceeded:
         return benchmark, technique_key, "timeout", f"exceeded {timeout}s", None
@@ -481,25 +500,11 @@ def parallel_single_thread_comparison(
                 for cell in to_run:
                     if telemetry is not None:
                         telemetry.cell_started(cell_label(cell))
-                    wall_start = time.perf_counter()
-                    cpu_start = time.process_time()
-                    hits_start = workload_cache.stream_hits
-                    misses_start = workload_cache.stream_misses
+                    start = _cell_clock(workload_cache)
                     result = _run_cell_on(workload_cache, cell)
                     record(cell, result)
                     if telemetry is not None:
-                        timing = {
-                            "wall_seconds": time.perf_counter() - wall_start,
-                            "cpu_seconds": time.process_time() - cpu_start,
-                            "store_hits": workload_cache.stream_hits - hits_start,
-                            "store_misses": workload_cache.stream_misses - misses_start,
-                        }
-                        kernel = getattr(result, "kernel", None)
-                        if kernel is not None:
-                            timing["kernel"] = kernel
-                        fallback = getattr(result, "kernel_fallback", None)
-                        if fallback is not None:
-                            timing["kernel_fallback"] = fallback
+                        timing = _cell_timing(workload_cache, start, result)
                         telemetry.cell_finished(cell_label(cell), "ok", timing=timing)
                 if manifest is not None and streams is not None:
                     manifest.stream_store = {

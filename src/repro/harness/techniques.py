@@ -58,10 +58,6 @@ class Technique:
         builder: constructs the LLC policy.
         timing_meaningful: False for the optimal policy, which the paper
             reports "only for cache miss reduction and not for speedup".
-        array_eligible: True when the built policy (in its single-core
-            default shape) registers an array replay kernel, so cold
-            whole-stream replays run array-native -- the bench harness's
-            fallback probe asserts this stays true per technique.
     """
 
     key: str
@@ -69,7 +65,6 @@ class Technique:
     description: str
     builder: PolicyBuilder = field(repr=False)
     timing_meaningful: bool = True
-    array_eligible: bool = False
 
     def build(
         self,
@@ -132,20 +127,13 @@ def _optimal(geometry, accesses, num_cores):
 TECHNIQUES: Dict[str, Technique] = {
     technique.key: technique
     for technique in (
-        Technique(
-            "lru",
-            "LRU",
-            "Baseline true-LRU replacement",
-            _lru,
-            array_eligible=True,
-        ),
+        Technique("lru", "LRU", "Baseline true-LRU replacement", _lru),
         Technique(
             "sampler",
             "Sampler",
             "Dead block bypass and replacement with sampling predictor, "
             "default LRU policy",
             _sampler,
-            array_eligible=True,
         ),
         Technique(
             "tdbp",
@@ -160,35 +148,16 @@ TECHNIQUES: Dict[str, Technique] = {
             "default LRU policy",
             _cdbp,
         ),
-        Technique(
-            "dip",
-            "DIP",
-            "Dynamic Insertion Policy, default LRU policy",
-            _dip,
-            array_eligible=True,
-        ),
-        Technique(
-            "rrip",
-            "RRIP",
-            "Re-reference interval prediction",
-            _rrip,
-            array_eligible=True,
-        ),
+        Technique("dip", "DIP", "Dynamic Insertion Policy, default LRU policy", _dip),
+        Technique("rrip", "RRIP", "Re-reference interval prediction", _rrip),
         Technique("tadip", "TADIP", "Thread-aware DIP, default LRU policy", _tadip),
-        Technique(
-            "random",
-            "Random",
-            "Baseline random replacement",
-            _random,
-            array_eligible=True,
-        ),
+        Technique("random", "Random", "Baseline random replacement", _random),
         Technique(
             "random_sampler",
             "Random Sampler",
             "Dead block bypass and replacement with sampling predictor, "
             "default random policy",
             _random_sampler,
-            array_eligible=True,
         ),
         Technique(
             "random_cdbp",

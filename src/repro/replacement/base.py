@@ -18,7 +18,7 @@ Event order for a bypassed miss:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import Cache, CacheAccess
@@ -28,10 +28,6 @@ __all__ = ["ReplacementPolicy"]
 
 class ReplacementPolicy:
     """Base class for all replacement/insertion/bypass policies."""
-
-    #: Shared registry of array replay kernels, keyed by *exact* policy
-    #: class (see :meth:`register_array_kernel`).
-    _array_kernels: Dict[type, object] = {}
 
     def __init__(self) -> None:
         self.cache: "Cache" = None  # type: ignore[assignment]
@@ -50,29 +46,6 @@ class ReplacementPolicy:
                 "policies are single-cache objects"
             )
         self.cache = cache
-
-    # ------------------------------------------------------------------
-    # array replay kernels (repro.sim.replay_array)
-    # ------------------------------------------------------------------
-    @classmethod
-    def register_array_kernel(cls, kernel: object) -> None:
-        """Register a batched array replay kernel for exactly ``cls``.
-
-        The registry is looked up by *exact* type, never by inheritance:
-        a kernel hard-codes its policy's insertion/promotion/victim logic
-        (that is where its speed comes from), so a subclass overriding
-        any hook -- BIP/DIP over LRU, BRRIP/DRRIP over SRRIP -- must not
-        silently inherit the parent's kernel.  Subclasses without a
-        registration of their own simply take the object-substrate
-        fallback path.
-        """
-        ReplacementPolicy._array_kernels[cls] = kernel
-
-    def array_kernel(self) -> Optional[object]:
-        """The array kernel registered for exactly ``type(self)``, or
-        ``None`` (the replay engine then falls back to the object
-        kernel)."""
-        return ReplacementPolicy._array_kernels.get(type(self))
 
     # ------------------------------------------------------------------
     # events

@@ -30,19 +30,23 @@ semantically equivalent to the reference loop:
 If a policy raises mid-replay, the locally accumulated counters for the
 partial replay are not committed to ``cache.stats``.
 
-Array path: when the policy registered a batched array kernel and the
-replay is eligible (exact :class:`~repro.cache.cache.Cache`, cold, no
-observers/probe/paranoid, precomputed decomposition), the stream is
-replayed on the structure-of-arrays substrate instead
-(:mod:`repro.sim.replay_array`) under the same transparency contract;
-``REPRO_ARRAY_KERNEL=0`` forces the object kernel.  The kernel actually
-used and any fallback reason are recorded on the cache as
-``last_replay_kernel`` / ``last_replay_fallback``.
+Array path: when the policy's exact type has an array kernel in
+:mod:`repro.sim.replay_array`'s table and the replay is eligible (exact
+:class:`~repro.cache.cache.Cache`, cold, no observers/probe/paranoid,
+precomputed decomposition, a stream no shorter than the frame count),
+the stream is replayed on the structure-of-arrays substrate instead
+under the same transparency contract.  The choice is made from those
+observable facts alone; there is no override.  :func:`_replay_fast` is
+the object kernel every other replay takes and the oracle the array
+kernels are tested against.  The kernel actually used and any fallback
+reason are recorded on the cache as ``last_replay_kernel`` /
+``last_replay_fallback``.
 
 Telemetry: when the cache carries an enabled probe
 (:mod:`repro.telemetry.probe`), the stream is replayed in epoch-sized
-slices through the *same* inlined kernel, with the probe notified at
-every slice boundary.  Statistics commits are additive, so committing
+slices -- through the *same* inlined kernel, or through ``cache.access``
+on the reference path -- with the probe notified at every slice
+boundary.  Statistics commits are additive, so committing
 per slice is arithmetically identical to one final commit, and the cache
 state simply carries across slices -- the transparency tests pin
 bit-identical results probe-on vs probe-off.  With the default
@@ -105,54 +109,46 @@ def replay(
         cache_access = cache.access
         if not probe.enabled:
             return [cache_access(access) for access in accesses]
-        total = len(accesses)
-        epoch = probe.resolve_epoch(total)
-        probe.begin_run(cache, total)
-        hits: List[bool] = []
-        hits_append = hits.append
-        for position, access in enumerate(accesses, start=1):
-            hits_append(cache_access(access))
-            if position % epoch == 0:
-                probe.on_epoch(cache, position)
-        probe.end_run(cache, total)
-        return hits
 
-    if not probe.enabled:
+        def replay_slice(start: int, stop: int) -> List[bool]:
+            return [cache_access(access) for access in accesses[start:stop]]
+
+    elif not probe.enabled:
         array_hits = maybe_replay_array(cache, accesses, set_indices, tags, stream)
         if array_hits is not None:
             return array_hits
         return _replay_fast(cache, accesses, set_indices, tags)
+    else:
+        # The array kernels commit statistics (and policy/block state)
+        # only once at the end of a whole-stream run, so epoch boundaries
+        # would observe nothing; probe replays stay on the object kernel.
+        cache.last_replay_kernel = "object"
+        cache.last_replay_fallback = "probe"
+        # The binding (geometry constants, elided policy callbacks,
+        # paranoid hooks) is loop-invariant across epoch slices; compute
+        # it once here instead of once per slice.
+        binding = _bind(cache)
 
-    # Probe path over the fast kernel: replay epoch-sized slices through
-    # the unchanged inlined loop.  Stats commits are additive, so the
-    # per-slice commits sum to exactly the single-commit totals.  The
-    # array kernels commit statistics (and policy/block state) only once
-    # at the end of a whole-stream run, so epoch boundaries would observe
-    # nothing; probe replays stay on the object kernel.
-    cache.last_replay_kernel = "object"
-    cache.last_replay_fallback = "probe"
-    total = len(accesses)
-    epoch = probe.resolve_epoch(total)
-    probe.begin_run(cache, total)
-    hits = []
-    start = 0
-    # The binding (geometry constants, elided policy callbacks, paranoid
-    # hooks) is loop-invariant across epoch slices; compute it once here
-    # instead of once per slice.
-    binding = _bind(cache)
-    while start < total:
-        stop = min(start + epoch, total)
-        hits.extend(
-            _replay_fast(
+        def replay_slice(start: int, stop: int) -> List[bool]:
+            return _replay_fast(
                 cache,
                 accesses[start:stop],
                 None if set_indices is None else set_indices[start:stop],
                 None if tags is None else tags[start:stop],
                 binding,
             )
-        )
+
+    # Probe path, either substrate: replay epoch-sized slices and notify
+    # the probe at every slice boundary.  Stats commits are additive, so
+    # the per-slice commits sum to exactly the single-commit totals.
+    total = len(accesses)
+    epoch = probe.resolve_epoch(total)
+    probe.begin_run(cache, total)
+    hits: List[bool] = []
+    for start in range(0, total, epoch):
+        stop = min(start + epoch, total)
+        hits.extend(replay_slice(start, stop))
         probe.on_epoch(cache, stop)
-        start = stop
     probe.end_run(cache, total)
     return hits
 

@@ -24,17 +24,16 @@ Loop shape notes (all measured on real filtered LLC streams):
 
 * **Miss marking.**  The hit vector is prefilled ``True`` and flipped
   at misses, so the hit path -- the common case -- writes nothing.
-* **Per-set batched** (LRU, tree PLRU, SRRIP): these policies keep no
-  cross-set state, so the stream is replayed one set at a time with the
-  set's recency state bound to locals -- the grouping comes precomputed
-  from the :class:`~repro.cache.soa.ReplayIndex`.  LRU recency is the
-  iteration order of an :class:`~collections.OrderedDict` (``tag ->
-  way``), so a promote is one C ``move_to_end`` and a victim is one C
-  ``popitem``; the policy's recency stacks are reconstructed from the
-  dict order at the end of each set.  PLRU trees are packed into a
-  single int so a touch is two precomputed bit masks.
-* **Stream-order** (random, BIP, DIP, BRRIP, DRRIP): a global RNG
-  stream, fill throttle, or PSEL counter makes cross-set access order
+* **Per-set batched** (LRU): LRU keeps no cross-set state, so the
+  stream is replayed one set at a time with the set's recency state
+  bound to locals -- the grouping comes precomputed from the
+  :class:`~repro.cache.soa.ReplayIndex`.  Recency is the iteration
+  order of an :class:`~collections.OrderedDict` (``tag -> way``), so a
+  promote is one C ``move_to_end`` and a victim is one C ``popitem``;
+  the policy's recency stacks are reconstructed from the dict order at
+  the end of each set.
+* **Stream-order** (random, DIP, DRRIP): a global RNG stream, fill
+  throttle, or PSEL counter makes cross-set access order
   semantically relevant, so these walk the stream in order -- but over
   ONE global residency dict keyed by the precomputed block key
   (``tag << index_bits | set_index``), which is cheaper than a per-set
@@ -59,49 +58,41 @@ Loop shape notes (all measured on real filtered LLC streams):
   LRU default, way-order for random) overrides the victim, and hits
   refresh the per-way dead bit.
 
-Eligibility and fallback: a policy opts in by registering a kernel on
-its *exact* class
-(:meth:`repro.replacement.base.ReplacementPolicy.register_array_kernel`);
-everything else -- CDBP/TDBP, SHiP, TADIP, optimal, the VVC cache
-subclass, observer-attached or probe-enabled or paranoid replays --
-falls through to the object kernel, which stays the bit-identity
-oracle.  The DBRB kernel additionally declines every Figure 6 ablation
-shape (``use_sampler=False``, single-table, non-default sampler or
-table geometry, bypass/replacement knobs off, non-LRU/random defaults,
-pre-trained predictors) with a ``dbrb-*`` fallback reason; multicore
-merged replays already fall back via ``no-decomposition``.
-``REPRO_ARRAY_KERNEL=0`` disables the array path globally.  The chosen
-kernel and any fallback reason are recorded on the cache
-(``last_replay_kernel`` / ``last_replay_fallback``) for run manifests
-and the service's ``/stats``.
+Eligibility and fallback: one table, ``_KERNELS``, maps an *exact*
+policy type to its kernel -- LRU, random, DIP, DRRIP and DBRB, the
+policy types Table V's techniques build.  Everything else -- CDBP/TDBP,
+SHiP, TADIP, optimal, the policies no technique builds (tree PLRU,
+SRRIP, BIP, BRRIP), the VVC cache subclass, observer-attached or
+probe-enabled or paranoid replays -- falls through to the object
+kernel, which stays the bit-identity oracle.  The DRRIP kernel declines
+thread-aware set dueling (``thread-aware-drrip``); the DBRB kernel
+declines every Figure 6 ablation shape (``use_sampler=False``,
+single-table, non-default sampler or table geometry, bypass/replacement
+knobs off, non-LRU/random defaults, pre-trained predictors) with a
+``dbrb-*`` fallback reason; multicore merged replays already fall back
+via ``no-decomposition``.  The chosen kernel and any fallback reason
+are recorded on the cache (``last_replay_kernel`` /
+``last_replay_fallback``) for run manifests and the service's
+``/stats``.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
 from repro.cache.soa import PredictionPlane, ReplayIndex, SoACache
 from repro.core.policy import DBRBPolicy
 from repro.core.predictor import SamplingDeadBlockPredictor
-from repro.replacement.dip import BIPPolicy, DIPPolicy
+from repro.replacement.dip import DIPPolicy
 from repro.replacement.lru import LRUPolicy
-from repro.replacement.plru import TreePLRUPolicy
 from repro.replacement.random_policy import RandomPolicy
-from repro.replacement.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
+from repro.replacement.rrip import DRRIPPolicy
 
-__all__ = ["array_kernel_enabled", "maybe_replay_array", "select_kernel"]
-
-_FALSY = ("0", "false", "no", "off")
+__all__ = ["maybe_replay_array", "select_kernel"]
 
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
-
-
-def array_kernel_enabled() -> bool:
-    """``REPRO_ARRAY_KERNEL`` knob; unset defaults to enabled."""
-    return os.environ.get("REPRO_ARRAY_KERNEL", "1").strip().lower() not in _FALSY
 
 
 def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
@@ -111,8 +102,6 @@ def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
     subclassed caches, observers, and enabled probes to the reference /
     object paths; this checks everything else the array path requires.
     """
-    if not array_kernel_enabled():
-        return None, "disabled"
     if cache.paranoid:
         return None, "paranoid"
     if set_indices is None:
@@ -128,10 +117,11 @@ def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
         # amortize it (measured slower than the object kernel).
         return None, "small-stream"
     policy = cache.policy
-    kernel = policy.array_kernel()
+    kernel = _KERNELS.get(type(policy))
     if kernel is None:
         return None, f"policy:{type(policy).__name__}"
-    reason = kernel.supports(cache, policy)
+    supports = getattr(kernel, "supports", None)
+    reason = None if supports is None else supports(cache, policy)
     if reason is not None:
         return None, reason
     return kernel, None
@@ -216,11 +206,6 @@ class _LRUKernel:
     never-filled ways stay at the stack tail in their original order --
     exactly the object path's final state."""
 
-    name = "lru"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
-
     def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
         associativity = cache.geometry.associativity
         stacks = policy._stacks
@@ -262,146 +247,6 @@ class _LRUKernel:
         return _finish(hits, filled_total, writeback_total)
 
 
-class _PLRUKernel:
-    """Tree PLRU, one set at a time, with the tree packed into one int:
-    touching a way is ``tree & and_mask | or_mask`` with masks
-    precomputed per way, and only a victim walk reads the tree bit by
-    bit."""
-
-    name = "plru"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
-
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
-        associativity = cache.geometry.associativity
-        levels = policy._levels
-        tree_bits = associativity - 1
-        trees = policy._trees
-        and_masks = []
-        or_masks = []
-        for way in range(associativity):
-            node = 0
-            and_mask = -1
-            or_mask = 0
-            for level in range(levels - 1, -1, -1):
-                went_right = (way >> level) & 1
-                if went_right:
-                    and_mask &= ~(1 << node)
-                else:
-                    or_mask |= 1 << node
-                node = 2 * node + 1 + went_right
-            and_masks.append(and_mask)
-            or_masks.append(or_mask)
-        set_tags = index.set_tags
-        next_write = index.next_write
-        commit_set = soa.commit_set
-        hits = [True] * len(accesses)
-        filled_total = 0
-        writeback_total = 0
-        for set_index, positions in enumerate(index.set_positions):
-            if not positions:
-                continue
-            tree_list = trees[set_index]
-            tree = 0
-            for node, bit in enumerate(tree_list):
-                if bit:
-                    tree |= 1 << node
-            lookup = {}
-            lookup_get = lookup.get
-            way_tags = [0] * associativity
-            way_fill = [0] * associativity
-            filled = 0
-            for position, tag in zip(positions, set_tags[set_index]):
-                way = lookup_get(tag)
-                if way is not None:
-                    tree = tree & and_masks[way] | or_masks[way]
-                    continue
-                hits[position] = False
-                if filled < associativity:
-                    way = filled
-                    filled += 1
-                else:
-                    node = 0
-                    way = 0
-                    for _ in range(levels):
-                        bit = (tree >> node) & 1
-                        way = (way << 1) | bit
-                        node = 2 * node + 1 + bit
-                    if next_write[way_fill[way]] < position:
-                        writeback_total += 1
-                    del lookup[way_tags[way]]
-                lookup[tag] = way
-                way_tags[way] = tag
-                way_fill[way] = position
-                tree = tree & and_masks[way] | or_masks[way]
-            filled_total += filled
-            tree_list[:] = [(tree >> node) & 1 for node in range(tree_bits)]
-            commit_set(set_index, lookup, way_fill, filled)
-        return _finish(hits, filled_total, writeback_total)
-
-
-class _SRRIPKernel:
-    """Static RRIP (hit-priority), one set at a time, mutating the
-    policy's live per-set RRPV lists with the guarded C-op victim."""
-
-    name = "srrip"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
-
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
-        associativity = cache.geometry.associativity
-        rrpv_max = policy.rrpv_max
-        long_insert = rrpv_max - 1
-        all_rrpv = policy._rrpv
-        set_tags = index.set_tags
-        next_write = index.next_write
-        commit_set = soa.commit_set
-        hits = [True] * len(accesses)
-        filled_total = 0
-        writeback_total = 0
-        for set_index, positions in enumerate(index.set_positions):
-            if not positions:
-                continue
-            rrpv = all_rrpv[set_index]
-            rrpv_index = rrpv.index
-            lookup = {}
-            lookup_get = lookup.get
-            way_tags = [0] * associativity
-            way_fill = [0] * associativity
-            filled = 0
-            for position, tag in zip(positions, set_tags[set_index]):
-                way = lookup_get(tag)
-                if way is not None:
-                    rrpv[way] = 0
-                    continue
-                hits[position] = False
-                if filled < associativity:
-                    way = filled
-                    filled += 1
-                else:
-                    # RRPVs never exceed rrpv_max, so scan-and-age is
-                    # index-if-present, else age by the deficit; the
-                    # except arm only fires when aging is needed.
-                    try:
-                        way = rrpv_index(rrpv_max)
-                    except ValueError:
-                        deficit = rrpv_max - max(rrpv)
-                        rrpv[:] = [value + deficit for value in rrpv]
-                        way = rrpv_index(rrpv_max)
-                    if next_write[way_fill[way]] < position:
-                        writeback_total += 1
-                    del lookup[way_tags[way]]
-                lookup[tag] = way
-                way_tags[way] = tag
-                way_fill[way] = position
-                rrpv[way] = long_insert
-            filled_total += filled
-            commit_set(set_index, lookup, way_fill, filled)
-        return _finish(hits, filled_total, writeback_total)
-
-
 # ----------------------------------------------------------------------
 # stream-order kernels (global policy state)
 # ----------------------------------------------------------------------
@@ -437,11 +282,6 @@ class _RandomKernel:
     """Random replacement in stream order (the victim RNG draw sequence
     is global), with the xorshift64* step inlined and the generator
     state written back at the end."""
-
-    name = "random"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
 
     def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
         associativity = cache.geometry.associativity
@@ -483,9 +323,9 @@ class _RandomKernel:
         return _finish(hits, filled_total, writeback_total)
 
 
-class _BIPKernel:
-    """Bimodal insertion in stream order (the 1/epsilon fill throttle is
-    a global counter).
+class _DIPKernel:
+    """DIP set dueling in stream order (the PSEL counter and the BIP
+    fill throttle are global).
 
     Recency runs on per-set OrderedDicts over *all* ways (front = LRU,
     back = MRU), seeded lazily from the live stack on a set's first
@@ -495,84 +335,6 @@ class _BIPKernel:
     onto the object stack (reversed), so BIP's LRU-position inserts
     stay faithful and the final stacks are rebuilt per touched set.
     """
-
-    name = "bip"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
-
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
-        associativity = cache.geometry.associativity
-        epsilon = policy.epsilon_inverse
-        fill_count = policy._fill_count
-        stacks = policy._stacks
-        next_write = index.next_write
-        num_sets = index.num_sets
-        way_keys = [0] * (num_sets * associativity)
-        way_fill = [0] * (num_sets * associativity)
-        filled_by_set = [0] * num_sets
-        ods: List[Optional["OrderedDict[int, None]"]] = [None] * num_sets
-        movers: List = [None] * num_sets
-        lookup = {}
-        lookup_get = lookup.get
-        hits = [True] * len(accesses)
-        writeback_total = 0
-        for position, key in enumerate(index.block_keys):
-            way = lookup_get(key)
-            if way is not None:
-                # Promote to MRU (object: remove + insert at stack head).
-                movers[set_indices[position]](way)
-                continue
-            hits[position] = False
-            set_index = set_indices[position]
-            od = ods[set_index]
-            if od is None:
-                od = OrderedDict()
-                for entry in reversed(stacks[set_index]):
-                    od[entry] = None
-                ods[set_index] = od
-                movers[set_index] = od.move_to_end
-            base = set_index * associativity
-            filled = filled_by_set[set_index]
-            if filled < associativity:
-                way = filled
-                filled_by_set[set_index] = filled + 1
-            else:
-                way = next(iter(od))  # front = LRU = object stack[-1]
-                frame = base + way
-                if next_write[way_fill[frame]] < position:
-                    writeback_total += 1
-                del lookup[way_keys[frame]]
-            frame = base + way
-            lookup[key] = way
-            way_keys[frame] = key
-            way_fill[frame] = position
-            fill_count += 1
-            if fill_count % epsilon == 0:
-                movers[set_index](way)  # MRU insert
-            else:
-                movers[set_index](way, False)  # LRU-position insert
-        policy._fill_count = fill_count
-        for set_index, od in enumerate(ods):
-            if od is not None:
-                stack = list(od)
-                stack.reverse()
-                stacks[set_index][:] = stack
-        filled_total = _commit_flat(
-            soa, index, way_keys, way_fill, filled_by_set, associativity
-        )
-        return _finish(hits, filled_total, writeback_total)
-
-
-class _DIPKernel:
-    """DIP set dueling in stream order (the PSEL counter and the BIP
-    fill throttle are global), on the same per-set OrderedDict recency
-    structure as :class:`_BIPKernel`."""
-
-    name = "dip"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
 
     def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
         associativity = cache.geometry.associativity
@@ -656,88 +418,11 @@ class _DIPKernel:
         return _finish(hits, filled_total, writeback_total)
 
 
-class _BRRIPKernel:
-    """Bimodal RRIP in stream order (global fill throttle) over a flat
-    RRPV plane; the policy's live per-set lists are refreshed from the
-    plane at the end."""
-
-    name = "brrip"
-
-    def supports(self, cache, policy) -> Optional[str]:
-        return None
-
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
-        associativity = cache.geometry.associativity
-        rrpv_max = policy.rrpv_max
-        long_insert = rrpv_max - 1
-        epsilon = policy.epsilon_inverse
-        fill_count = policy._fill_count
-        all_rrpv = policy._rrpv
-        flat_rrpv: List[int] = []
-        for values in all_rrpv:
-            flat_rrpv.extend(values)
-        flat_index = flat_rrpv.index
-        next_write = index.next_write
-        way_keys = [0] * (index.num_sets * associativity)
-        way_fill = [0] * (index.num_sets * associativity)
-        filled_by_set = [0] * index.num_sets
-        lookup = {}
-        lookup_get = lookup.get
-        hits = [True] * len(accesses)
-        writeback_total = 0
-        for position, key in enumerate(index.block_keys):
-            frame = lookup_get(key)
-            if frame is not None:
-                flat_rrpv[frame] = 0
-                continue
-            hits[position] = False
-            set_index = set_indices[position]
-            base = set_index * associativity
-            filled = filled_by_set[set_index]
-            if filled < associativity:
-                frame = base + filled
-                filled_by_set[set_index] = filled + 1
-            else:
-                # Bounded index over the flat plane -- no slice copy on
-                # the common path; the except arm only fires when the
-                # whole set needs aging (no RRPV at the maximum).
-                try:
-                    frame = flat_index(rrpv_max, base, base + associativity)
-                except ValueError:
-                    hi = base + associativity
-                    segment = flat_rrpv[base:hi]
-                    deficit = rrpv_max - max(segment)
-                    segment = [value + deficit for value in segment]
-                    flat_rrpv[base:hi] = segment
-                    frame = base + segment.index(rrpv_max)
-                if next_write[way_fill[frame]] < position:
-                    writeback_total += 1
-                del lookup[way_keys[frame]]
-            lookup[key] = frame
-            way_keys[frame] = key
-            way_fill[frame] = position
-            fill_count += 1
-            flat_rrpv[frame] = (
-                long_insert if fill_count % epsilon == 0 else rrpv_max
-            )
-        policy._fill_count = fill_count
-        for set_index, filled in enumerate(filled_by_set):
-            if filled:
-                base = set_index * associativity
-                all_rrpv[set_index][:] = flat_rrpv[base : base + associativity]
-        filled_total = _commit_flat(
-            soa, index, way_keys, way_fill, filled_by_set, associativity
-        )
-        return _finish(hits, filled_total, writeback_total)
-
-
 class _DRRIPKernel:
     """Single-core DRRIP set dueling in stream order over a flat RRPV
     plane.  The thread-aware variant consults per-access core ids
     against per-core PSELs; ``supports`` declines it so multicore runs
     keep the object kernel."""
-
-    name = "drrip"
 
     def supports(self, cache, policy) -> Optional[str]:
         if policy.num_cores > 1:
@@ -859,8 +544,6 @@ class _DBRBKernel:
     by definition a miss, and a miss on a tag filled at ``f`` and still
     resident would contradict ``f`` being the final fill.
     """
-
-    name = "dbrb"
 
     def supports(self, cache, policy) -> Optional[str]:
         predictor = policy.predictor
@@ -1057,19 +740,17 @@ class _DBRBKernel:
         )
 
 
-# The Figure 4-8 baseline families opt in here; everything else falls
-# back to the object kernel.  Registration is exact-type (see
-# ReplacementPolicy.register_array_kernel), so e.g. TADIPPolicy (an
-# LRUPolicy subclass) and SHiPPolicy (an SRRIP derivative) are NOT
-# covered by their parents' kernels.  DBRBPolicy registers the sampler
-# kernel; its ``supports`` narrows eligibility to the paper-default
-# predictor shape over an LRU or random default.
-LRUPolicy.register_array_kernel(_LRUKernel())
-TreePLRUPolicy.register_array_kernel(_PLRUKernel())
-SRRIPPolicy.register_array_kernel(_SRRIPKernel())
-RandomPolicy.register_array_kernel(_RandomKernel())
-BIPPolicy.register_array_kernel(_BIPKernel())
-DIPPolicy.register_array_kernel(_DIPKernel())
-BRRIPPolicy.register_array_kernel(_BRRIPKernel())
-DRRIPPolicy.register_array_kernel(_DRRIPKernel())
-DBRBPolicy.register_array_kernel(_DBRBKernel())
+# The one table of array kernels, keyed by *exact* policy type: a kernel
+# hard-codes its policy's insertion/promotion/victim logic, so a subclass
+# (TADIPPolicy over LRUPolicy, SHiPPolicy over SRRIPPolicy) must not
+# inherit its parent's kernel.  These are the policy types Table V's
+# techniques build; every other policy replays on the object kernel with
+# fallback reason ``policy:<Name>``.  A kernel with a ``supports`` hook
+# narrows eligibility further (thread-aware DRRIP, DBRB ablation shapes).
+_KERNELS = {
+    LRUPolicy: _LRUKernel(),
+    RandomPolicy: _RandomKernel(),
+    DIPPolicy: _DIPKernel(),
+    DRRIPPolicy: _DRRIPKernel(),
+    DBRBPolicy: _DBRBKernel(),
+}

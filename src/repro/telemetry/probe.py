@@ -244,8 +244,8 @@ class IntervalRecorder(TelemetryProbe):
 
     def end_run(self, cache, position: int) -> None:
         if position > self._position:
-            # Trailing partial epoch (reference path streams whose length
-            # is not a multiple of the epoch).
+            # Trailing partial epoch (a run that stops between epoch
+            # boundaries, e.g. the load simulator's time-based epochs).
             self.on_epoch(cache, position)
 
     # ------------------------------------------------------------------

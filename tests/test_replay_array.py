@@ -2,19 +2,22 @@
 
 The array path (:mod:`repro.sim.replay_array` over the
 :mod:`repro.cache.soa` substrate) promises *result transparency*: for
-every registered policy, a replay on the flat planes leaves behind the
-same hit vector, the same :class:`CacheStats`, the same block contents,
-the same per-set tag index, and the same policy-internal state (recency
-stacks, PLRU trees, RRPV arrays, PSEL counters, RNG position) as the
-object kernel.  These tests pin that promise three ways:
+every policy in its kernel table, a replay on the flat planes leaves
+behind the same hit vector, the same :class:`CacheStats`, the same block
+contents, the same per-set tag index, and the same policy-internal state
+(recency stacks, RRPV arrays, PSEL counters, RNG position) as the object
+kernel (:func:`repro.sim.replay._replay_fast`).  These tests pin that
+promise three ways:
 
 * golden equivalence on a deterministic mixed stream, full-state deep
-  compare, for all eight registered policies;
+  compare, for the four simple policies in the table (DBRB has its own
+  suite, ``test_replay_array_dbrb``);
 * a hypothesis property test over random streams and policies;
-* end-to-end sweep bit-identity with the kernel toggled on/off across
-  the serial and parallel (shared-memory) harness paths.
+* end-to-end sweep bit-identity, array kernels vs an emptied kernel
+  table, across the serial and parallel (shared-memory) harness paths.
 
-Plus the eligibility matrix: every documented fallback reason must be
+Plus the eligibility matrix: the table covers exactly the policy types
+Table V's techniques build, and every documented fallback reason must be
 reported (and the object kernel actually used) for the replay shapes
 the array path declines.
 """
@@ -38,21 +41,18 @@ from repro.replacement import (
     SRRIPPolicy,
     TreePLRUPolicy,
 )
-from repro.sim.replay import replay
+from repro.sim import replay_array
+from repro.sim.replay import _replay_fast, replay
 from repro.utils.rng import XorShift64
 from repro.vvc.cache import VictimRelocationCache
 
 GEOMETRY = CacheGeometry(size_bytes=16 * 4 * 64, associativity=4, block_bytes=64)
 
-#: Every policy with a registered array kernel; fresh instance per path.
+#: Every simple policy in the array kernel table; fresh instance per path.
 ARRAY_POLICIES = {
     "lru": lambda: LRUPolicy(),
-    "plru": lambda: TreePLRUPolicy(),
-    "srrip": lambda: SRRIPPolicy(rrpv_bits=2),
     "random": lambda: RandomPolicy(seed=0xDEADBEEF),
-    "bip": lambda: BIPPolicy(epsilon_inverse=4),
     "dip": lambda: DIPPolicy(epsilon_inverse=4),
-    "brrip": lambda: BRRIPPolicy(rrpv_bits=2, epsilon_inverse=4),
     "drrip": lambda: DRRIPPolicy(rrpv_bits=2, epsilon_inverse=4),
 }
 
@@ -113,16 +113,15 @@ def block_state(cache):
     ]
 
 
-def replay_both(policy_factory, geometry, accesses, monkeypatch):
-    """Replay on the object then the array kernel; return both sides."""
+def replay_both(policy_factory, geometry, accesses):
+    """Replay on the object kernel, then through :func:`replay` (which
+    takes the array kernel); return both sides."""
     set_indices, tags = decompose(geometry, accesses)
-    results = {}
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_ARRAY_KERNEL", mode)
-        cache = Cache(geometry, policy_factory())
-        hits = replay(cache, accesses, set_indices, tags)
-        results[mode] = (hits, cache)
-    return results["0"], results["1"]
+    object_cache = Cache(geometry, policy_factory())
+    object_hits = _replay_fast(object_cache, accesses, set_indices, tags)
+    array_cache = Cache(geometry, policy_factory())
+    array_hits = replay(array_cache, accesses, set_indices, tags)
+    return (object_hits, object_cache), (array_hits, array_cache)
 
 
 def assert_equivalent(object_side, array_side):
@@ -131,7 +130,6 @@ def assert_equivalent(object_side, array_side):
     assert array_cache.last_replay_kernel == "array", (
         f"array kernel declined: {array_cache.last_replay_fallback}"
     )
-    assert object_cache.last_replay_kernel == "object"
     assert array_hits == object_hits
     assert array_cache.stats.snapshot() == object_cache.stats.snapshot()
     assert array_cache._tag_index == object_cache._tag_index
@@ -144,11 +142,9 @@ def assert_equivalent(object_side, array_side):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("write_frac", [0.0, 0.3])
 @pytest.mark.parametrize("name", sorted(ARRAY_POLICIES))
-def test_array_kernel_matches_object_kernel(name, write_frac, monkeypatch):
+def test_array_kernel_matches_object_kernel(name, write_frac):
     accesses = make_stream(GEOMETRY, write_frac=write_frac)
-    object_side, array_side = replay_both(
-        ARRAY_POLICIES[name], GEOMETRY, accesses, monkeypatch
-    )
+    object_side, array_side = replay_both(ARRAY_POLICIES[name], GEOMETRY, accesses)
     assert_equivalent(object_side, array_side)
     # The stream must actually exercise hits, evictions, and (when
     # writing) writebacks, or the equivalence is vacuous.
@@ -159,12 +155,10 @@ def test_array_kernel_matches_object_kernel(name, write_frac, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["lru", "drrip"])
-def test_array_kernel_handles_stream_seq_offsets(name, monkeypatch):
+def test_array_kernel_handles_stream_seq_offsets(name):
     """seq != position streams hit the materializer's slow seq branch."""
     accesses = make_stream(GEOMETRY, length=2000, seq_offset=10_000)
-    object_side, array_side = replay_both(
-        ARRAY_POLICIES[name], GEOMETRY, accesses, monkeypatch
-    )
+    object_side, array_side = replay_both(ARRAY_POLICIES[name], GEOMETRY, accesses)
     assert_equivalent(object_side, array_side)
     resident = [b for b in block_state(array_side[1]) if b[0]]
     assert resident and all(b[4] >= 10_000 for b in resident)
@@ -183,13 +177,7 @@ def test_array_kernel_equivalence_property(seed, length, write_frac, name):
     accesses = make_stream(
         geometry, length=length, write_frac=write_frac, seed=seed | 1
     )
-    monkeypatch = pytest.MonkeyPatch()
-    try:
-        object_side, array_side = replay_both(
-            ARRAY_POLICIES[name], geometry, accesses, monkeypatch
-        )
-    finally:
-        monkeypatch.undo()
+    object_side, array_side = replay_both(ARRAY_POLICIES[name], geometry, accesses)
     assert_equivalent(object_side, array_side)
 
 
@@ -203,29 +191,20 @@ SET_INDICES, TAGS = decompose(GEOMETRY, STREAM)
 def expect_fallback(cache, reason, accesses=STREAM,
                     set_indices=SET_INDICES, tags=TAGS):
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    expected = replay(object_cache, accesses, set_indices, tags)
+    expected = _replay_fast(object_cache, accesses, set_indices, tags)
     hits = replay(cache, accesses, set_indices, tags)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == reason
     return hits, expected
 
 
-def test_fallback_env_disabled(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "0")
-    cache = Cache(GEOMETRY, LRUPolicy())
-    hits, expected = expect_fallback(cache, "disabled")
-    assert hits == expected
-
-
-def test_fallback_paranoid(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_fallback_paranoid():
     cache = Cache(GEOMETRY, LRUPolicy(), paranoid=True)
     hits, expected = expect_fallback(cache, "paranoid")
     assert hits == expected
 
 
-def test_fallback_no_decomposition(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_fallback_no_decomposition():
     cache = Cache(GEOMETRY, LRUPolicy())
     hits, expected = expect_fallback(
         cache, "no-decomposition", set_indices=None, tags=None
@@ -233,9 +212,8 @@ def test_fallback_no_decomposition(monkeypatch):
     assert hits == expected
 
 
-def test_fallback_warm_cache(monkeypatch):
+def test_fallback_warm_cache():
     """The first replay runs on the planes; a second one is warm."""
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
     cache = Cache(GEOMETRY, LRUPolicy())
     replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "array"
@@ -244,16 +222,14 @@ def test_fallback_warm_cache(monkeypatch):
     assert cache.last_replay_fallback == "warm-cache"
 
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "0")
-    replay(object_cache, STREAM, SET_INDICES, TAGS)
-    replay(object_cache, STREAM, SET_INDICES, TAGS)
+    _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
     assert cache.stats.snapshot() == object_cache.stats.snapshot()
     assert block_state(cache) == block_state(object_cache)
 
 
-def test_fallback_small_stream(monkeypatch):
+def test_fallback_small_stream():
     """Streams shorter than the frame count can't amortize the planes."""
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
     short = STREAM[: GEOMETRY.num_sets * GEOMETRY.associativity - 1]
     cache = Cache(GEOMETRY, LRUPolicy())
     hits, expected = expect_fallback(
@@ -263,17 +239,43 @@ def test_fallback_small_stream(monkeypatch):
     assert hits == expected
 
 
-def test_fallback_unregistered_policy(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_fallback_unregistered_policy():
     cache = Cache(GEOMETRY, SHiPPolicy())
     replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "policy:SHiPPolicy"
 
 
-def test_fallback_thread_aware_drrip(monkeypatch):
-    """The DRRIP kernel registers but declines multicore set dueling."""
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+#: Public policies no technique builds, so none has an array kernel.
+OBJECT_POLICIES = {
+    "plru": lambda: TreePLRUPolicy(),
+    "srrip": lambda: SRRIPPolicy(rrpv_bits=2),
+    "bip": lambda: BIPPolicy(epsilon_inverse=4),
+    "brrip": lambda: BRRIPPolicy(rrpv_bits=2, epsilon_inverse=4),
+}
+
+
+@pytest.mark.parametrize("write_frac", [0.0, 0.3])
+@pytest.mark.parametrize("name", sorted(OBJECT_POLICIES))
+def test_fallback_policy_no_technique_builds(name, write_frac):
+    """Policies outside the kernel table replay on the object kernel,
+    named by exact type, with the object kernel's results and state."""
+    accesses = make_stream(GEOMETRY, write_frac=write_frac)
+    set_indices, tags = decompose(GEOMETRY, accesses)
+    cache = Cache(GEOMETRY, OBJECT_POLICIES[name]())
+    hits = replay(cache, accesses, set_indices, tags)
+    assert cache.last_replay_kernel == "object"
+    assert cache.last_replay_fallback == f"policy:{type(cache.policy).__name__}"
+    object_cache = Cache(GEOMETRY, OBJECT_POLICIES[name]())
+    assert hits == _replay_fast(object_cache, accesses, set_indices, tags)
+    assert cache.stats.snapshot() == object_cache.stats.snapshot()
+    assert block_state(cache) == block_state(object_cache)
+    assert policy_state(cache.policy) == policy_state(object_cache.policy)
+
+
+def test_fallback_thread_aware_drrip():
+    """The DRRIP kernel is in the table but declines multicore set
+    dueling."""
     cache = Cache(GEOMETRY, DRRIPPolicy(num_cores=2))
     replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "object"
@@ -284,8 +286,7 @@ class _NullObserver(CacheObserver):
     pass
 
 
-def test_fallback_observers(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_fallback_observers():
     cache = Cache(GEOMETRY, LRUPolicy())
     cache.add_observer(_NullObserver())
     replay(cache, STREAM, SET_INDICES, TAGS)
@@ -293,41 +294,81 @@ def test_fallback_observers(monkeypatch):
     assert cache.last_replay_fallback == "observers"
 
 
-def test_fallback_cache_subclass(monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_fallback_cache_subclass():
     cache = VictimRelocationCache(GEOMETRY, LRUPolicy())
     replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "cache-subclass"
 
 
-def test_fallback_probe(monkeypatch):
+def test_fallback_probe():
     from repro.telemetry.probe import IntervalRecorder
 
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
     cache = Cache(GEOMETRY, LRUPolicy(), probe=IntervalRecorder(epochs=4))
     hits = replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "probe"
 
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "0")
-    assert hits == replay(object_cache, STREAM, SET_INDICES, TAGS)
+    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
 
 
 # ----------------------------------------------------------------------
-# end-to-end sweep bit-identity, kernel on vs off
+# the kernel table covers exactly the techniques that build its policies
+# ----------------------------------------------------------------------
+#: Table V cells that replay array-native on a cold single-core stream.
+ARRAY_TECHNIQUES = ("lru", "random", "dip", "rrip", "sampler", "random_sampler")
+
+#: The other Table V cells, with the fallback reason each must report.
+OBJECT_TECHNIQUES = {
+    "tdbp": "dbrb-predictor:RefTracePredictor",
+    "cdbp": "dbrb-predictor:CountingPredictor",
+    "tadip": "policy:TADIPPolicy",
+    "random_cdbp": "dbrb-predictor:CountingPredictor",
+    "ship": "policy:SHiPPolicy",
+    "optimal": "policy:OptimalPolicy",
+}
+
+
+def test_kernel_table_covers_exactly_the_array_techniques():
+    """Every kernel in the table serves a policy type some technique
+    builds, and on a cold Figure-4 stream every technique cell reports
+    the kernel it ran and, on the object kernel, a named reason."""
+    from repro.harness.runner import ExperimentConfig, WorkloadCache
+    from repro.harness.techniques import TECHNIQUES
+
+    assert set(ARRAY_TECHNIQUES) | set(OBJECT_TECHNIQUES) == set(TECHNIQUES)
+    workloads = WorkloadCache(ExperimentConfig(instructions=30_000))
+    geometry = workloads.machine.llc
+    stream = workloads.filtered("mcf").llc_stream(geometry)
+    built = set()
+    observed = {}
+    for key, technique in TECHNIQUES.items():
+        cache = Cache(geometry, technique.build(geometry, stream.accesses))
+        built.add(type(cache.policy))
+        replay(cache, stream.accesses, stream.set_indices, stream.tags, stream=stream)
+        observed[key] = (cache.last_replay_kernel, cache.last_replay_fallback)
+
+    assert set(replay_array._KERNELS) <= built
+    expected = {key: ("array", None) for key in ARRAY_TECHNIQUES}
+    expected.update(
+        (key, ("object", reason)) for key, reason in OBJECT_TECHNIQUES.items()
+    )
+    assert observed == expected
+
+
+# ----------------------------------------------------------------------
+# end-to-end sweep bit-identity, array kernels vs an emptied table
 # ----------------------------------------------------------------------
 SWEEP_BENCHMARKS = ("mcf",)
 SWEEP_TECHNIQUES = ("lru", "rrip")
 
 
-def run_sweep(monkeypatch, array_kernel, **kwargs):
+def run_sweep(**kwargs):
     from repro.harness.export import to_dict
     from repro.harness.parallel import parallel_single_thread_comparison
     from repro.harness.runner import ExperimentConfig
 
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1" if array_kernel else "0")
     config = ExperimentConfig(instructions=30_000)
     comparison = parallel_single_thread_comparison(
         config, SWEEP_TECHNIQUES, SWEEP_BENCHMARKS, **kwargs
@@ -335,17 +376,23 @@ def run_sweep(monkeypatch, array_kernel, **kwargs):
     return to_dict(comparison)
 
 
+def object_sweep(monkeypatch, **kwargs):
+    """The same sweep in this process with the kernel table emptied, so
+    every cell replays on the object kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(replay_array, "_KERNELS", {})
+        return run_sweep(**kwargs)
+
+
 def test_sweep_bit_identity_array_on_off_serial(monkeypatch):
-    assert run_sweep(monkeypatch, True, jobs=1) == run_sweep(
-        monkeypatch, False, jobs=1
-    )
+    assert run_sweep(jobs=1) == object_sweep(monkeypatch, jobs=1)
 
 
 @pytest.mark.faults
 def test_sweep_bit_identity_array_on_parallel_shm(monkeypatch):
-    """Array kernel inside spawn workers with shared-memory streams must
-    match the kernel-off serial sweep bit for bit.  (Workers inherit
-    ``REPRO_ARRAY_KERNEL`` through ``os.environ`` at spawn.)"""
-    parallel = run_sweep(monkeypatch, True, jobs=2, shared_memory=True)
-    serial = run_sweep(monkeypatch, False, jobs=1)
-    assert parallel == serial
+    """Array kernels inside spawn workers with shared-memory streams must
+    match the in-process object-kernel sweep bit for bit.  (Spawned
+    workers import a fresh kernel table, so they always take the array
+    path.)"""
+    parallel = run_sweep(jobs=2, shared_memory=True)
+    assert parallel == object_sweep(monkeypatch, jobs=1)

@@ -20,10 +20,10 @@ Three layers of pinning, mirroring ``test_replay_array``:
   default policies;
 * every Figure 6 ablation shape must fall back to the object kernel
   with its documented ``dbrb-*`` reason;
-* sweep bit-identity with the kernel toggled on/off across the serial
-  and parallel shared-memory paths, plus the fleet: a sampler sweep
-  surviving a chaos-killed worker must stay bit-identical to the
-  kernel-off serial reference.
+* sweep bit-identity, array kernels vs an emptied kernel table, across
+  the serial and parallel shared-memory paths, plus the fleet: a sampler
+  sweep surviving a chaos-killed worker must stay bit-identical to the
+  in-process object-kernel serial reference.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.predictors import CountingPredictor
 from repro.replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy
-from repro.sim.replay import replay
+from repro.sim import replay_array
+from repro.sim.replay import _replay_fast, replay
 from repro.utils.rng import XorShift64
 
 GEOMETRY = CacheGeometry(size_bytes=64 * 8 * 64, associativity=8, block_bytes=64)
@@ -156,16 +157,15 @@ def block_state(cache):
     ]
 
 
-def replay_both(policy_factory, geometry, accesses, monkeypatch):
-    """Replay on the object then the array kernel; return both sides."""
+def replay_both(policy_factory, geometry, accesses):
+    """Replay on the object kernel, then through :func:`replay` (which
+    takes the array kernel); return both sides."""
     set_indices, tags = decompose(geometry, accesses)
-    results = {}
-    for mode in ("0", "1"):
-        monkeypatch.setenv("REPRO_ARRAY_KERNEL", mode)
-        cache = Cache(geometry, policy_factory())
-        hits = replay(cache, accesses, set_indices, tags)
-        results[mode] = (hits, cache)
-    return results["0"], results["1"]
+    object_cache = Cache(geometry, policy_factory())
+    object_hits = _replay_fast(object_cache, accesses, set_indices, tags)
+    array_cache = Cache(geometry, policy_factory())
+    array_hits = replay(array_cache, accesses, set_indices, tags)
+    return (object_hits, object_cache), (array_hits, array_cache)
 
 
 def assert_equivalent(object_side, array_side):
@@ -174,7 +174,6 @@ def assert_equivalent(object_side, array_side):
     assert array_cache.last_replay_kernel == "array", (
         f"array kernel declined: {array_cache.last_replay_fallback}"
     )
-    assert object_cache.last_replay_kernel == "object"
     assert array_hits == object_hits
     assert array_cache.stats.snapshot() == object_cache.stats.snapshot()
     assert array_cache._tag_index == object_cache._tag_index
@@ -186,11 +185,9 @@ def assert_equivalent(object_side, array_side):
 # golden equivalence
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(DBRB_POLICIES))
-def test_dbrb_array_kernel_matches_object_kernel(name, monkeypatch):
+def test_dbrb_array_kernel_matches_object_kernel(name):
     accesses = make_dead_stream(GEOMETRY)
-    object_side, array_side = replay_both(
-        DBRB_POLICIES[name], GEOMETRY, accesses, monkeypatch
-    )
+    object_side, array_side = replay_both(DBRB_POLICIES[name], GEOMETRY, accesses)
     assert_equivalent(object_side, array_side)
     # The engineered stream must exercise every DBRB-specific path, or
     # the full-state equivalence above proves nothing about them.
@@ -202,22 +199,20 @@ def test_dbrb_array_kernel_matches_object_kernel(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(DBRB_POLICIES))
-def test_dbrb_array_kernel_mixed_stream(name, monkeypatch):
+def test_dbrb_array_kernel_mixed_stream(name):
     """Varied-PC traffic where predictions mostly stay quiet: the kernel
     must agree on the boring streams too, not just the engineered one."""
     accesses = make_mixed_stream(GEOMETRY)
-    object_side, array_side = replay_both(
-        DBRB_POLICIES[name], GEOMETRY, accesses, monkeypatch
-    )
+    object_side, array_side = replay_both(DBRB_POLICIES[name], GEOMETRY, accesses)
     assert_equivalent(object_side, array_side)
 
 
-def test_dbrb_array_kernel_handles_stream_seq_offsets(monkeypatch):
+def test_dbrb_array_kernel_handles_stream_seq_offsets():
     """seq != position streams exercise the materializer's slow branch;
     the prediction plane must keep indexing by position regardless."""
     accesses = make_dead_stream(GEOMETRY, length=3000, seq_offset=50_000)
     object_side, array_side = replay_both(
-        DBRB_POLICIES["sampler"], GEOMETRY, accesses, monkeypatch
+        DBRB_POLICIES["sampler"], GEOMETRY, accesses
     )
     assert_equivalent(object_side, array_side)
     resident = [b for b in block_state(array_side[1]) if b[0]]
@@ -239,13 +234,7 @@ def test_dbrb_equivalence_property(seed, length, sets, assoc, name, engineered):
     geometry = CacheGeometry(size_bytes=sets * assoc * 64, associativity=assoc)
     maker = make_dead_stream if engineered else make_mixed_stream
     accesses = maker(geometry, length=length, seed=seed | 1)
-    monkeypatch = pytest.MonkeyPatch()
-    try:
-        object_side, array_side = replay_both(
-            DBRB_POLICIES[name], geometry, accesses, monkeypatch
-        )
-    finally:
-        monkeypatch.undo()
+    object_side, array_side = replay_both(DBRB_POLICIES[name], geometry, accesses)
     assert_equivalent(object_side, array_side)
 
 
@@ -284,18 +273,16 @@ ABLATIONS = {
 
 
 @pytest.mark.parametrize("reason", sorted(ABLATIONS))
-def test_dbrb_fallback_ablation_shapes(reason, monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
+def test_dbrb_fallback_ablation_shapes(reason):
     cache = Cache(GEOMETRY, ABLATIONS[reason]())
     replay(cache, STREAM, SET_INDICES, TAGS)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == reason
 
 
-def test_dbrb_fallback_warm_predictor(monkeypatch):
+def test_dbrb_fallback_warm_predictor():
     """The plane simulates from a cold predictor, so pre-trained tables
     or a touched sampler must push the replay to the object kernel."""
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1")
     trained = Cache(GEOMETRY, DBRB_POLICIES["sampler"]())
     trained.policy.predictor.tables.train(1, dead=True)
     replay(trained, STREAM, SET_INDICES, TAGS)
@@ -310,18 +297,17 @@ def test_dbrb_fallback_warm_predictor(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# end-to-end sweep bit-identity, kernel on vs off
+# end-to-end sweep bit-identity, array kernels vs an emptied table
 # ----------------------------------------------------------------------
 SWEEP_BENCHMARKS = ("mcf",)
 SWEEP_TECHNIQUES = ("sampler", "random_sampler")
 
 
-def run_sweep(monkeypatch, array_kernel, **kwargs):
+def run_sweep(**kwargs):
     from repro.harness.export import to_dict
     from repro.harness.parallel import parallel_single_thread_comparison
     from repro.harness.runner import ExperimentConfig
 
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "1" if array_kernel else "0")
     config = ExperimentConfig(instructions=30_000)
     comparison = parallel_single_thread_comparison(
         config, SWEEP_TECHNIQUES, SWEEP_BENCHMARKS, **kwargs
@@ -329,19 +315,24 @@ def run_sweep(monkeypatch, array_kernel, **kwargs):
     return to_dict(comparison)
 
 
+def object_sweep(monkeypatch, **kwargs):
+    """The same sweep in this process with the kernel table emptied, so
+    every cell replays on the object kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(replay_array, "_KERNELS", {})
+        return run_sweep(**kwargs)
+
+
 def test_dbrb_sweep_bit_identity_array_on_off_serial(monkeypatch):
-    assert run_sweep(monkeypatch, True, jobs=1) == run_sweep(
-        monkeypatch, False, jobs=1
-    )
+    assert run_sweep(jobs=1) == object_sweep(monkeypatch, jobs=1)
 
 
 @pytest.mark.faults
 def test_dbrb_sweep_bit_identity_array_on_parallel_shm(monkeypatch):
     """Array kernel inside spawn workers with shared-memory streams must
-    match the kernel-off serial sweep bit for bit."""
-    parallel = run_sweep(monkeypatch, True, jobs=2, shared_memory=True)
-    serial = run_sweep(monkeypatch, False, jobs=1)
-    assert parallel == serial
+    match the in-process object-kernel sweep bit for bit."""
+    parallel = run_sweep(jobs=2, shared_memory=True)
+    assert parallel == object_sweep(monkeypatch, jobs=1)
 
 
 # ----------------------------------------------------------------------
@@ -370,10 +361,10 @@ def _spawn_worker(url, name, root, extra_env):
 
 @pytest.mark.fleet(timeout=240)
 def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path, monkeypatch):
-    """The PR's acceptance bar, end to end: sampler cells replayed on the
-    array kernel inside real fleet workers -- one chaos-killed mid-lease,
-    its cells re-dispatched -- produce the same bytes as a kernel-off
-    serial sweep in this process."""
+    """End to end: sampler cells replayed on the array kernel inside real
+    fleet workers -- one chaos-killed mid-lease, its cells re-dispatched
+    -- produce the same bytes as an object-kernel serial sweep in this
+    process (kernel table emptied)."""
     from repro.harness.export import to_dict
     from repro.harness.parallel import parallel_single_thread_comparison
     from repro.harness.runner import ExperimentConfig, WorkloadCache
@@ -382,12 +373,12 @@ def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path, monkeypatch):
     from repro.service.server import ExperimentServer
 
     config = ExperimentConfig(scale=16, instructions=10_000, seed=1)
-    monkeypatch.setenv("REPRO_ARRAY_KERNEL", "0")
-    serial = parallel_single_thread_comparison(
-        WorkloadCache(config), list(SWEEP_TECHNIQUES), ("perlbench",), jobs=1
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(replay_array, "_KERNELS", {})
+        serial = parallel_single_thread_comparison(
+            WorkloadCache(config), list(SWEEP_TECHNIQUES), ("perlbench",), jobs=1
+        )
     expected = to_dict(serial)
-    monkeypatch.delenv("REPRO_ARRAY_KERNEL", raising=False)
 
     scheduler = ExperimentScheduler(
         job_store=tmp_path / "service",
@@ -413,12 +404,9 @@ def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path, monkeypatch):
                 "cores": config.num_cores,
             },
         )
-        # The victim leases with the array kernel on and is chaos-rigged
-        # to die, kill -9 style, the moment it starts its first cell.
-        victim = _spawn_worker(
-            url, "victim", tmp_path,
-            {"REPRO_CHAOS": "kill:1@1", "REPRO_ARRAY_KERNEL": "1"},
-        )
+        # The victim is chaos-rigged to die, kill -9 style, the moment
+        # it starts its first cell.
+        victim = _spawn_worker(url, "victim", tmp_path, {"REPRO_CHAOS": "kill:1@1"})
         workers.append(victim)
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
@@ -429,9 +417,7 @@ def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path, monkeypatch):
             pytest.fail("victim worker never leased a cell")
         assert victim.wait(timeout=60.0) == _KILL_EXIT_CODE
 
-        survivor = _spawn_worker(
-            url, "survivor", tmp_path, {"REPRO_ARRAY_KERNEL": "1"}
-        )
+        survivor = _spawn_worker(url, "survivor", tmp_path, {})
         workers.append(survivor)
         final = client.wait(job["id"], timeout=180.0)
         assert final["state"] == "done", final.get("error")
