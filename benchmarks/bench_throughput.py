@@ -1,4 +1,4 @@
-"""Replay-kernel, workload-store, pattern and loadsim throughput gates.
+"""Replay-kernel, timing-model, store, pattern and loadsim throughput gates.
 
 Measures the fast paths in isolation and writes one report
 (``"schema": "repro-bench/2"``, ``BENCH_THROUGHPUT.json`` by default):
@@ -17,6 +17,12 @@ Measures the fast paths in isolation and writes one report
   object-vs-array the same interleaved best-of-N way.  These cells are
   *required* to run array-native (a decline aborts the run), and the
   aggregate must reach :data:`MIN_SAMPLER_SPEEDUP`.
+* **timing**: the core timing model over those cells' hit vectors,
+  the record-by-record reference (:meth:`CoreModel.run_reference`)
+  against the plan-based :meth:`CoreModel.run`, interleaved best-of-N
+  per cell with the workload's timing plan prebuilt (its build time is
+  reported on its own).  Cycle counts must be identical to the last
+  bit, and the aggregate must reach :data:`MIN_TIMING_SPEEDUP`.
 * **telemetry**: the sampler cell with and without an interval
   recorder; both runs must produce identical statistics.
 * **store**: replay-ready workload preparation three ways -- cold
@@ -60,6 +66,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro.cache.cache import Cache  # noqa: E402
 from repro.harness.runner import ExperimentConfig, WorkloadCache  # noqa: E402
 from repro.harness.techniques import TECHNIQUES  # noqa: E402
+from repro.sim.cpu import CoreModel  # noqa: E402
 from repro.sim.replay import _replay_fast, replay  # noqa: E402
 from repro.sim.streamstore import (  # noqa: E402
     SharedStreamExport,
@@ -78,6 +85,10 @@ MIN_ARRAY_SPEEDUP = 1.3
 #: kernel replaces the predictor simulation wholesale, so a thin win
 #: means the plane precompute leaked into the replay.
 MIN_SAMPLER_SPEEDUP = 1.5
+
+#: Minimum aggregate speedup of the plan-based core model over the
+#: record-by-record reference (evaluation alone measured ~1.9x).
+MIN_TIMING_SPEEDUP = 1.5
 
 #: Minimum speedup of a warm workload-store load over a cold compile.
 MIN_STORE_SPEEDUP = 3.0
@@ -273,6 +284,89 @@ def _measure_sampler_kernel(workload_cache, benchmarks) -> Dict:
     return _measure_kernel_cells(
         workload_cache, SAMPLER_TECHNIQUES, benchmarks, require_array=True
     )
+
+
+def _measure_timing(workload_cache, benchmarks) -> Dict:
+    """Time the core model, reference vs timing plan, on every cell.
+
+    The cells are the array and sampler sections' (benchmark, technique)
+    pairs; their hit vectors come from an untimed replay.  Per cell:
+    ``_ARRAY_TRIALS`` interleaved (reference, plan) runs, best of each
+    side kept.  The timing plan is built once per workload before the
+    clocks -- it is shared by every technique of a sweep, as the
+    ``ReplayIndex`` is -- and its build time is reported beside them.
+    The two cycle counts must agree exactly.
+    """
+    machine = workload_cache.machine
+    geometry = machine.llc
+    model = CoreModel(machine)
+    techniques = ARRAY_TECHNIQUES + SAMPLER_TECHNIQUES
+    per_benchmark: Dict[str, Dict] = {}
+    for benchmark in benchmarks:
+        filtered = workload_cache.filtered(benchmark)
+        stream = filtered.llc_stream(geometry)
+        # Both sides read the fixed latencies; keep them out of the
+        # plan's build time.
+        filtered.fixed_latencies(machine.l1_latency, machine.l2_latency)
+        start = time.perf_counter()
+        filtered.timing_plan(machine)
+        build_seconds = time.perf_counter() - start
+        cell = {
+            # Trace records each side walks, over every technique.
+            "records": len(filtered.trace.records) * len(techniques),
+            "plan_build_seconds": build_seconds,
+            "reference_seconds": 0.0,
+            "plan_seconds": 0.0,
+        }
+        for key in techniques:
+            cache = Cache(geometry, TECHNIQUES[key].build(geometry, stream.accesses))
+            hits = replay(
+                cache, stream.accesses, stream.set_indices, stream.tags,
+                stream=stream,
+            )
+            best_reference = best_plan = None
+            for _ in range(_ARRAY_TRIALS):
+                gc_was_enabled = gc.isenabled()
+                gc.disable()
+                start = time.perf_counter()
+                reference = model.run_reference(filtered, hits)
+                middle = time.perf_counter()
+                planned = model.run(filtered, hits)
+                elapsed = time.perf_counter() - middle
+                if gc_was_enabled:
+                    gc.enable()
+                if repr(planned.cycles) != repr(reference.cycles):
+                    raise SystemExit(
+                        f"TIMING PLAN DIVERGENCE on ({benchmark}, {key}): "
+                        f"reference {reference.cycles!r} != plan "
+                        f"{planned.cycles!r} cycles"
+                    )
+                if best_reference is None or middle - start < best_reference:
+                    best_reference = middle - start
+                if best_plan is None or elapsed < best_plan:
+                    best_plan = elapsed
+            cell["reference_seconds"] += best_reference
+            cell["plan_seconds"] += best_plan
+        per_benchmark[benchmark] = cell
+
+    total = {
+        field: sum(cell[field] for cell in per_benchmark.values())
+        for field in (
+            "records", "plan_build_seconds", "reference_seconds", "plan_seconds"
+        )
+    }
+    for cell in [*per_benchmark.values(), total]:
+        cell["reference_rec_per_sec"] = cell["records"] / cell["reference_seconds"]
+        cell["plan_rec_per_sec"] = cell["records"] / cell["plan_seconds"]
+        cell["speedup"] = cell["reference_seconds"] / cell["plan_seconds"]
+    return {
+        "benchmarks": list(benchmarks),
+        "techniques": list(techniques),
+        "trials": _ARRAY_TRIALS,
+        "per_benchmark": per_benchmark,
+        "total": total,
+        "cycles_equal": True,
+    }
 
 
 def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
@@ -580,6 +674,23 @@ def _print_report(report: Dict) -> None:
     _print_kernel_section(
         "sampler kernel, array path required", report["sampler_kernel"]
     )
+    timing = report["timing"]
+    print(
+        f"\ntiming model ({len(timing['benchmarks'])} benchmarks x "
+        f"{len(timing['techniques'])} techniques, best of "
+        f"{timing['trials']} interleaved trials):"
+    )
+    print(
+        f"  {'benchmark':14s} {'ref rec/s':>14s} {'plan rec/s':>14s} "
+        f"{'speedup':>8s} {'plan build':>10s}"
+    )
+    rows = list(timing["per_benchmark"].items()) + [("TOTAL", timing["total"])]
+    for name, cell in rows:
+        print(
+            f"  {name:14s} {cell['reference_rec_per_sec']:>14,.0f} "
+            f"{cell['plan_rec_per_sec']:>14,.0f} "
+            f"{cell['speedup']:>7.2f}x {cell['plan_build_seconds']:>9.3f}s"
+        )
     telemetry = report["telemetry"]
     print(
         f"\ntelemetry (sampler cell): probes-off "
@@ -633,6 +744,8 @@ def _gate_failures(report: Dict) -> List[str]:
          MIN_ARRAY_SPEEDUP),
         ("SAMPLER KERNEL", report["sampler_kernel"]["total"]["speedup"],
          MIN_SAMPLER_SPEEDUP),
+        ("TIMING PLAN", report["timing"]["total"]["speedup"],
+         MIN_TIMING_SPEEDUP),
         ("WORKLOAD STORE", report["store"]["total"]["warm_speedup"],
          MIN_STORE_SPEEDUP),
     )
@@ -690,6 +803,7 @@ def main(argv=None) -> int:
             workload_cache, ARRAY_TECHNIQUES, benchmarks
         ),
         "sampler_kernel": _measure_sampler_kernel(workload_cache, benchmarks),
+        "timing": _measure_timing(workload_cache, benchmarks),
         "telemetry": _measure_telemetry_overhead(workload_cache, benchmarks),
         "store": _measure_store(config, benchmarks),
         "patterns": _measure_patterns(config),

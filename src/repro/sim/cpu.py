@@ -16,14 +16,18 @@ reproduce the properties of that model that the study actually depends on:
   returns.
 
 The model is O(number of memory operations): non-memory instructions are
-accounted in bulk through each record's ``gap``.
+accounted in bulk through each record's ``gap``.  Everything but the LLC
+hit vector is fixed per workload, so :meth:`CoreModel.run` walks the
+workload's flat :class:`~repro.sim.hierarchy.TimingPlan` instead of the
+trace records; :meth:`CoreModel.run_reference` is the record-by-record
+oracle it must match exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.sim.hierarchy import FilteredTrace, MachineConfig
 
@@ -58,6 +62,12 @@ class CoreModel:
     def run(self, filtered: FilteredTrace, llc_hits: Sequence[bool]) -> CoreTiming:
         """Compute cycles for a trace given each LLC access's hit/miss.
 
+        Evaluates the workload's :class:`~repro.sim.hierarchy.TimingPlan`
+        (built once per workload and core shape, shared by every
+        technique) and returns exactly the cycles of
+        :meth:`run_reference`: the same float operations in the same
+        order.
+
         Args:
             filtered: the L1/L2-filtered trace.
             llc_hits: one entry per element of ``filtered.llc_indices``;
@@ -67,11 +77,59 @@ class CoreModel:
         Returns:
             total cycle count and IPC.
         """
-        if len(llc_hits) != len(filtered.llc_indices):
-            raise ValueError(
-                f"llc_hits has {len(llc_hits)} entries for "
-                f"{len(filtered.llc_indices)} LLC accesses"
-            )
+        self._check_hits(filtered, llc_hits)
+        config = self.config
+        plan = filtered.timing_plan(config)
+        llc_latency = config.llc_latency
+        memory_latency = config.memory_latency
+        # Each LLC operation's latency, overwritten by its completion
+        # cycle when it issues; the plan says how many of them have left
+        # the window before each record.
+        completions = [llc_latency if hit else memory_latency for hit in llc_hits]
+        step = 1.0 / config.width
+
+        issue = 0.0
+        last_completion = 0.0
+        final_completion = 0.0
+        issued = 0
+        retired = 0
+        for gap_width, depends, latency, pop_hi in zip(
+            plan.gap_width, plan.depends, plan.latencies, plan.pop_hi
+        ):
+            issue += gap_width
+            while retired < pop_hi:
+                done = completions[retired]
+                retired += 1
+                if done > issue:
+                    issue = done
+            if depends and last_completion > issue:
+                issue = last_completion
+            if latency < 0:
+                last_completion = issue + completions[issued]
+                completions[issued] = last_completion
+                issued += 1
+            else:
+                last_completion = issue + latency
+                if last_completion > final_completion:
+                    final_completion = last_completion
+            issue += step
+        # The LLC completions join the maximum once, not per record; max
+        # is exact, so the result is the reference's.
+        if completions:
+            final_completion = max(final_completion, max(completions))
+
+        cycles = max(issue, final_completion)
+        return CoreTiming(instructions=filtered.instructions, cycles=cycles)
+
+    def run_reference(
+        self, filtered: FilteredTrace, llc_hits: Sequence[bool]
+    ) -> CoreTiming:
+        """The record-by-record model :meth:`run` must match exactly.
+
+        Walks the trace records directly, with an explicit in-flight
+        queue; kept as the oracle for tests and benchmarks.
+        """
+        self._check_hits(filtered, llc_hits)
         config = self.config
         width = config.width
         window = config.window
@@ -123,6 +181,10 @@ class CoreModel:
         cycles = max(issue, final_completion)
         return CoreTiming(instructions=filtered.instructions, cycles=cycles)
 
-    def baseline_hits(self, filtered: FilteredTrace) -> List[bool]:
-        """Convenience for tests: an all-hit LLC outcome vector."""
-        return [True] * len(filtered.llc_indices)
+    @staticmethod
+    def _check_hits(filtered: FilteredTrace, llc_hits: Sequence[bool]) -> None:
+        if len(llc_hits) != len(filtered.llc_indices):
+            raise ValueError(
+                f"llc_hits has {len(llc_hits)} entries for "
+                f"{len(filtered.llc_indices)} LLC accesses"
+            )

@@ -17,9 +17,11 @@ sized mid-level cache filters out most of the temporal locality"
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.cache.cache import CacheAccess
 from repro.cache.geometry import CacheGeometry
@@ -30,6 +32,7 @@ __all__ = [
     "HierarchyFilter",
     "MachineConfig",
     "PreparedStream",
+    "TimingPlan",
     "prepare_stream",
 ]
 
@@ -44,6 +47,11 @@ class MachineConfig:
     ``scale`` divides every cache capacity, keeping associativity and block
     size -- Python-speed runs use scale 8 while preserving the working-set
     to cache ratios (workloads size themselves relative to ``llc``).
+
+    The latencies must satisfy ``l1_latency <= l2_latency < llc_latency <=
+    memory_latency``: every LLC-bound operation then outlasts every L1/L2
+    hit whether it hits or misses, which is what lets a
+    :class:`TimingPlan` be built once per workload.
     """
 
     l1: CacheGeometry = field(
@@ -64,6 +72,23 @@ class MachineConfig:
     # Core: 4-wide, 128-entry instruction window, 8-stage pipeline.
     width: int = 4
     window: int = 128
+
+    def __post_init__(self) -> None:
+        checks = (
+            ("l1_latency", self.l1_latency <= self.l2_latency,
+             f"must be <= l2_latency ({self.l2_latency})"),
+            ("llc_latency", self.llc_latency > self.l2_latency,
+             f"must be > l2_latency ({self.l2_latency})"),
+            ("memory_latency", self.memory_latency >= self.llc_latency,
+             f"must be >= llc_latency ({self.llc_latency})"),
+            ("width", self.width >= 1, "must be >= 1"),
+            ("window", self.window >= 1, "must be >= 1"),
+        )
+        for name, holds, requirement in checks:
+            if not holds:
+                raise ValueError(
+                    f"MachineConfig.{name} {requirement}, got {getattr(self, name)}"
+                )
 
     def scaled(self, factor: int) -> "MachineConfig":
         """Shrink every cache by ``factor`` (latencies/width unchanged)."""
@@ -202,6 +227,73 @@ class PreparedStream:
         return f"PreparedStream({len(self.accesses)} LLC accesses)"
 
 
+class TimingPlan(NamedTuple):
+    """Everything the core timing model needs from one workload except
+    the LLC hit vector, as flat columns (position ``i`` = trace record
+    ``i``).
+
+    Built once per workload and core shape (:meth:`FilteredTrace.timing_plan`)
+    and shared by every technique timed on it.  Two facts make that
+    possible.  Under :class:`MachineConfig`'s latency order an operation
+    enters the in-flight window exactly when it reaches the LLC, hit or
+    miss.  And an in-flight operation retires once the instruction
+    position has moved more than ``window`` past its own, which depends
+    on the gaps alone.  So the retire schedule is fixed before the
+    replay; only the completion cycles of the retired operations, and
+    hence the stall they cause, depend on the hit vector.
+
+    Attributes:
+        gap_width: ``gap / width`` per record, the issue-cycle advance
+            of its non-memory instructions.
+        depends: 1 where the record depends on the previous load.
+        latencies: resolved L1/L2-hit latency, ``-1`` for LLC-bound
+            records.
+        pop_hi: before record ``i`` issues, every LLC-bound operation
+            with ordinal below ``pop_hi[i]`` has retired from the window.
+    """
+
+    gap_width: array
+    depends: bytes
+    latencies: Sequence[int]
+    pop_hi: array
+
+    @classmethod
+    def build(
+        cls,
+        gaps: Sequence[int],
+        depends: bytes,
+        latencies: Sequence[int],
+        width: int,
+        window: int,
+    ) -> "TimingPlan":
+        """Derive the plan from per-record gaps, dependence flags and
+        fixed latencies.  The retire schedule replays the core model's
+        window check on instruction positions alone."""
+        pop_hi: List[int] = []
+        record_retired = pop_hi.append
+        # Instruction position past which each in-flight LLC operation
+        # has left the window, oldest first.
+        in_flight: deque = deque()
+        retire = in_flight.popleft
+        enter = in_flight.append
+        retired = 0
+        position = 0
+        for gap, latency in zip(gaps, latencies):
+            position += gap + 1
+            while in_flight and in_flight[0] < position:
+                retire()
+                retired += 1
+            record_retired(retired)
+            if latency < 0:
+                enter(position + window)
+        return cls(
+            array("d", [gap / width for gap in gaps]),
+            depends,
+            latencies,
+            array("q", pop_hi),
+        )
+
+
 def prepare_stream(
     llc_arrays: Tuple[List[int], List[int], List[bool]],
     geometry: CacheGeometry,
@@ -255,11 +347,20 @@ class FilteredTrace:
     alone is precomputed here exactly once per workload and shared:
     struct-of-arrays views of the LLC stream (:meth:`llc_arrays`),
     per-geometry ``(set_index, tag)`` decompositions (:meth:`llc_stream`),
-    and per-record resolved latencies for the L1/L2 hits
-    (:meth:`fixed_latencies`).
+    per-record resolved latencies for the L1/L2 hits
+    (:meth:`fixed_latencies`), and the core model's per-shape
+    :class:`TimingPlan` (:meth:`timing_plan`).
     """
 
-    __slots__ = ("_latencies", "_llc_arrays", "_streams", "levels", "llc_indices", "trace")
+    __slots__ = (
+        "_latencies",
+        "_llc_arrays",
+        "_plans",
+        "_streams",
+        "levels",
+        "llc_indices",
+        "trace",
+    )
 
     def __init__(self, trace: Trace, levels: List[int], llc_indices: List[int]) -> None:
         self.trace = trace
@@ -268,6 +369,7 @@ class FilteredTrace:
         self._llc_arrays: Optional[Tuple[List[int], List[int], List[bool]]] = None
         self._streams: Dict[Tuple[int, int, int, int], PreparedStream] = {}
         self._latencies: Dict[Tuple[int, int], List[int]] = {}
+        self._plans: Dict[Tuple[int, int, int, int], TimingPlan] = {}
 
     # ------------------------------------------------------------------
     # precomputed views (built once per workload, shared by techniques)
@@ -322,6 +424,31 @@ class FilteredTrace:
             latencies = [lookup[level] for level in self.levels]
             self._latencies[key] = latencies
         return latencies
+
+    def timing_plan(self, config: MachineConfig) -> TimingPlan:
+        """The core model's :class:`TimingPlan` for ``config``'s core
+        shape and L1/L2 latencies, built on first use and cached."""
+        key = (config.width, config.window, config.l1_latency, config.l2_latency)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = TimingPlan.build(
+                *self._timing_columns(config.l1_latency, config.l2_latency),
+                config.width,
+                config.window,
+            )
+            self._plans[key] = plan
+        return plan
+
+    def _timing_columns(
+        self, l1_latency: int, l2_latency: int
+    ) -> Tuple[Sequence[int], bytes, Sequence[int]]:
+        """Per-record ``(gaps, depends flags, fixed latencies)``."""
+        records = self.trace.records
+        return (
+            [record.gap for record in records],
+            bytes([record.depends for record in records]),
+            self.fixed_latencies(l1_latency, l2_latency),
+        )
 
     @property
     def name(self) -> str:

@@ -114,6 +114,8 @@ _FORMAT = 1
 _KEY_FORMAT = 2
 _ALIGN = 8
 _TRUTHY = ("1", "true", "yes", "on")
+# Maps a ``flags`` byte to its depends bit (bit 1) as 0/1.
+_DEPENDS_BIT = bytes((flag >> 1) & 1 for flag in range(256))
 
 
 def _env_flag(name: str) -> bool:
@@ -256,9 +258,10 @@ class _LazyRecords:
     """A records sequence that materializes :class:`TraceRecord` objects
     from the flat buffers on first real use.
 
-    Cells that skip the timing model (``compute_timing=False``) never
-    touch the full record list, so attaching to a compiled workload
-    costs nothing for them beyond the buffer views.
+    Replay and the timing model read the blob's sections directly (the
+    timing model through :meth:`CompiledFilteredTrace.timing_plan`), so
+    a sweep cell never touches the full record list and attaching to a
+    compiled workload costs nothing beyond the buffer views.
     """
 
     __slots__ = ("_addr", "_flags", "_gap", "_list", "_pc")
@@ -296,9 +299,9 @@ class CompiledFilteredTrace(FilteredTrace):
 
     Behaviorally identical to a freshly prepared trace; the difference is
     purely where its precomputed views come from: the LLC arrays, stored
-    stream decompositions, and fixed latencies are served from the
-    blob's buffers (zero-copy until an object view is actually needed)
-    instead of being re-derived from the records.
+    stream decompositions, fixed latencies and timing-plan columns are
+    served from the blob's buffers (zero-copy until an object view is
+    actually needed) instead of being re-derived from the records.
     """
 
     __slots__ = ("_compiled",)
@@ -340,6 +343,20 @@ class CompiledFilteredTrace(FilteredTrace):
         if key not in self._latencies and key == self._compiled.latency_pair:
             self._latencies[key] = list(self._compiled.view("fixed_lat"))
         return super().fixed_latencies(l1_latency, l2_latency)
+
+    def _timing_columns(self, l1_latency: int, l2_latency: int):
+        # Straight from the blob's sections, so timing a cell never
+        # materializes the trace records.
+        compiled = self._compiled
+        if (l1_latency, l2_latency) == compiled.latency_pair:
+            latencies = compiled.view("fixed_lat")
+        else:
+            latencies = self.fixed_latencies(l1_latency, l2_latency)
+        return (
+            compiled.view("gap"),
+            compiled.view("flags").tobytes().translate(_DEPENDS_BIT),
+            latencies,
+        )
 
 
 class CompiledWorkload:
