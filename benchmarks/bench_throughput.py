@@ -17,6 +17,11 @@ Measures the fast paths in isolation and writes one report
   object-vs-array the same interleaved best-of-N way.  These cells are
   *required* to run array-native (a decline aborts the run), and the
   aggregate must reach :data:`MIN_SAMPLER_SPEEDUP`.
+* **fig4_cell_kernel**: the rest of Figure 4 -- TDBP and CDBP (DBRB
+  over the reftrace and counting predictors, LRU default) and optimal
+  (MIN plus bypass) -- replayed object-vs-array the same way, also
+  *required* to run array-native, with the aggregate gated at
+  :data:`MIN_FIG4_OBJECT_CELL_SPEEDUP`.
 * **timing**: the core timing model over those cells' hit vectors,
   the record-by-record reference (:meth:`CoreModel.run_reference`)
   against the plan-based :meth:`CoreModel.run`, interleaved best-of-N
@@ -86,6 +91,10 @@ MIN_ARRAY_SPEEDUP = 1.3
 #: means the plane precompute leaked into the replay.
 MIN_SAMPLER_SPEEDUP = 1.5
 
+#: Minimum aggregate speedup of the TDBP/CDBP/optimal array kernels over
+#: the object kernel on their Figure-4 cells (measured ~2.4-2.9x).
+MIN_FIG4_OBJECT_CELL_SPEEDUP = 1.5
+
 #: Minimum aggregate speedup of the plan-based core model over the
 #: record-by-record reference (evaluation alone measured ~1.9x).
 MIN_TIMING_SPEEDUP = 1.5
@@ -108,13 +117,18 @@ ARRAY_TECHNIQUES = ("lru", "dip", "rrip", "random")
 #: *requires* the batched DBRB kernel to take them.
 SAMPLER_TECHNIQUES = ("sampler", "random_sampler")
 
+#: Figure 4's remaining cells, which replayed on the object kernel
+#: before their array kernels existed; the fig4_cell_kernel section
+#: *requires* the array path for them.
+FIG4_OBJECT_CELL_TECHNIQUES = ("tdbp", "cdbp", "optimal")
+
 #: Interleaved trials per array-kernel cell; the best of each side is
 #: kept (single-vCPU boxes jitter absolute rates, ratios stay stable).
 _ARRAY_TRIALS = 5
 
-#: A technique with no array kernel: the probe cell proving the replay
-#: declines to the object kernel on its own.
-FALLBACK_PROBE_TECHNIQUE = "tdbp"
+#: A technique with no array kernel (``policy:SHiPPolicy``): the probe
+#: cell proving the replay declines to the object kernel on its own.
+FALLBACK_PROBE_TECHNIQUE = "ship"
 
 _SMOKE_BENCHMARKS = ("perlbench", "mcf")
 _SMOKE_INSTRUCTIONS = 40_000
@@ -135,8 +149,9 @@ def _measure_kernel_cells(
     the object kernel already enjoys.  Hit vectors and statistics must
     match between kernels; a cell the substrate declines (e.g. a stream
     too small to amortize the frame planes) is recorded as skipped with
-    its fallback reason -- unless ``require_array``, where a decline
-    aborts the run (the sampler cells must replay array-native).
+    its fallback reason -- unless ``require_array``, where any decline
+    but the size/state heuristics aborts the run (the sampler and
+    Figure-4 cells must replay array-native).
     """
     geometry = workload_cache.machine.llc
     per_technique: Dict[str, Dict] = {
@@ -199,12 +214,11 @@ def _measure_kernel_cells(
                 if best_array is None or elapsed < best_array:
                     best_array = elapsed
             if declined is not None:
-                if require_array and declined.startswith(("dbrb-", "policy:")):
-                    # Size/state heuristics ("small-stream", "warm-cache")
-                    # may still skip a cell; an *eligibility* decline
-                    # means the batched DBRB kernel regressed.
+                if require_array and declined not in ("small-stream", "warm-cache"):
+                    # Size/state heuristics may still skip a cell; an
+                    # *eligibility* decline means a kernel regressed.
                     raise SystemExit(
-                        f"SAMPLER KERNEL FALLBACK: ({benchmark}, {key}) "
+                        f"REQUIRED ARRAY KERNEL FALLBACK: ({benchmark}, {key}) "
                         f"declined the array path: {declined}"
                     )
                 skipped.append(
@@ -283,6 +297,15 @@ def _measure_sampler_kernel(workload_cache, benchmarks) -> Dict:
     """
     return _measure_kernel_cells(
         workload_cache, SAMPLER_TECHNIQUES, benchmarks, require_array=True
+    )
+
+
+def _measure_fig4_cell_kernel(workload_cache, benchmarks) -> Dict:
+    """TDBP, CDBP and optimal, object vs their array kernels; a decline
+    is fatal, as for the sampler cells."""
+    return _measure_kernel_cells(
+        workload_cache, FIG4_OBJECT_CELL_TECHNIQUES, benchmarks,
+        require_array=True,
     )
 
 
@@ -674,6 +697,10 @@ def _print_report(report: Dict) -> None:
     _print_kernel_section(
         "sampler kernel, array path required", report["sampler_kernel"]
     )
+    _print_kernel_section(
+        "Figure-4 TDBP/CDBP/optimal kernels, array path required",
+        report["fig4_cell_kernel"],
+    )
     timing = report["timing"]
     print(
         f"\ntiming model ({len(timing['benchmarks'])} benchmarks x "
@@ -744,6 +771,8 @@ def _gate_failures(report: Dict) -> List[str]:
          MIN_ARRAY_SPEEDUP),
         ("SAMPLER KERNEL", report["sampler_kernel"]["total"]["speedup"],
          MIN_SAMPLER_SPEEDUP),
+        ("FIG4 CELL KERNEL", report["fig4_cell_kernel"]["total"]["speedup"],
+         MIN_FIG4_OBJECT_CELL_SPEEDUP),
         ("TIMING PLAN", report["timing"]["total"]["speedup"],
          MIN_TIMING_SPEEDUP),
         ("WORKLOAD STORE", report["store"]["total"]["warm_speedup"],
@@ -803,6 +832,7 @@ def main(argv=None) -> int:
             workload_cache, ARRAY_TECHNIQUES, benchmarks
         ),
         "sampler_kernel": _measure_sampler_kernel(workload_cache, benchmarks),
+        "fig4_cell_kernel": _measure_fig4_cell_kernel(workload_cache, benchmarks),
         "timing": _measure_timing(workload_cache, benchmarks),
         "telemetry": _measure_telemetry_overhead(workload_cache, benchmarks),
         "store": _measure_store(config, benchmarks),

@@ -278,6 +278,7 @@ class SoACache:
         "tag_index",
         "_fills",
         "_dead",
+        "_meta",
         "_next_write",
         "_sentinel",
     )
@@ -298,6 +299,9 @@ class SoACache:
         #: Per-set ``way -> predicted-dead bit``; None = no dead-block
         #: kernel ran (the plane stays zero).
         self._dead: List[Optional[Sequence[int]]] = [None] * num_sets
+        #: Per-set ``way -> block.meta`` dict; None = the predictor keeps
+        #: no per-block metadata (blocks keep their empty dict).
+        self._meta: List[Optional[Sequence[dict]]] = [None] * num_sets
         self._next_write: Sequence[int] = ()
         self._sentinel = 0
 
@@ -317,6 +321,7 @@ class SoACache:
         way_fill: List[int],
         filled: int,
         way_dead: Optional[Sequence[int]] = None,
+        way_meta: Optional[Sequence[dict]] = None,
     ) -> None:
         """Hand one set's kernel-local state over to the substrate.
 
@@ -329,11 +334,17 @@ class SoACache:
         positions (see the module docstring) -- kernels never track it.
         ``way_dead`` carries the DBRB kernel's per-way predicted-dead
         bits; the simple policies never predict, so they omit it.
+        ``way_meta`` carries the per-way ``block.meta`` contents of the
+        predictors that keep per-block metadata (reftrace, counting),
+        one dict per way that becomes the block's ``meta``; only resident
+        ways are read.
         """
         self.tag_index[set_index] = tag_to_way
         self._fills[set_index] = way_fill
         if way_dead is not None:
             self._dead[set_index] = way_dead
+        if way_meta is not None:
+            self._meta[set_index] = way_meta
 
     # ------------------------------------------------------------------
     def to_cache(self, cache, accesses: Sequence, index: ReplayIndex) -> None:
@@ -350,7 +361,8 @@ class SoACache:
         The predicted-dead plane follows the per-way bits the DBRB
         kernel committed (``way_dead``); the simple policies never
         predict, so their sets skip that branch and blocks keep their
-        ``False``.
+        ``False``; likewise ``block.meta`` is only replaced from a committed
+        ``way_meta``.
 
         Relies on the array path's cold-start eligibility: every frame
         starts invalid, and :meth:`~repro.cache.block.CacheBlock.invalidate`
@@ -369,6 +381,7 @@ class SoACache:
         fill_pos = self.fill_pos
         fills = self._fills
         dead_by_set = self._dead
+        meta_by_set = self._meta
         next_write = self._next_write
         sentinel = self._sentinel
         for set_index, tag_to_way in enumerate(self.tag_index):
@@ -379,6 +392,7 @@ class SoACache:
             target.update(tag_to_way)
             way_fill = fills[set_index]
             way_dead = dead_by_set[set_index]
+            way_meta = meta_by_set[set_index]
             per_tag = tag_positions[set_index]
             blocks = sets[set_index]
             base = set_index * associativity
@@ -402,6 +416,8 @@ class SoACache:
                 block = blocks[way]
                 block.valid = True
                 block.tag = tag
+                if way_meta is not None:
+                    block.meta = way_meta[way]
                 if next_write[fill_position] < sentinel:
                     dirty[frame] = 1
                     block.dirty = True

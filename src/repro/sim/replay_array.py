@@ -24,14 +24,16 @@ Loop shape notes (all measured on real filtered LLC streams):
 
 * **Miss marking.**  The hit vector is prefilled ``True`` and flipped
   at misses, so the hit path -- the common case -- writes nothing.
-* **Per-set batched** (LRU): LRU keeps no cross-set state, so the
+* **Per-set batched** (LRU, optimal): LRU keeps no cross-set state, so the
   stream is replayed one set at a time with the set's recency state
   bound to locals -- the grouping comes precomputed from the
   :class:`~repro.cache.soa.ReplayIndex`.  Recency is the iteration
   order of an :class:`~collections.OrderedDict` (``tag -> way``), so a
   promote is one C ``move_to_end`` and a victim is one C ``popitem``;
   the policy's recency stacks are reconstructed from the dict order at
-  the end of each set.
+  the end of each set.  Optimal (MIN plus bypass) needs no recency at
+  all: the set's slice of the policy's next-use plane decides bypass
+  and victim with one C ``max`` and one ``list.index``.
 * **Stream-order** (random, DIP, DRRIP): a global RNG stream, fill
   throttle, or PSEL counter makes cross-set access order
   semantically relevant, so these walk the stream in order -- but over
@@ -57,23 +59,40 @@ Loop shape notes (all measured on real filtered LLC streams):
   prediction on a miss bypasses, a predicted-dead way (LRU-first for an
   LRU default, way-order for random) overrides the victim, and hits
   refresh the per-way dead bit.
+* **Dead-block inlined** (``tdbp`` / ``cdbp``): the reftrace and counting
+  predictors train on LLC evictions, so nothing about them is a function
+  of the stream alone.  Their kernels walk the stream in order (the
+  prediction table is global) over per-set recency OrderedDicts, keep
+  the per-block predictor metadata on flat frame planes, and inline the
+  predictor's four events in the object path's order.
 
 Eligibility and fallback: one table, ``_KERNELS``, maps an *exact*
-policy type to its kernel -- LRU, random, DIP, DRRIP and DBRB, the
-policy types Table V's techniques build.  Everything else -- CDBP/TDBP,
-SHiP, TADIP, optimal, the policies no technique builds (tree PLRU,
-SRRIP, BIP, BRRIP), the VVC cache subclass, observer-attached or
-probe-enabled or paranoid replays -- falls through to the object
-kernel, which stays the bit-identity oracle.  The DRRIP kernel declines
-thread-aware set dueling (``thread-aware-drrip``); the DBRB kernel
-declines every Figure 6 ablation shape (``use_sampler=False``,
-single-table, non-default sampler or table geometry, bypass/replacement
-knobs off, non-LRU/random defaults, pre-trained predictors) with a
-``dbrb-*`` fallback reason; multicore merged replays already fall back
-via ``no-decomposition``.  The chosen kernel and any fallback reason
-are recorded on the cache (``last_replay_kernel`` /
-``last_replay_fallback``) for run manifests and the service's
-``/stats``.
+policy type to its kernel -- LRU, random, DIP, DRRIP, DBRB and optimal,
+so every Figure 4 cell (LRU, TDBP, CDBP, DIP, RRIP, sampler, optimal)
+replays array-native on a cold single-core stream.  Everything else --
+SHiP, TADIP, the policies no technique builds (tree PLRU, SRRIP, BIP,
+BRRIP), the VVC cache subclass, observer-attached or probe-enabled or
+paranoid replays -- falls through to the object kernel, which stays the
+bit-identity oracle.  A kernel narrows its type's eligibility with a
+``supports(cache, policy)`` hook, checked before the stream's
+:class:`~repro.cache.soa.ReplayIndex` is fetched, and optionally a
+``supports_stream(policy, accesses, index)`` hook checked after:
+
+* DRRIP declines thread-aware set dueling (``thread-aware-drrip``);
+* DBRB declines other predictors (``dbrb-predictor:<Name>``) and every
+  Figure 6 ablation shape with a ``dbrb-*`` reason: ``use_sampler=False``,
+  single-table, non-default sampler or table geometry, bypass or
+  replacement knob off, a default other than LRU/random (other than LRU
+  for reftrace/counting, so ``random_cdbp`` reports
+  ``dbrb-default:RandomPolicy``), and pre-trained predictors;
+* optimal declines streams whose ``seq`` is not the stream position, or
+  whose future annotation has another length (``optimal-seq``), so the
+  object path keeps its ``IndexError`` contract.
+
+Multicore merged replays already fall back via ``no-decomposition``.
+The chosen kernel and any fallback reason are recorded on the cache
+(``last_replay_kernel`` / ``last_replay_fallback``) for run manifests
+and the service's ``/stats``.
 """
 
 from __future__ import annotations
@@ -84,10 +103,15 @@ from typing import List, Optional, Tuple
 from repro.cache.soa import PredictionPlane, ReplayIndex, SoACache
 from repro.core.policy import DBRBPolicy
 from repro.core.predictor import SamplingDeadBlockPredictor
+from repro.predictors import counting, reftrace
+from repro.predictors.counting import CountingPredictor
+from repro.predictors.reftrace import RefTracePredictor
 from repro.replacement.dip import DIPPolicy
 from repro.replacement.lru import LRUPolicy
+from repro.replacement.optimal import OptimalPolicy
 from repro.replacement.random_policy import RandomPolicy
 from repro.replacement.rrip import DRRIPPolicy
+from repro.utils.hashing import fold_xor_many
 
 __all__ = ["maybe_replay_array", "select_kernel"]
 
@@ -147,6 +171,15 @@ def maybe_replay_array(
         index = stream.replay_index(num_sets)
     else:
         index = ReplayIndex.build(accesses, set_indices, tags, None, num_sets)
+    supports_stream = getattr(kernel, "supports_stream", None)
+    reason = (
+        None if supports_stream is None
+        else supports_stream(cache.policy, accesses, index)
+    )
+    if reason is not None:
+        cache.last_replay_kernel = "object"
+        cache.last_replay_fallback = reason
+        return None
     soa = SoACache.for_run(cache, index)
     hits, counters = kernel.run(
         cache, cache.policy, accesses, set_indices, tags, index, soa, stream
@@ -245,6 +278,76 @@ class _LRUKernel:
             stacks[set_index] = stack
             commit_set(set_index, od, way_fill, filled)
         return _finish(hits, filled_total, writeback_total)
+
+
+class _OptimalKernel:
+    """Belady MIN plus optimal bypass, one set at a time (the future
+    annotation is per position and no state crosses sets).
+
+    The set's slice of the policy's ``_frame_next`` is mutated in place,
+    so it ends exactly as the object path leaves it: each resident way
+    holds the next use of its block's latest access, never-filled ways
+    stay ``NEVER``.  On a miss into a full set the farthest next use
+    decides both questions the object path asks in turn: bypass when the
+    incoming block's next use lies beyond it (``should_bypass``), else
+    evict its first way (``choose_victim``'s strict ``>`` scan)."""
+
+    def supports_stream(self, policy, accesses, index) -> Optional[str]:
+        # The object path indexes the annotation by ``seq`` and raises
+        # IndexError past its end; the kernel indexes by position, so it
+        # only takes streams where the two agree.
+        if not index.seq_is_position or len(policy._next_use) != len(accesses):
+            return "optimal-seq"
+        return None
+
+    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+        associativity = cache.geometry.associativity
+        next_use = policy._next_use
+        bypass = policy.bypass
+        all_frame_next = policy._frame_next
+        set_tags = index.set_tags
+        next_write = index.next_write
+        commit_set = soa.commit_set
+        hits = [True] * len(accesses)
+        filled_total = 0
+        writeback_total = 0
+        bypass_total = 0
+        for set_index, positions in enumerate(index.set_positions):
+            if not positions:
+                continue
+            frame_next = all_frame_next[set_index]
+            farthest_of = frame_next.index
+            resident = {}
+            resident_get = resident.get
+            way_tag = [0] * associativity
+            way_fill = [0] * associativity
+            filled = 0
+            for position, tag in zip(positions, set_tags[set_index]):
+                future = next_use[position]
+                way = resident_get(tag)
+                if way is not None:
+                    frame_next[way] = future
+                    continue
+                hits[position] = False
+                if filled < associativity:
+                    way = filled
+                    filled += 1
+                else:
+                    farthest = max(frame_next)
+                    if bypass and future > farthest:
+                        bypass_total += 1
+                        continue
+                    way = farthest_of(farthest)
+                    del resident[way_tag[way]]
+                    if next_write[way_fill[way]] < position:
+                        writeback_total += 1
+                resident[tag] = way
+                way_tag[way] = tag
+                way_fill[way] = position
+                frame_next[way] = future
+            filled_total += filled
+            commit_set(set_index, resident, way_fill, filled)
+        return _finish(hits, filled_total, writeback_total, bypass_total)
 
 
 # ----------------------------------------------------------------------
@@ -515,10 +618,10 @@ class _DRRIPKernel:
 # dead-block replacement and bypass (the paper's headline technique)
 # ----------------------------------------------------------------------
 class _DBRBKernel:
-    """DBRB over the default sampling predictor, in two variants keyed
-    off the default policy's exact type.
+    """DBRB in three shapes, keyed off the predictor's exact type.
 
-    The predictor side is entirely precomputed: the shared
+    **Sampling predictor** (LRU or random default).  The predictor side
+    is entirely precomputed: the shared
     :class:`~repro.cache.soa.PredictionPlane` carries ``dead[p]`` -- the
     prediction the object path would assign on a hit (``touch``) and
     consult on a miss (``predict_fill`` / ``install``, identical within
@@ -538,6 +641,17 @@ class _DBRBKernel:
     * fill: the new block's dead bit is ``dead[p]``, necessarily False
       here because a True prediction bypassed.
 
+    **Reftrace (TDBP) and counting (CDBP) predictors** (LRU default).
+    These train on LLC evictions, so their tables depend on the replay
+    itself and cannot be precomputed; the kernel inlines the
+    predictor's ``touch`` / ``predict_fill`` / ``evicted`` / ``install``
+    in the object path's order instead, in stream order (the table is
+    global), over per-set recency OrderedDicts (front = LRU) and flat
+    per-frame planes for the per-block metadata.  Eviction training
+    runs before the incoming block's ``install`` prediction and can hit
+    the same table entry, so an install may predict dead although
+    ``predict_fill`` did not bypass.
+
     Writebacks, ``access_count`` / ``last_access_seq``, and the dirty
     bit keep the shared :class:`~repro.cache.soa.ReplayIndex` recovery:
     the residency argument survives bypass because a bypassed access is
@@ -547,8 +661,11 @@ class _DBRBKernel:
 
     def supports(self, cache, policy) -> Optional[str]:
         predictor = policy.predictor
-        if type(predictor) is not SamplingDeadBlockPredictor:
-            return f"dbrb-predictor:{type(predictor).__name__}"
+        kind = type(predictor)
+        if kind is RefTracePredictor or kind is CountingPredictor:
+            return self._supports_trained(policy, predictor)
+        if kind is not SamplingDeadBlockPredictor:
+            return f"dbrb-predictor:{kind.__name__}"
         default = policy.default
         if type(default) is not LRUPolicy and type(default) is not RandomPolicy:
             return f"dbrb-default:{type(default).__name__}"
@@ -587,7 +704,33 @@ class _DBRBKernel:
             return "dbrb-warm-predictor"
         return None
 
+    @staticmethod
+    def _supports_trained(policy, predictor) -> Optional[str]:
+        """Reftrace / counting: LRU default, both knobs on, cold table."""
+        default = policy.default
+        if type(default) is not LRUPolicy:
+            return f"dbrb-default:{type(default).__name__}"
+        if not policy.enable_bypass:
+            return "dbrb-no-bypass"
+        if not policy.enable_replacement:
+            return "dbrb-no-replacement"
+        if type(predictor) is RefTracePredictor:
+            warm = any(predictor.table)
+        else:
+            warm = any(predictor.counts) or any(predictor.confidences)
+        if warm:
+            # Like the sampler's warm case: the kernels are pinned
+            # against the object path from cold tables only, so a
+            # pre-trained predictor (warmup experiments) keeps the oracle.
+            return "dbrb-warm-predictor"
+        return None
+
     def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+        kind = type(policy.predictor)
+        if kind is RefTracePredictor:
+            return self._run_reftrace(cache, policy, accesses, index, soa)
+        if kind is CountingPredictor:
+            return self._run_counting(cache, policy, accesses, index, soa)
         num_sets = cache.geometry.num_sets
         if stream is not None and hasattr(stream, "prediction_plane"):
             plane = stream.prediction_plane(num_sets)
@@ -739,18 +882,258 @@ class _DBRBKernel:
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
 
+    def _run_reftrace(self, cache, policy, accesses, index, soa):
+        """Reftrace (TDBP) in stream order.  Per frame the planes keep the
+        block's trace signature (``block.meta``) and its dead bit."""
+        predictor = policy.predictor
+        table = predictor.table
+        threshold = predictor.threshold
+        counter_max = predictor.counter_max
+        signature_mask = predictor.signature_mask
+        pcs = [access.pc for access in accesses]
+        distinct = list(set(pcs))
+        folded = dict(
+            zip(distinct, fold_xor_many(distinct, predictor.signature_bits))
+        )
+        pc_signature = [folded[pc] for pc in pcs]
+        associativity = cache.geometry.associativity
+        num_sets = index.num_sets
+        set_mask = num_sets - 1
+        next_write = index.next_write
+        frames = num_sets * associativity
+        signature = [0] * frames
+        pred = bytearray(frames)
+        pred_find = pred.find
+        way_fill = [0] * frames
+        filled_by_set = [0] * num_sets
+        ods: List["OrderedDict[int, int]"] = [OrderedDict() for _ in range(num_sets)]
+        hits = [True] * len(accesses)
+        writeback_total = 0
+        bypass_total = 0
+        dead_victim_total = 0
+        for position, key in enumerate(index.block_keys):
+            set_index = key & set_mask
+            od = ods[set_index]
+            frame = od.get(key)
+            if frame is not None:
+                od.move_to_end(key)
+                # touch: the previous signature did not end the trace.
+                old = signature[frame]
+                value = table[old]
+                if value:
+                    table[old] = value - 1
+                new = (old + pc_signature[position]) & signature_mask
+                signature[frame] = new
+                pred[frame] = table[new] >= threshold
+                continue
+            hits[position] = False
+            new = pc_signature[position]
+            if table[new] >= threshold:  # predict_fill: dead on arrival
+                bypass_total += 1
+                continue
+            base = set_index * associativity
+            filled = filled_by_set[set_index]
+            if filled < associativity:
+                frame = base + filled
+                filled_by_set[set_index] = filled + 1
+            else:
+                if pred_find(1, base, base + associativity) >= 0:
+                    # First predicted-dead way from the LRU end.
+                    for victim, frame in od.items():
+                        if pred[frame]:
+                            break
+                    del od[victim]
+                    dead_victim_total += 1
+                else:
+                    frame = od.popitem(False)[1]
+                if next_write[way_fill[frame]] < position:
+                    writeback_total += 1
+                # evicted: the victim's final signature ended its trace.
+                old = signature[frame]
+                value = table[old]
+                if value < counter_max:
+                    table[old] = value + 1
+            od[key] = frame
+            way_fill[frame] = position
+            signature[frame] = new
+            pred[frame] = table[new] >= threshold  # install
+        metas = [{reftrace._META_KEY: value} for value in signature]
+        filled_total = _commit_recency(
+            soa, index, ods, way_fill, pred, filled_by_set, associativity,
+            policy.default._stacks, metas,
+        )
+        return _finish(
+            hits, filled_total, writeback_total, bypass_total, dead_victim_total
+        )
+
+    def _run_counting(self, cache, policy, accesses, index, soa):
+        """Counting (CDBP, the live-time predictor) in stream order.  Per
+        frame the planes keep the block's table entry, access count,
+        learned limit and confidence (``block.meta``), its dead bit, and
+        ``dead_at``: the count at which it turns dead (past the counter
+        range when it never does), which folds the touch-time prediction
+        into one compare."""
+        predictor = policy.predictor
+        counts = predictor.counts
+        confidences = predictor.confidences
+        addr_bits = predictor.addr_bits
+        column_mask = (1 << addr_bits) - 1
+        count_max = predictor.count_max
+        never = count_max + 1
+        pcs = [access.pc for access in accesses]
+        distinct = list(set(pcs))
+        # Rows come pre-shifted into place: ``entry = row << addr_bits | column``.
+        rows = {
+            pc: row << addr_bits
+            for pc, row in zip(distinct, fold_xor_many(distinct, predictor.pc_bits))
+        }
+        # The block key is the block address the predictor hashes.
+        distinct = list(set(index.block_keys))
+        columns = dict(zip(distinct, fold_xor_many(distinct, addr_bits)))
+        associativity = cache.geometry.associativity
+        num_sets = index.num_sets
+        set_mask = num_sets - 1
+        next_write = index.next_write
+        frames = num_sets * associativity
+        entry = [0] * frames
+        count = [0] * frames
+        limit = [0] * frames
+        confidence = [0] * frames
+        dead_at = [never] * frames
+        pred = bytearray(frames)
+        pred_find = pred.find
+        way_fill = [0] * frames
+        filled_by_set = [0] * num_sets
+        ods: List["OrderedDict[int, int]"] = [OrderedDict() for _ in range(num_sets)]
+        hits = [True] * len(accesses)
+        writeback_total = 0
+        bypass_total = 0
+        dead_victim_total = 0
+        for position, key in enumerate(index.block_keys):
+            set_index = key & set_mask
+            od = ods[set_index]
+            frame = od.get(key)
+            if frame is not None:
+                od.move_to_end(key)
+                # touch: one more access this generation.
+                value = count[frame]
+                if value < count_max:
+                    value += 1
+                    count[frame] = value
+                pred[frame] = value >= dead_at[frame]
+                continue
+            hits[position] = False
+            at = rows[pcs[position]] | columns[key]
+            if confidences[at] == 1 and counts[at] == 1:  # predict_fill
+                bypass_total += 1
+                continue
+            base = set_index * associativity
+            filled = filled_by_set[set_index]
+            if filled < associativity:
+                frame = base + filled
+                filled_by_set[set_index] = filled + 1
+            else:
+                if pred_find(1, base, base + associativity) >= 0:
+                    # First predicted-dead way from the LRU end.
+                    for victim, frame in od.items():
+                        if pred[frame]:
+                            break
+                    del od[victim]
+                    dead_victim_total += 1
+                else:
+                    frame = od.popitem(False)[1]
+                if next_write[way_fill[frame]] < position:
+                    writeback_total += 1
+                # evicted: learn the generation's final count.
+                trained = entry[frame]
+                final = count[frame]
+                confidences[trained] = 1 if final == counts[trained] else 0
+                counts[trained] = final
+            od[key] = frame
+            way_fill[frame] = position
+            # install: the fill is the generation's first access.
+            learned = counts[at]
+            confident = confidences[at]
+            entry[frame] = at
+            count[frame] = 1
+            limit[frame] = learned
+            confidence[frame] = confident
+            if confident and learned > 0:
+                dead_at[frame] = learned
+                pred[frame] = learned == 1
+            else:
+                dead_at[frame] = never
+                pred[frame] = 0
+        # The object path's install writes these keys in this order.
+        metas = [
+            {
+                counting._ROW_KEY: at >> addr_bits,
+                counting._COL_KEY: at & column_mask,
+                counting._COUNT_KEY: value,
+                counting._LIMIT_KEY: learned,
+                counting._CONF_KEY: confident,
+            }
+            for at, value, learned, confident in zip(entry, count, limit, confidence)
+        ]
+        filled_total = _commit_recency(
+            soa, index, ods, way_fill, pred, filled_by_set, associativity,
+            policy.default._stacks, metas,
+        )
+        return _finish(
+            hits, filled_total, writeback_total, bypass_total, dead_victim_total
+        )
+
+
+def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
+                    associativity, stacks, metas):
+    """Commit the stream-order LRU-default DBRB kernels: per touched set,
+    the ``tag -> way`` dict and the LRU stack come from the recency
+    OrderedDict (``block key -> frame``, front = LRU; never-filled ways
+    stay at the stack tail in order, as in :class:`_LRUKernel`), and the
+    fill, dead and ``block.meta`` planes (``metas``, one dict per frame)
+    are sliced."""
+    index_bits = index.index_bits
+    commit_set = soa.commit_set
+    filled_total = 0
+    for set_index, filled in enumerate(filled_by_set):
+        if not filled:
+            continue
+        filled_total += filled
+        base = set_index * associativity
+        top = base + associativity
+        tag_to_way = {
+            key >> index_bits: frame - base
+            for key, frame in ods[set_index].items()
+        }
+        stack = list(tag_to_way.values())
+        stack.reverse()
+        if filled < associativity:
+            stack.extend(range(filled, associativity))
+        stacks[set_index] = stack
+        commit_set(
+            set_index,
+            tag_to_way,
+            way_fill[base:top],
+            filled,
+            pred[base:top],
+            metas[base:top],
+        )
+    return filled_total
+
 
 # The one table of array kernels, keyed by *exact* policy type: a kernel
 # hard-codes its policy's insertion/promotion/victim logic, so a subclass
 # (TADIPPolicy over LRUPolicy, SHiPPolicy over SRRIPPolicy) must not
 # inherit its parent's kernel.  These are the policy types Table V's
 # techniques build; every other policy replays on the object kernel with
-# fallback reason ``policy:<Name>``.  A kernel with a ``supports`` hook
-# narrows eligibility further (thread-aware DRRIP, DBRB ablation shapes).
+# fallback reason ``policy:<Name>``.  A kernel's ``supports`` /
+# ``supports_stream`` hooks narrow eligibility further (thread-aware
+# DRRIP, DBRB ablation shapes, optimal over a mis-sequenced stream).
 _KERNELS = {
     LRUPolicy: _LRUKernel(),
     RandomPolicy: _RandomKernel(),
     DIPPolicy: _DIPKernel(),
     DRRIPPolicy: _DRRIPKernel(),
     DBRBPolicy: _DBRBKernel(),
+    OptimalPolicy: _OptimalKernel(),
 }

@@ -10,8 +10,9 @@ kernel (:func:`repro.sim.replay._replay_fast`).  These tests pin that
 promise three ways:
 
 * golden equivalence on a deterministic mixed stream, full-state deep
-  compare, for the four simple policies in the table (DBRB has its own
-  suite, ``test_replay_array_dbrb``);
+  compare, for the four simple policies in the table and for optimal
+  (MIN with and without bypass; DBRB has its own suite,
+  ``test_replay_array_dbrb``);
 * a hypothesis property test over random streams and policies;
 * end-to-end sweep bit-identity, array kernels vs an emptied kernel
   table, across the serial and parallel (shared-memory) harness paths.
@@ -36,10 +37,12 @@ from repro.replacement import (
     DIPPolicy,
     DRRIPPolicy,
     LRUPolicy,
+    OptimalPolicy,
     RandomPolicy,
     SHiPPolicy,
     SRRIPPolicy,
     TreePLRUPolicy,
+    annotate_next_use,
 )
 from repro.sim import replay_array
 from repro.sim.replay import _replay_fast, replay
@@ -91,7 +94,7 @@ def policy_state(policy):
     state = {}
     for attr in (
         "_stacks", "_trees", "_rrpv", "psel", "psels", "_fill_count",
-        "_set_role", "_leader_owner", "_leader_is_brrip",
+        "_set_role", "_leader_owner", "_leader_is_brrip", "_frame_next",
     ):
         if hasattr(policy, attr):
             state[attr] = repr(getattr(policy, attr))
@@ -178,6 +181,49 @@ def test_array_kernel_equivalence_property(seed, length, write_frac, name):
         geometry, length=length, write_frac=write_frac, seed=seed | 1
     )
     object_side, array_side = replay_both(ARRAY_POLICIES[name], geometry, accesses)
+    assert_equivalent(object_side, array_side)
+
+
+def optimal_factory(geometry, accesses, bypass):
+    """MIN over the stream's own future annotation; fresh per path."""
+    return lambda: OptimalPolicy(annotate_next_use(accesses, geometry), bypass=bypass)
+
+
+@pytest.mark.parametrize("write_frac", [0.0, 0.3])
+@pytest.mark.parametrize("bypass", [True, False])
+def test_optimal_array_kernel_matches_object_kernel(bypass, write_frac):
+    """Full state, ``_frame_next`` included; the stream must exercise
+    evictions, writebacks and (with the rule on) bypasses."""
+    accesses = make_stream(GEOMETRY, write_frac=write_frac)
+    object_side, array_side = replay_both(
+        optimal_factory(GEOMETRY, accesses, bypass), GEOMETRY, accesses
+    )
+    assert_equivalent(object_side, array_side)
+    stats = array_side[1].stats
+    assert stats.hits > 0 and stats.evictions > 0
+    assert (stats.bypasses > 0) == bypass
+    if write_frac:
+        assert stats.writebacks > 0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(64, 600),
+    write_frac=st.sampled_from([0.0, 0.2, 0.6]),
+    bypass=st.booleans(),
+    assoc=st.sampled_from([1, 2, 4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_optimal_equivalence_property(seed, length, write_frac, bypass, assoc):
+    """Random streams and associativities (direct-mapped included, where
+    every full-set miss is a bypass-or-evict decision on one way)."""
+    geometry = CacheGeometry(size_bytes=8 * assoc * 64, associativity=assoc)
+    accesses = make_stream(
+        geometry, length=length, write_frac=write_frac, seed=seed | 1
+    )
+    object_side, array_side = replay_both(
+        optimal_factory(geometry, accesses, bypass), geometry, accesses
+    )
     assert_equivalent(object_side, array_side)
 
 
@@ -273,6 +319,33 @@ def test_fallback_policy_no_technique_builds(name, write_frac):
     assert policy_state(cache.policy) == policy_state(object_cache.policy)
 
 
+def test_fallback_optimal_seq_offset():
+    """Optimal indexes its future by ``seq``: a stream whose seq is not
+    its position declines (``optimal-seq``) and keeps the object path's
+    IndexError contract."""
+    accesses = make_stream(GEOMETRY, length=2000, seq_offset=10_000)
+    set_indices, tags = decompose(GEOMETRY, accesses)
+    cache = Cache(GEOMETRY, OptimalPolicy(annotate_next_use(accesses, GEOMETRY)))
+    with pytest.raises(IndexError, match="seq to be the stream position"):
+        replay(cache, accesses, set_indices, tags)
+    assert cache.last_replay_kernel == "object"
+    assert cache.last_replay_fallback == "optimal-seq"
+
+
+def test_fallback_optimal_annotation_length():
+    """An annotation longer than the stream is valid for the object path
+    (seq stays in range) but not the kernel's: declined, same results."""
+    future = annotate_next_use(STREAM, GEOMETRY) + [0] * 8
+    cache = Cache(GEOMETRY, OptimalPolicy(future))
+    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    assert cache.last_replay_kernel == "object"
+    assert cache.last_replay_fallback == "optimal-seq"
+    object_cache = Cache(GEOMETRY, OptimalPolicy(future))
+    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert cache.stats.snapshot() == object_cache.stats.snapshot()
+    assert policy_state(cache.policy) == policy_state(object_cache.policy)
+
+
 def test_fallback_thread_aware_drrip():
     """The DRRIP kernel is in the table but declines multicore set
     dueling."""
@@ -317,16 +390,16 @@ def test_fallback_probe():
 # the kernel table covers exactly the techniques that build its policies
 # ----------------------------------------------------------------------
 #: Table V cells that replay array-native on a cold single-core stream.
-ARRAY_TECHNIQUES = ("lru", "random", "dip", "rrip", "sampler", "random_sampler")
+ARRAY_TECHNIQUES = (
+    "lru", "random", "dip", "rrip", "sampler", "random_sampler",
+    "tdbp", "cdbp", "optimal",
+)
 
 #: The other Table V cells, with the fallback reason each must report.
 OBJECT_TECHNIQUES = {
-    "tdbp": "dbrb-predictor:RefTracePredictor",
-    "cdbp": "dbrb-predictor:CountingPredictor",
     "tadip": "policy:TADIPPolicy",
-    "random_cdbp": "dbrb-predictor:CountingPredictor",
+    "random_cdbp": "dbrb-default:RandomPolicy",
     "ship": "policy:SHiPPolicy",
-    "optimal": "policy:OptimalPolicy",
 }
 
 
@@ -361,7 +434,7 @@ def test_kernel_table_covers_exactly_the_array_techniques():
 # end-to-end sweep bit-identity, array kernels vs an emptied table
 # ----------------------------------------------------------------------
 SWEEP_BENCHMARKS = ("mcf",)
-SWEEP_TECHNIQUES = ("lru", "rrip")
+SWEEP_TECHNIQUES = ("lru", "rrip", "tdbp", "cdbp", "optimal")
 
 
 def run_sweep(**kwargs):

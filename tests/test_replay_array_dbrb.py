@@ -1,7 +1,7 @@
 """The batched DBRB kernel: equivalence, ablation fallback, fleet identity.
 
-PR focus: the paper's headline technique -- DBRB over the sampling dead
-block predictor -- now replays array-native.  The prediction plane is a
+The paper's headline technique -- DBRB over the sampling dead block
+predictor -- replays array-native.  The prediction plane is a
 pure function of the access stream (with ``use_sampler=True`` the
 sampler sees every access to a sampled set whether the LLC hit or
 missed, and training comes exclusively from the sampler), so the kernel
@@ -10,6 +10,13 @@ the object path's state: stats including bypasses and dead-block
 victims, block contents including the per-block prediction bit, the
 default policy's recency stacks or RNG position, and the predictor's
 sampler sets, sampler stacks, and skewed counter tables.
+
+TDBP and CDBP -- DBRB over the reftrace and counting predictors on the
+LRU default -- replay array-native too, with the predictor inlined in
+stream order (their tables train on LLC evictions, so nothing can be
+precomputed).  They must additionally reproduce every resident block's
+``meta`` (the trace signature; the live-time entry, count, limit and
+confidence) and the final predictor tables.
 
 Three layers of pinning, mirroring ``test_replay_array``:
 
@@ -42,21 +49,28 @@ import repro
 from repro.cache.cache import Cache, CacheAccess
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
-from repro.predictors import CountingPredictor
+from repro.predictors import AIPPredictor, CountingPredictor, RefTracePredictor
 from repro.replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy
 from repro.sim import replay_array
 from repro.sim.replay import _replay_fast, replay
+from repro.utils.hashing import fold_xor
 from repro.utils.rng import XorShift64
 
 GEOMETRY = CacheGeometry(size_bytes=64 * 8 * 64, associativity=8, block_bytes=64)
 
-#: Both Table V cells that build a DBRBPolicy over the sampling predictor.
+#: Every Table V cell whose DBRBPolicy has an array kernel: the sampling
+#: predictor on both defaults, reftrace (TDBP) and counting (CDBP) on LRU.
 DBRB_POLICIES = {
     "sampler": lambda: DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor()),
     "random_sampler": lambda: DBRBPolicy(
         RandomPolicy(), SamplingDeadBlockPredictor()
     ),
+    "tdbp": lambda: DBRBPolicy(LRUPolicy(), RefTracePredictor()),
+    "cdbp": lambda: DBRBPolicy(LRUPolicy(), CountingPredictor()),
 }
+
+#: The cells whose predictor trains on LLC evictions (no plane).
+TRAINED_POLICIES = ("tdbp", "cdbp")
 
 
 def make_dead_stream(geometry, length=6000, seed=11, seq_offset=0):
@@ -131,6 +145,13 @@ def dbrb_state(policy):
     if rng is not None:
         state["default_rng"] = rng._state
     predictor = policy.predictor
+    if isinstance(predictor, RefTracePredictor):
+        state["table"] = repr(predictor.table)
+        return state
+    if isinstance(predictor, CountingPredictor):
+        state["counts"] = repr(predictor.counts)
+        state["confidences"] = repr(predictor.confidences)
+        return state
     state["tables"] = repr(predictor.tables.tables)
     sampler = predictor.sampler
     state["sampler_sets"] = [
@@ -219,6 +240,76 @@ def test_dbrb_array_kernel_handles_stream_seq_offsets():
     assert resident and all(b[4] >= 50_000 for b in resident)
 
 
+@pytest.mark.parametrize("name", TRAINED_POLICIES)
+def test_trained_predictor_kernel_handles_stream_seq_offsets(name):
+    """The reftrace/counting kernels never read ``seq``: an offset stream
+    replays array-native, with the materializer's slow seq branch."""
+    accesses = make_dead_stream(GEOMETRY, length=3000, seq_offset=50_000)
+    object_side, array_side = replay_both(DBRB_POLICIES[name], GEOMETRY, accesses)
+    assert_equivalent(object_side, array_side)
+    resident = [b for b in block_state(array_side[1]) if b[0]]
+    assert resident and all(b[4] >= 50_000 for b in resident)
+    assert all(b[7] for b in resident), "resident blocks lost their meta"
+
+
+def _same_set_blocks(geometry, count, predicate=lambda block: True):
+    """The first ``count`` block addresses in set 0 passing ``predicate``."""
+    blocks = []
+    block = 0
+    while len(blocks) < count:
+        if predicate(block):
+            blocks.append(block)
+        block += geometry.num_sets
+    return blocks
+
+
+def _flip_stream(name):
+    """A stream where eviction training flips an install prediction.
+
+    Every access uses one PC in set 0 of a 2-set, 2-way cache.  TDBP: the
+    third and fourth misses each evict an LRU block whose signature is
+    the PC's own, so the fourth fill sees the counter reach the
+    threshold only after ``predict_fill`` said live.  CDBP: blocks A and
+    B share one live-time entry; re-filling A evicts B, whose final count
+    of 1 repeats the entry's count and sets its confidence just before
+    A's ``install`` reads it.
+    """
+    geometry = CacheGeometry(size_bytes=2 * 2 * 64, associativity=2)
+    if name == "tdbp":
+        blocks = _same_set_blocks(geometry, 4)
+    else:
+        column = fold_xor(0, 8)
+        a, b = _same_set_blocks(
+            geometry, 2, lambda block: fold_xor(block, 8) == column
+        )
+        filler = _same_set_blocks(
+            geometry, 1, lambda block: fold_xor(block, 8) != column
+        )[0]
+        # A, B fill both ways; the filler evicts A (LRU) and B is then
+        # the LRU way when A returns.
+        blocks = [a, b, filler, a]
+    accesses = [
+        CacheAccess(address=block * 64, pc=0x40, is_write=False, seq=position)
+        for position, block in enumerate(blocks)
+    ]
+    return geometry, accesses
+
+
+@pytest.mark.parametrize("name", TRAINED_POLICIES)
+def test_eviction_training_flips_install_prediction(name):
+    """The last access misses, is *not* bypassed (``predict_fill`` said
+    live), and yet its block is installed predicted dead: the eviction
+    it caused trained the very entry ``install`` reads next."""
+    geometry, accesses = _flip_stream(name)
+    object_side, array_side = replay_both(DBRB_POLICIES[name], geometry, accesses)
+    assert_equivalent(object_side, array_side)
+    cache = array_side[1]
+    assert cache.stats.bypasses == 0 and cache.stats.fills == len(accesses)
+    last_tag = (accesses[-1].address >> geometry.offset_bits) >> geometry.index_bits
+    way = cache._tag_index[0][last_tag]
+    assert cache.sets[0][way].predicted_dead
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     length=st.integers(150, 600),
@@ -245,8 +336,8 @@ STREAM = make_dead_stream(GEOMETRY)
 SET_INDICES, TAGS = decompose(GEOMETRY, STREAM)
 
 ABLATIONS = {
-    "dbrb-predictor:CountingPredictor": lambda: DBRBPolicy(
-        LRUPolicy(), CountingPredictor()
+    "dbrb-predictor:AIPPredictor": lambda: DBRBPolicy(
+        LRUPolicy(), AIPPredictor()
     ),
     "dbrb-default:TreePLRUPolicy": lambda: DBRBPolicy(
         TreePLRUPolicy(), SamplingDeadBlockPredictor()
@@ -294,6 +385,68 @@ def test_dbrb_fallback_warm_predictor():
     replay(touched, STREAM, SET_INDICES, TAGS)
     assert touched.last_replay_kernel == "object"
     assert touched.last_replay_fallback == "dbrb-warm-predictor"
+
+
+#: The trained-predictor kernels' declines: the shapes outside TDBP/CDBP
+#: as Table V builds them, one per (reason, predictor).
+TRAINED_DECLINES = {
+    ("dbrb-default:RandomPolicy", "tdbp"): lambda: DBRBPolicy(
+        RandomPolicy(), RefTracePredictor()
+    ),
+    ("dbrb-default:RandomPolicy", "cdbp"): lambda: DBRBPolicy(
+        RandomPolicy(), CountingPredictor()
+    ),
+    ("dbrb-no-bypass", "tdbp"): lambda: DBRBPolicy(
+        LRUPolicy(), RefTracePredictor(), enable_bypass=False
+    ),
+    ("dbrb-no-bypass", "cdbp"): lambda: DBRBPolicy(
+        LRUPolicy(), CountingPredictor(), enable_bypass=False
+    ),
+    ("dbrb-no-replacement", "tdbp"): lambda: DBRBPolicy(
+        LRUPolicy(), RefTracePredictor(), enable_replacement=False
+    ),
+    ("dbrb-no-replacement", "cdbp"): lambda: DBRBPolicy(
+        LRUPolicy(), CountingPredictor(), enable_replacement=False
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "reason,name", sorted(TRAINED_DECLINES), ids="-".join
+)
+def test_trained_predictor_declines(reason, name):
+    """Each decline replays on the object kernel with its named reason
+    and the object kernel's results (the random default is Table V's
+    ``random_cdbp``)."""
+    factory = TRAINED_DECLINES[(reason, name)]
+    cache = Cache(GEOMETRY, factory())
+    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    assert cache.last_replay_kernel == "object"
+    assert cache.last_replay_fallback == reason
+    object_cache = Cache(GEOMETRY, factory())
+    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert cache.stats.snapshot() == object_cache.stats.snapshot()
+
+
+def _pretrain(policy):
+    predictor = policy.predictor
+    if isinstance(predictor, RefTracePredictor):
+        predictor.table[7] = 1
+    else:
+        predictor.confidences[7] = 1
+    return policy
+
+
+@pytest.mark.parametrize("name", TRAINED_POLICIES)
+def test_trained_predictor_fallback_warm_predictor(name):
+    """The kernels start from a cold table; a pre-trained one (a warmup
+    experiment) keeps the object kernel."""
+    cache = Cache(GEOMETRY, _pretrain(DBRB_POLICIES[name]()))
+    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    assert cache.last_replay_kernel == "object"
+    assert cache.last_replay_fallback == "dbrb-warm-predictor"
+    object_cache = Cache(GEOMETRY, _pretrain(DBRB_POLICIES[name]()))
+    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.hashing import fold_xor, hash_combine, mix64, skewed_hash
+from repro.utils.hashing import (
+    fold_xor,
+    fold_xor_many,
+    hash_combine,
+    mix64,
+    skewed_hash,
+)
 
 
 class TestMix64:
@@ -43,6 +49,19 @@ class TestFoldXor:
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 32))
     def test_output_in_range(self, value, width):
         assert 0 <= fold_xor(value, width) < (1 << width)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**70), max_size=40),
+        st.integers(1, 40),
+    )
+    def test_many_matches_one_at_a_time(self, values, width):
+        assert fold_xor_many(values, width) == [
+            fold_xor(value, width) for value in values
+        ]
+
+    def test_many_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            fold_xor_many([5], 0)
 
 
 class TestHashCombine:
