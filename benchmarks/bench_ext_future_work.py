@@ -15,7 +15,6 @@ from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.harness import format_table
 from repro.prefetch import NextBlockPrefetcher, PrefetchEngine
 from repro.replacement import LRUPolicy
-from repro.sim.system import build_llc_accesses
 from repro.vvc import VictimRelocationCache
 
 
@@ -30,7 +29,7 @@ def test_ext_dead_block_prefetching(benchmark, workload_cache, report):
         machine = workload_cache.machine
         for name in benchmarks:
             filtered = workload_cache.filtered(name)
-            accesses = build_llc_accesses(filtered)
+            accesses = filtered.llc_stream(machine.llc).accesses
 
             def dbrb_policy():
                 return DBRBPolicy(
@@ -88,7 +87,7 @@ def test_ext_virtual_victim_cache(benchmark, workload_cache, report):
         machine = workload_cache.machine
         for name in benchmarks:
             filtered = workload_cache.filtered(name)
-            accesses = build_llc_accesses(filtered)
+            accesses = filtered.llc_stream(machine.llc).accesses
 
             def dbrb_policy():
                 return DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor())

@@ -180,9 +180,7 @@ def _measure_kernel_cells(
                 gc_was_enabled = gc.isenabled()
                 gc.disable()
                 start = time.perf_counter()
-                object_hits = _replay_fast(
-                    cache, accesses, stream.set_indices, stream.tags
-                )
+                object_hits = _replay_fast(cache, stream)
                 elapsed = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
@@ -194,10 +192,7 @@ def _measure_kernel_cells(
                 gc_was_enabled = gc.isenabled()
                 gc.disable()
                 start = time.perf_counter()
-                array_hits = replay(
-                    cache, accesses, stream.set_indices, stream.tags,
-                    stream=stream,
-                )
+                array_hits = replay(cache, stream)
                 elapsed = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
@@ -237,7 +232,7 @@ def _measure_kernel_cells(
             # decline to the object kernel on its own.
             technique = TECHNIQUES[probe_key]
             cache = Cache(geometry, technique.build(geometry, accesses))
-            replay(cache, accesses, stream.set_indices, stream.tags, stream=stream)
+            replay(cache, stream)
             if cache.last_replay_kernel != "object":
                 raise SystemExit(
                     f"FALLBACK FAILURE: {probe_key} cell ran kernel "
@@ -343,10 +338,7 @@ def _measure_timing(workload_cache, benchmarks) -> Dict:
         }
         for key in techniques:
             cache = Cache(geometry, TECHNIQUES[key].build(geometry, stream.accesses))
-            hits = replay(
-                cache, stream.accesses, stream.set_indices, stream.tags,
-                stream=stream,
-            )
+            hits = replay(cache, stream)
             best_reference = best_plan = None
             for _ in range(_ARRAY_TRIALS):
                 gc_was_enabled = gc.isenabled()
@@ -409,7 +401,7 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
 
         off_cache = Cache(geometry, technique.build(geometry, accesses))
         start = time.perf_counter()
-        replay(off_cache, accesses, stream.set_indices, stream.tags)
+        replay(off_cache, stream)
         totals["off_seconds"] += time.perf_counter() - start
 
         recorder = IntervalRecorder(epochs=32)
@@ -417,7 +409,7 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
             geometry, technique.build(geometry, accesses), probe=recorder
         )
         start = time.perf_counter()
-        replay(on_cache, accesses, stream.set_indices, stream.tags)
+        replay(on_cache, stream)
         totals["on_seconds"] += time.perf_counter() - start
 
         if off_cache.stats.snapshot() != on_cache.stats.snapshot():

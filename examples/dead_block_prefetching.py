@@ -24,7 +24,6 @@ from repro import (
 )
 from repro.harness import format_table
 from repro.prefetch import CorrelationPrefetcher, NextBlockPrefetcher, PrefetchEngine
-from repro.sim.system import build_llc_accesses
 from repro.workloads import ALL_BENCHMARKS
 
 
@@ -38,7 +37,7 @@ def main(argv) -> int:
     system = SingleCoreSystem(config)
     trace = build_trace(benchmark, 250_000, config.llc.size_bytes)
     filtered = system.prepare(trace)
-    accesses = build_llc_accesses(filtered)
+    accesses = filtered.llc_stream(config.llc).accesses
     print(f"{benchmark}: {len(accesses):,} LLC accesses\n")
 
     def dbrb_policy(bypass):

@@ -59,6 +59,7 @@ from repro.loadsim.tenants import (
     TenantSpec,
     split_specs,
 )
+from repro.sim.hierarchy import prepare_stream
 from repro.sim.metrics import jain_fairness_index, percentiles
 from repro.telemetry.probe import IntervalRecorder
 
@@ -419,7 +420,11 @@ def prepare_scenario(workload_cache, scenario: LoadScenario) -> PreparedScenario
     tenants: List[PreparedTenant] = []
     for index, spec in enumerate(scenario.tenants):
         filtered = workload_cache.filtered(spec.workload)
-        stream = filtered.llc_stream(
+        # A private stream per tenant: the run writes each access's
+        # ``seq``, so sharing the workload's cached stream would corrupt
+        # it for every later replay.
+        stream = prepare_stream(
+            filtered.llc_arrays(),
             geometry,
             address_offset=index << TENANT_ADDRESS_SHIFT,
             core=index,

@@ -33,6 +33,7 @@ __all__ = [
     "MachineConfig",
     "PreparedStream",
     "TimingPlan",
+    "decompose",
     "prepare_stream",
 ]
 
@@ -148,17 +149,37 @@ class _FastLRU:
         return False
 
 
+def decompose(
+    addresses: Sequence[int], geometry: CacheGeometry
+) -> Tuple[List[int], List[int]]:
+    """Split byte addresses into ``(set_indices, tags)`` for ``geometry``.
+
+    The one place the LLC address split is computed: every
+    :class:`PreparedStream` -- a workload's stream, a merged multicore
+    stream, a test's hand-built stream -- is decomposed here.
+    """
+    offset_bits = geometry.offset_bits
+    index_bits = geometry.index_bits
+    index_mask = geometry.num_sets - 1
+    blocks = [address >> offset_bits for address in addresses]
+    return (
+        [block & index_mask for block in blocks],
+        [block >> index_bits for block in blocks],
+    )
+
+
 class PreparedStream:
-    """The LLC access stream of one workload, decomposed for one geometry.
+    """An LLC access stream, decomposed for one geometry: the one input
+    every replay (:func:`repro.sim.replay.replay`) takes.
 
     Struct-of-arrays layout: position ``i`` of every array describes the
-    same LLC access, so a replay kernel
-    (:func:`repro.sim.replay.replay`) can walk precomputed
+    same LLC access, so a replay kernel can walk precomputed
     ``(set_index, tag)`` pairs instead of re-deriving them from the byte
-    address once per technique.  The :class:`~repro.cache.cache.CacheAccess`
-    objects carry stream-position ``seq`` numbers (the contract the
-    optimal policy needs) and are safe to share across techniques: no
-    policy or predictor mutates them.
+    address once per technique.  Streams built here (:func:`prepare_stream`,
+    the multicore merge) carry stream-position ``seq`` numbers (the
+    contract the optimal policy needs); their
+    :class:`~repro.cache.cache.CacheAccess` objects are safe to share
+    across techniques: no policy or predictor mutates them.
     """
 
     __slots__ = (
@@ -183,6 +204,15 @@ class PreparedStream:
         self.writes = writes
         self._replay_index = None
         self._prediction_plane = None
+
+    @classmethod
+    def from_accesses(
+        cls, accesses: List[CacheAccess], geometry: CacheGeometry
+    ) -> "PreparedStream":
+        """Decompose an existing access list for ``geometry``."""
+        return cls(
+            accesses, *decompose([access.address for access in accesses], geometry)
+        )
 
     def __len__(self) -> int:
         return len(self.accesses)
@@ -304,9 +334,12 @@ def prepare_stream(
 ) -> PreparedStream:
     """Materialize a :class:`PreparedStream` from LLC arrays.
 
-    ``set_indices`` / ``tags`` may be supplied when the decomposition for
-    ``geometry`` was already computed elsewhere (the compiled workload
-    store persists them); otherwise they are derived from the addresses.
+    ``address_offset`` and ``core`` relocate the stream into one core's
+    or tenant's address range (the load simulator's private tenant
+    streams).  ``set_indices`` / ``tags`` may be supplied when the
+    decomposition for ``geometry`` was already computed elsewhere (the
+    compiled workload store persists them); otherwise :func:`decompose`
+    derives them from the addresses.
     The :class:`~repro.cache.cache.CacheAccess` objects are always
     materialized fresh -- they are per-process Python objects and cannot
     be shared across process boundaries, unlike the flat arrays.
@@ -321,15 +354,9 @@ def prepare_stream(
     accesses = list(
         map(CacheAccess, addresses, pcs, writes, range(count), repeat(core, count))
     )
-    if set_indices is not None:
-        return PreparedStream(accesses, set_indices, tags, writes)
-    offset_bits = geometry.offset_bits
-    index_bits = geometry.index_bits
-    index_mask = geometry.num_sets - 1
-    blocks = [address >> offset_bits for address in addresses]
-    derived_sets = [block & index_mask for block in blocks]
-    derived_tags = [block >> index_bits for block in blocks]
-    return PreparedStream(accesses, derived_sets, derived_tags, writes)
+    if set_indices is None:
+        set_indices, tags = decompose(addresses, geometry)
+    return PreparedStream(accesses, set_indices, tags, writes)
 
 
 class FilteredTrace:
@@ -367,7 +394,7 @@ class FilteredTrace:
         self.levels = levels
         self.llc_indices = llc_indices
         self._llc_arrays: Optional[Tuple[List[int], List[int], List[bool]]] = None
-        self._streams: Dict[Tuple[int, int, int, int], PreparedStream] = {}
+        self._streams: Dict[Tuple[int, int], PreparedStream] = {}
         self._latencies: Dict[Tuple[int, int], List[int]] = {}
         self._plans: Dict[Tuple[int, int, int, int], TimingPlan] = {}
 
@@ -392,23 +419,13 @@ class FilteredTrace:
             self._llc_arrays = (pcs, addresses, writes)
         return self._llc_arrays
 
-    def llc_stream(
-        self,
-        geometry: CacheGeometry,
-        address_offset: int = 0,
-        core: int = 0,
-    ) -> PreparedStream:
-        """The LLC stream prepared for ``geometry`` (cached per geometry).
-
-        ``address_offset`` and ``core`` support multicore runs, where each
-        core's stream is relocated into a disjoint address range.
-        """
-        key = (geometry.offset_bits, geometry.index_bits, address_offset, core)
+    def llc_stream(self, geometry: CacheGeometry) -> PreparedStream:
+        """The LLC stream prepared for ``geometry`` (cached per geometry
+        and shared by every technique replayed on it)."""
+        key = (geometry.offset_bits, geometry.index_bits)
         stream = self._streams.get(key)
         if stream is None:
-            stream = prepare_stream(
-                self.llc_arrays(), geometry, address_offset, core
-            )
+            stream = prepare_stream(self.llc_arrays(), geometry)
             self._streams[key] = stream
         return stream
 
@@ -457,14 +474,6 @@ class FilteredTrace:
     @property
     def instructions(self) -> int:
         return self.trace.instructions
-
-    def llc_records(self) -> List[Tuple[int, int, bool]]:
-        """The LLC access stream as (pc, address, is_write) tuples."""
-        records = self.trace.records
-        return [
-            (records[i].pc, records[i].address, records[i].is_write)
-            for i in self.llc_indices
-        ]
 
     def filter_ratio(self) -> float:
         """Fraction of memory references the L1/L2 absorbed."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge as heap_merge
+from itertools import accumulate
 from typing import Callable, List, Sequence, Tuple
 
 from repro.cache.cache import Cache, CacheAccess
@@ -32,15 +33,21 @@ from repro.cache.stats import CacheStats
 from repro.replacement.base import ReplacementPolicy
 from repro.replacement.lru import LRUPolicy
 from repro.sim.cpu import CoreModel
-from repro.sim.hierarchy import FilteredTrace, HierarchyFilter, MachineConfig
+from repro.sim.hierarchy import (
+    FilteredTrace,
+    HierarchyFilter,
+    MachineConfig,
+    PreparedStream,
+    decompose,
+)
 from repro.sim.metrics import weighted_speedup
 from repro.sim.replay import replay
 from repro.sim.trace import Trace
 
 __all__ = ["MulticoreResult", "MulticoreSystem", "PreparedMix"]
 
-#: Builds the shared-LLC policy.  Receives the geometry, the merged access
-#: stream, and the core count (thread-aware policies need it).
+#: Builds the shared-LLC policy.  Receives the geometry, the merged
+#: stream's accesses, and the core count (thread-aware policies need it).
 SharedPolicyFactory = Callable[
     [CacheGeometry, Sequence[CacheAccess], int], ReplacementPolicy
 ]
@@ -57,7 +64,7 @@ class PreparedMix:
     name: str
     filtered: List[FilteredTrace]
     single_ipcs: List[float]          # solo IPC, full LLC, LRU (paper's SingleIPC_i)
-    merged: List[CacheAccess]         # timestamp-merged shared-LLC stream
+    merged: PreparedStream            # timestamp-merged shared-LLC stream
     per_core_positions: List[List[int]]  # per core: positions into `merged`
 
 
@@ -121,46 +128,48 @@ class MulticoreSystem:
         geometry = self.shared_geometry
         stream = filtered.llc_stream(geometry)
         cache = Cache(geometry, LRUPolicy(), name="LLC-solo")
-        hits = replay(cache, stream.accesses, stream.set_indices, stream.tags)
+        hits = replay(cache, stream)
         return self._core.run(filtered, hits).ipc
 
     def _merge(
         self, filtered: List[FilteredTrace], single_ipcs: List[float]
-    ) -> Tuple[List[CacheAccess], List[List[int]]]:
-        """Merge per-core LLC streams by estimated arrival cycle."""
-        keyed_streams = []
+    ) -> Tuple[PreparedStream, List[List[int]]]:
+        """Merge per-core LLC streams by estimated arrival cycle.
+
+        A core's LLC access at trace record ``i`` arrives at its
+        instruction position (the prefix sum of ``gap + 1`` through
+        ``i``) divided by the core's solo IPC.  Merging on
+        ``(cycle, core, cursor)`` breaks cycle ties by core, then keeps
+        each core's own stream order.
+        """
+        keyed = []
         for core, ft in enumerate(filtered):
             ipc = max(single_ipcs[core], 1e-6)
-            records = ft.trace.records
-            stream = []
-            inst_pos = 0
-            llc_set = ft.llc_indices
-            # Walk records once, tracking instruction position; emit LLC
-            # accesses with their estimated cycle.
-            llc_cursor = 0
-            for index, record in enumerate(records):
-                inst_pos += record.gap + 1
-                if llc_cursor < len(llc_set) and llc_set[llc_cursor] == index:
-                    estimated_cycle = inst_pos / ipc
-                    access = CacheAccess(
-                        address=record.address + (core << _CORE_ADDRESS_SHIFT),
-                        pc=record.pc,
-                        is_write=record.is_write,
-                        seq=0,  # assigned after the merge
-                        core=core,
-                    )
-                    stream.append((estimated_cycle, core, llc_cursor, access))
-                    llc_cursor += 1
-            keyed_streams.append(stream)
-
-        merged_keyed = list(heap_merge(*keyed_streams, key=lambda item: item[0]))
-        merged: List[CacheAccess] = []
-        positions: List[List[int]] = [[] for _ in range(self.num_cores)]
-        for seq, (_, core, _, access) in enumerate(merged_keyed):
-            access.seq = seq
-            merged.append(access)
+            inst_pos = list(accumulate(record.gap + 1 for record in ft.trace.records))
+            keyed.append(
+                [
+                    (inst_pos[index] / ipc, core, cursor)
+                    for cursor, index in enumerate(ft.llc_indices)
+                ]
+            )
+        columns = [ft.llc_arrays() for ft in filtered]
+        pcs: List[int] = []
+        addresses: List[int] = []
+        writes: List[bool] = []
+        cores: List[int] = []
+        positions: List[List[int]] = [[] for _ in filtered]
+        for seq, (_, core, cursor) in enumerate(heap_merge(*keyed)):
+            core_pcs, core_addresses, core_writes = columns[core]
+            pcs.append(core_pcs[cursor])
+            addresses.append(core_addresses[cursor] + (core << _CORE_ADDRESS_SHIFT))
+            writes.append(core_writes[cursor])
+            cores.append(core)
             positions[core].append(seq)
-        return merged, positions
+        accesses = list(
+            map(CacheAccess, addresses, pcs, writes, range(len(addresses)), cores)
+        )
+        set_indices, tags = decompose(addresses, self.shared_geometry)
+        return PreparedStream(accesses, set_indices, tags, writes), positions
 
     # ------------------------------------------------------------------
     def run(
@@ -171,7 +180,7 @@ class MulticoreSystem:
     ) -> MulticoreResult:
         """Replay the merged stream on a shared LLC; time each core."""
         geometry = self.shared_geometry
-        policy = policy_factory(geometry, prepared.merged, self.num_cores)
+        policy = policy_factory(geometry, prepared.merged.accesses, self.num_cores)
         cache = Cache(geometry, policy, name="sharedLLC")
         hits = replay(cache, prepared.merged)
         ipcs = []

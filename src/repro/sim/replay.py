@@ -3,17 +3,19 @@
 The paper's evaluation replays one L1/L2-filtered LLC stream once per
 technique (Section VI-B); in a pure-Python model the replay loop is the
 hot path of every figure.  :func:`replay` drives a
-:class:`~repro.cache.cache.Cache` over a stream whose ``(set_index, tag)``
-decomposition was precomputed once per workload
-(:meth:`~repro.sim.hierarchy.FilteredTrace.llc_stream`), with the access
-path inlined into one loop: per-set dict lookup for the tag probe, policy
-callbacks bound to locals, statistics accumulated in local counters and
-committed once at the end.
+:class:`~repro.cache.cache.Cache` over a
+:class:`~repro.sim.hierarchy.PreparedStream` -- the one replay input,
+whose ``(set_index, tag)`` decomposition was precomputed once per stream
+(:meth:`~repro.sim.hierarchy.FilteredTrace.llc_stream` for one core, the
+merged stream of :class:`~repro.sim.multicore.MulticoreSystem` for a
+shared LLC) -- with the access path inlined into one loop: per-set dict
+lookup for the tag probe, policy callbacks bound to locals, statistics
+accumulated in local counters and committed once at the end.
 
-Correctness contract: ``replay(cache, accesses, ...)`` produces the same
-hit vector and leaves the cache in the same state -- bit-identical
+Correctness contract: ``replay(cache, stream)`` produces the same hit
+vector and leaves the cache in the same state -- bit-identical
 :class:`~repro.cache.stats.CacheStats`, block contents, and policy state --
-as the reference loop ``[cache.access(a) for a in accesses]``.  The
+as the reference loop ``[cache.access(a) for a in stream.accesses]``.  The
 golden-equivalence tests (``tests/test_replay_equivalence.py``) pin this
 for every replacement policy.
 
@@ -33,7 +35,7 @@ partial replay are not committed to ``cache.stats``.
 Array path: when the policy's exact type has an array kernel in
 :mod:`repro.sim.replay_array`'s table and the replay is eligible (exact
 :class:`~repro.cache.cache.Cache`, cold, no observers/probe/paranoid,
-precomputed decomposition, a stream no shorter than the frame count),
+a stream no shorter than the frame count),
 the stream is replayed on the structure-of-arrays substrate instead
 under the same transparency contract.  The choice is made from those
 observable facts alone; there is no override.  :func:`_replay_fast` is
@@ -56,48 +58,28 @@ original kernel is one attribute check per replayed stream.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
-from repro.cache.cache import Cache, CacheAccess
+from repro.cache.cache import Cache
 from repro.replacement.base import ReplacementPolicy
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay_array import maybe_replay_array
 
 __all__ = ["replay"]
 
 
-def replay(
-    cache: Cache,
-    accesses: Sequence[CacheAccess],
-    set_indices: Optional[Sequence[int]] = None,
-    tags: Optional[Sequence[int]] = None,
-    stream=None,
-) -> List[bool]:
+def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
     """Replay an LLC access stream; returns the per-access hit vector.
 
     Args:
         cache: the LLC under test (policy already bound).
-        accesses: the stream, in order; ``seq`` must be the stream
-            position when the policy is position-indexed (optimal).
-        set_indices / tags: precomputed address decomposition for
-            ``cache.geometry`` (both or neither).  When omitted they are
-            derived inline -- still faster than per-access method calls,
-            but sharing one precomputed decomposition across techniques is
-            the point of :class:`~repro.sim.hierarchy.PreparedStream`.
-        stream: the owning :class:`~repro.sim.hierarchy.PreparedStream`,
-            when the caller has one.  Lets the array kernels reuse the
-            stream's cached per-geometry :class:`~repro.cache.soa.ReplayIndex`
-            instead of rebuilding it per technique.
+        stream: the stream, decomposed for ``cache.geometry``; its
+            accesses' ``seq`` must be the stream position when the policy
+            is position-indexed (optimal).  The array kernels reuse the
+            stream's cached :class:`~repro.cache.soa.ReplayIndex` and
+            :class:`~repro.cache.soa.PredictionPlane` across techniques.
     """
-    if (set_indices is None) != (tags is None):
-        raise ValueError("set_indices and tags must be provided together")
-    if set_indices is not None and (
-        len(set_indices) != len(accesses) or len(tags) != len(accesses)
-    ):
-        raise ValueError(
-            f"decomposition arrays ({len(set_indices)}/{len(tags)}) do not "
-            f"match the stream length ({len(accesses)})"
-        )
-
+    accesses = stream.accesses
     probe = cache.probe
     if type(cache) is not Cache or cache.has_observers:
         # Reference path: subclass access overrides and observer
@@ -114,27 +96,29 @@ def replay(
             return [cache_access(access) for access in accesses[start:stop]]
 
     elif not probe.enabled:
-        array_hits = maybe_replay_array(cache, accesses, set_indices, tags, stream)
+        array_hits = maybe_replay_array(cache, stream)
         if array_hits is not None:
             return array_hits
-        return _replay_fast(cache, accesses, set_indices, tags)
+        return _replay_fast(cache, stream)
     else:
         # The array kernels commit statistics (and policy/block state)
         # only once at the end of a whole-stream run, so epoch boundaries
         # would observe nothing; probe replays stay on the object kernel.
         cache.last_replay_kernel = "object"
         cache.last_replay_fallback = "probe"
-        # The binding (geometry constants, elided policy callbacks,
+        # The binding (per-set containers, elided policy callbacks,
         # paranoid hooks) is loop-invariant across epoch slices; compute
         # it once here instead of once per slice.
         binding = _bind(cache)
+        set_indices = stream.set_indices
+        tags = stream.tags
 
         def replay_slice(start: int, stop: int) -> List[bool]:
             return _replay_fast(
                 cache,
-                accesses[start:stop],
-                None if set_indices is None else set_indices[start:stop],
-                None if tags is None else tags[start:stop],
+                PreparedStream(
+                    accesses[start:stop], set_indices[start:stop], tags[start:stop]
+                ),
                 binding,
             )
 
@@ -156,22 +140,18 @@ def replay(
 def _bind(cache: Cache):
     """Snapshot the loop-invariant kernel inputs for ``_replay_fast``.
 
-    Geometry constants, the per-set containers, the policy callbacks
+    The associativity, the per-set containers, the policy callbacks
     with base-class no-ops elided, and the paranoid hooks.  Computed
     once per replay; the probe path reuses one binding across all of its
     epoch slices.
     """
-    geometry = cache.geometry
     policy = cache.policy
     policy_type = type(policy)
     # Callbacks a policy left as the base-class no-op are skipped outright;
     # the base ``should_bypass`` always answers False, so skipping it is
     # equivalent to never bypassing.
     return (
-        geometry.offset_bits,
-        geometry.index_bits,
-        geometry.num_sets - 1,
-        geometry.associativity,
+        cache.geometry.associativity,
         cache.sets,
         cache._tag_index,
         policy.choose_victim,
@@ -196,13 +176,7 @@ def _bind(cache: Cache):
     )
 
 
-def _replay_fast(
-    cache: Cache,
-    accesses: Sequence[CacheAccess],
-    set_indices: Optional[Sequence[int]],
-    tags: Optional[Sequence[int]],
-    binding=None,
-) -> List[bool]:
+def _replay_fast(cache: Cache, stream: PreparedStream, binding=None) -> List[bool]:
     """The inlined replay kernel: exactly :class:`Cache`, zero observers.
 
     Commits its local counters to ``cache.stats`` on return, so calling
@@ -213,9 +187,6 @@ def _replay_fast(
     if binding is None:
         binding = _bind(cache)
     (
-        offset_bits,
-        index_bits,
-        index_mask,
         associativity,
         sets,
         tag_index,
@@ -239,16 +210,12 @@ def _replay_fast(
     writeback_count = 0
     dead_victim_count = 0
 
-    derive_inline = set_indices is None
+    accesses = stream.accesses
+    set_indices = stream.set_indices
+    tags = stream.tags
     for position, access in enumerate(accesses):
-        if derive_inline:
-            block_address = access.address >> offset_bits
-            set_index = block_address & index_mask
-            tag = block_address >> index_bits
-        else:
-            set_index = set_indices[position]
-            tag = tags[position]
-
+        set_index = set_indices[position]
+        tag = tags[position]
         index = tag_index[set_index]
         way = index.get(tag)
         if way is not None:

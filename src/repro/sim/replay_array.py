@@ -17,7 +17,7 @@ why the recovery is exact).
 Result transparency is the same contract the object kernel pins: the
 same hit vector, the same :class:`~repro.cache.stats.CacheStats`, the
 same final block contents and policy state as the reference loop
-``[cache.access(a) for a in accesses]``.
+``[cache.access(a) for a in stream.accesses]``.
 ``tests/test_replay_array.py`` holds the golden and property tests.
 
 Loop shape notes (all measured on real filtered LLC streams):
@@ -69,14 +69,18 @@ Loop shape notes (all measured on real filtered LLC streams):
 Eligibility and fallback: one table, ``_KERNELS``, maps an *exact*
 policy type to its kernel -- LRU, random, DIP, DRRIP, DBRB and optimal,
 so every Figure 4 cell (LRU, TDBP, CDBP, DIP, RRIP, sampler, optimal)
-replays array-native on a cold single-core stream.  Everything else --
+replays array-native on a cold single-core stream, and so do six of
+Figure 10's nine shared-LLC replays per mix (the LRU baseline, TDBP,
+CDBP, sampler, random, random sampler) on the merged multicore stream,
+which is a :class:`~repro.sim.hierarchy.PreparedStream` like any other.
+Everything else --
 SHiP, TADIP, the policies no technique builds (tree PLRU, SRRIP, BIP,
 BRRIP), the VVC cache subclass, observer-attached or probe-enabled or
 paranoid replays -- falls through to the object kernel, which stays the
 bit-identity oracle.  A kernel narrows its type's eligibility with a
 ``supports(cache, policy)`` hook, checked before the stream's
 :class:`~repro.cache.soa.ReplayIndex` is fetched, and optionally a
-``supports_stream(policy, accesses, index)`` hook checked after:
+``supports_stream(policy, stream, index)`` hook checked after:
 
 * DRRIP declines thread-aware set dueling (``thread-aware-drrip``);
 * DBRB declines other predictors (``dbrb-predictor:<Name>``) and every
@@ -89,7 +93,8 @@ bit-identity oracle.  A kernel narrows its type's eligibility with a
   whose future annotation has another length (``optimal-seq``), so the
   object path keeps its ``IndexError`` contract.
 
-Multicore merged replays already fall back via ``no-decomposition``.
+Of Figure 10's techniques, TADIP (``policy:TADIPPolicy``), thread-aware
+DRRIP and ``random_cdbp`` keep the object kernel with those reasons.
 The chosen kernel and any fallback reason are recorded on the cache
 (``last_replay_kernel`` / ``last_replay_fallback``) for run manifests
 and the service's ``/stats``.
@@ -100,7 +105,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional, Tuple
 
-from repro.cache.soa import PredictionPlane, ReplayIndex, SoACache
+from repro.cache.soa import SoACache
 from repro.core.policy import DBRBPolicy
 from repro.core.predictor import SamplingDeadBlockPredictor
 from repro.predictors import counting, reftrace
@@ -119,7 +124,7 @@ _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 
 
-def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
+def select_kernel(cache, stream) -> Tuple[Optional[object], Optional[str]]:
     """Pick the array kernel for a replay, or the fallback reason.
 
     The caller (:func:`repro.sim.replay.replay`) has already routed
@@ -128,14 +133,12 @@ def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
     """
     if cache.paranoid:
         return None, "paranoid"
-    if set_indices is None:
-        return None, "no-decomposition"
     if any(cache._tag_index):
         # Kernels assume a cold frame array (fills allocate ways densely
         # from zero); a warm cache replays on the object substrate.
         return None, "warm-cache"
     geometry = cache.geometry
-    if len(set_indices) < geometry.num_sets * geometry.associativity:
+    if len(stream) < geometry.num_sets * geometry.associativity:
         # The array path pays O(frames) for plane setup and commit-time
         # materialization; a stream shorter than the frame count cannot
         # amortize it (measured slower than the object kernel).
@@ -151,40 +154,33 @@ def select_kernel(cache, set_indices) -> Tuple[Optional[object], Optional[str]]:
     return kernel, None
 
 
-def maybe_replay_array(
-    cache, accesses, set_indices, tags, stream=None
-) -> Optional[List[bool]]:
-    """Replay on the array substrate when eligible; else return None.
+def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
+    """Replay ``stream`` on the array substrate when eligible; else
+    return None.
 
     On success the cache is left bit-identical to an object-kernel
     replay (blocks, tag index, statistics, policy state) and
     ``cache.last_replay_kernel`` is ``"array"``; on decline the fallback
     reason is recorded and the caller runs the object kernel.
     """
-    kernel, reason = select_kernel(cache, set_indices)
+    kernel, reason = select_kernel(cache, stream)
     if kernel is None:
         cache.last_replay_kernel = "object"
         cache.last_replay_fallback = reason
         return None
-    num_sets = cache.geometry.num_sets
-    if stream is not None and hasattr(stream, "replay_index"):
-        index = stream.replay_index(num_sets)
-    else:
-        index = ReplayIndex.build(accesses, set_indices, tags, None, num_sets)
+    index = stream.replay_index(cache.geometry.num_sets)
     supports_stream = getattr(kernel, "supports_stream", None)
     reason = (
         None if supports_stream is None
-        else supports_stream(cache.policy, accesses, index)
+        else supports_stream(cache.policy, stream, index)
     )
     if reason is not None:
         cache.last_replay_kernel = "object"
         cache.last_replay_fallback = reason
         return None
     soa = SoACache.for_run(cache, index)
-    hits, counters = kernel.run(
-        cache, cache.policy, accesses, set_indices, tags, index, soa, stream
-    )
-    soa.to_cache(cache, accesses, index)
+    hits, counters = kernel.run(cache, cache.policy, stream, index, soa)
+    soa.to_cache(cache, stream.accesses, index)
     (
         hit_count,
         miss_count,
@@ -195,7 +191,7 @@ def maybe_replay_array(
         dead_victim_count,
     ) = counters
     stats = cache.stats
-    stats.accesses += len(accesses)
+    stats.accesses += len(stream)
     stats.hits += hit_count
     stats.misses += miss_count
     stats.bypasses += bypass_count
@@ -239,13 +235,13 @@ class _LRUKernel:
     never-filled ways stay at the stack tail in their original order --
     exactly the object path's final state."""
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         associativity = cache.geometry.associativity
         stacks = policy._stacks
         set_tags = index.set_tags
         next_write = index.next_write
         commit_set = soa.commit_set
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         filled_total = 0
         writeback_total = 0
         for set_index, positions in enumerate(index.set_positions):
@@ -292,15 +288,15 @@ class _OptimalKernel:
     incoming block's next use lies beyond it (``should_bypass``), else
     evict its first way (``choose_victim``'s strict ``>`` scan)."""
 
-    def supports_stream(self, policy, accesses, index) -> Optional[str]:
+    def supports_stream(self, policy, stream, index) -> Optional[str]:
         # The object path indexes the annotation by ``seq`` and raises
         # IndexError past its end; the kernel indexes by position, so it
         # only takes streams where the two agree.
-        if not index.seq_is_position or len(policy._next_use) != len(accesses):
+        if not index.seq_is_position or len(policy._next_use) != len(stream):
             return "optimal-seq"
         return None
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         associativity = cache.geometry.associativity
         next_use = policy._next_use
         bypass = policy.bypass
@@ -308,7 +304,7 @@ class _OptimalKernel:
         set_tags = index.set_tags
         next_write = index.next_write
         commit_set = soa.commit_set
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         filled_total = 0
         writeback_total = 0
         bypass_total = 0
@@ -386,15 +382,16 @@ class _RandomKernel:
     is global), with the xorshift64* step inlined and the generator
     state written back at the end."""
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         associativity = cache.geometry.associativity
+        set_indices = stream.set_indices
         next_write = index.next_write
         way_keys = [0] * (index.num_sets * associativity)
         way_fill = [0] * (index.num_sets * associativity)
         filled_by_set = [0] * index.num_sets
         lookup = {}
         rng_state = policy._rng._state
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         for position, key in enumerate(index.block_keys):
             if key in lookup:
@@ -439,7 +436,7 @@ class _DIPKernel:
     stay faithful and the final stacks are rebuilt per touched set.
     """
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         associativity = cache.geometry.associativity
         lru_leader = policy._LRU_LEADER
         bip_leader = policy._BIP_LEADER
@@ -450,6 +447,7 @@ class _DIPKernel:
         epsilon = policy.epsilon_inverse
         fill_count = policy._fill_count
         stacks = policy._stacks
+        set_indices = stream.set_indices
         next_write = index.next_write
         num_sets = index.num_sets
         way_keys = [0] * (num_sets * associativity)
@@ -459,7 +457,7 @@ class _DIPKernel:
         movers: List = [None] * num_sets
         lookup = {}
         lookup_get = lookup.get
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         for position, key in enumerate(index.block_keys):
             way = lookup_get(key)
@@ -532,7 +530,7 @@ class _DRRIPKernel:
             return "thread-aware-drrip"
         return None
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         associativity = cache.geometry.associativity
         rrpv_max = policy.rrpv_max
         long_insert = rrpv_max - 1
@@ -549,13 +547,14 @@ class _DRRIPKernel:
         for values in all_rrpv:
             flat_rrpv.extend(values)
         flat_index = flat_rrpv.index
+        set_indices = stream.set_indices
         next_write = index.next_write
         way_keys = [0] * (index.num_sets * associativity)
         way_fill = [0] * (index.num_sets * associativity)
         filled_by_set = [0] * index.num_sets
         lookup = {}
         lookup_get = lookup.get
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         for position, key in enumerate(index.block_keys):
             frame = lookup_get(key)
@@ -725,27 +724,21 @@ class _DBRBKernel:
             return "dbrb-warm-predictor"
         return None
 
-    def run(self, cache, policy, accesses, set_indices, tags, index, soa, stream=None):
+    def run(self, cache, policy, stream, index, soa):
         kind = type(policy.predictor)
         if kind is RefTracePredictor:
-            return self._run_reftrace(cache, policy, accesses, index, soa)
+            return self._run_reftrace(cache, policy, stream, index, soa)
         if kind is CountingPredictor:
-            return self._run_counting(cache, policy, accesses, index, soa)
-        num_sets = cache.geometry.num_sets
-        if stream is not None and hasattr(stream, "prediction_plane"):
-            plane = stream.prediction_plane(num_sets)
-        else:
-            plane = PredictionPlane.build(accesses, set_indices, tags, num_sets)
+            return self._run_counting(cache, policy, stream, index, soa)
+        plane = stream.prediction_plane(cache.geometry.num_sets)
         if type(policy.default) is LRUPolicy:
-            result = self._run_lru(cache, policy, accesses, index, soa, plane)
+            result = self._run_lru(cache, policy, stream, index, soa, plane)
         else:
-            result = self._run_random(
-                cache, policy, accesses, set_indices, index, soa, plane
-            )
+            result = self._run_random(cache, policy, stream, index, soa, plane)
         plane.install(policy.predictor)
         return result
 
-    def _run_lru(self, cache, policy, accesses, index, soa, plane):
+    def _run_lru(self, cache, policy, stream, index, soa, plane):
         """Per-set batched, like :class:`_LRUKernel`: the OrderedDict is
         residency and recency at once (front = LRU), so the dead-victim
         walk from the LRU end is iteration from the front, and a middle
@@ -757,7 +750,7 @@ class _DBRBKernel:
         set_tags = index.set_tags
         next_write = index.next_write
         commit_set = soa.commit_set
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         filled_total = 0
         writeback_total = 0
         bypass_total = 0
@@ -817,12 +810,13 @@ class _DBRBKernel:
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
 
-    def _run_random(self, cache, policy, accesses, set_indices, index, soa, plane):
+    def _run_random(self, cache, policy, stream, index, soa, plane):
         """Stream-order, like :class:`_RandomKernel` (the victim RNG draw
         sequence is global), with the dead bits on a flat frame plane so
         the way-order dead-victim scan is one C ``bytearray.find``."""
         associativity = cache.geometry.associativity
         dead = plane.dead
+        set_indices = stream.set_indices
         next_write = index.next_write
         frames = index.num_sets * associativity
         way_keys = [0] * frames
@@ -833,7 +827,7 @@ class _DBRBKernel:
         lookup = {}
         lookup_get = lookup.get
         rng_state = policy.default._rng._state
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         bypass_total = 0
         dead_victim_total = 0
@@ -882,7 +876,7 @@ class _DBRBKernel:
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
 
-    def _run_reftrace(self, cache, policy, accesses, index, soa):
+    def _run_reftrace(self, cache, policy, stream, index, soa):
         """Reftrace (TDBP) in stream order.  Per frame the planes keep the
         block's trace signature (``block.meta``) and its dead bit."""
         predictor = policy.predictor
@@ -890,7 +884,7 @@ class _DBRBKernel:
         threshold = predictor.threshold
         counter_max = predictor.counter_max
         signature_mask = predictor.signature_mask
-        pcs = [access.pc for access in accesses]
+        pcs = [access.pc for access in stream.accesses]
         distinct = list(set(pcs))
         folded = dict(
             zip(distinct, fold_xor_many(distinct, predictor.signature_bits))
@@ -907,7 +901,7 @@ class _DBRBKernel:
         way_fill = [0] * frames
         filled_by_set = [0] * num_sets
         ods: List["OrderedDict[int, int]"] = [OrderedDict() for _ in range(num_sets)]
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         bypass_total = 0
         dead_victim_total = 0
@@ -966,7 +960,7 @@ class _DBRBKernel:
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
 
-    def _run_counting(self, cache, policy, accesses, index, soa):
+    def _run_counting(self, cache, policy, stream, index, soa):
         """Counting (CDBP, the live-time predictor) in stream order.  Per
         frame the planes keep the block's table entry, access count,
         learned limit and confidence (``block.meta``), its dead bit, and
@@ -980,7 +974,7 @@ class _DBRBKernel:
         column_mask = (1 << addr_bits) - 1
         count_max = predictor.count_max
         never = count_max + 1
-        pcs = [access.pc for access in accesses]
+        pcs = [access.pc for access in stream.accesses]
         distinct = list(set(pcs))
         # Rows come pre-shifted into place: ``entry = row << addr_bits | column``.
         rows = {
@@ -1005,7 +999,7 @@ class _DBRBKernel:
         way_fill = [0] * frames
         filled_by_set = [0] * num_sets
         ods: List["OrderedDict[int, int]"] = [OrderedDict() for _ in range(num_sets)]
-        hits = [True] * len(accesses)
+        hits = [True] * len(stream)
         writeback_total = 0
         bypass_total = 0
         dead_victim_total = 0

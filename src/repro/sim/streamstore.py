@@ -320,9 +320,9 @@ class CompiledFilteredTrace(FilteredTrace):
             )
         return self._llc_arrays
 
-    def llc_stream(self, geometry, address_offset: int = 0, core: int = 0):
-        key = (geometry.offset_bits, geometry.index_bits, address_offset, core)
-        if key not in self._streams and address_offset == 0 and core == 0:
+    def llc_stream(self, geometry):
+        key = (geometry.offset_bits, geometry.index_bits)
+        if key not in self._streams:
             views = self._compiled.stream_views(
                 geometry.offset_bits, geometry.index_bits
             )
@@ -336,7 +336,7 @@ class CompiledFilteredTrace(FilteredTrace):
                     set_indices=list(views[0]),
                     tags=list(views[1]),
                 )
-        return super().llc_stream(geometry, address_offset, core)
+        return super().llc_stream(geometry)
 
     def fixed_latencies(self, l1_latency: int, l2_latency: int):
         key = (l1_latency, l2_latency)

@@ -75,29 +75,6 @@ class RunResult:
         )
 
 
-def build_llc_accesses(
-    filtered: FilteredTrace, core: int = 0, address_offset: int = 0
-) -> List[CacheAccess]:
-    """Materialize the LLC access stream with stream-position sequence
-    numbers (the contract :class:`~repro.replacement.OptimalPolicy` needs).
-
-    Returns a fresh list of fresh objects; callers that can share one
-    prepared stream across techniques should prefer
-    :meth:`~repro.sim.hierarchy.FilteredTrace.llc_stream`.
-    """
-    pcs, addresses, writes = filtered.llc_arrays()
-    return [
-        CacheAccess(
-            address=addresses[seq] + address_offset,
-            pc=pcs[seq],
-            is_write=writes[seq],
-            seq=seq,
-            core=core,
-        )
-        for seq in range(len(addresses))
-    ]
-
-
 class SingleCoreSystem:
     """Runs workloads on the single-core machine."""
 
@@ -151,9 +128,7 @@ class SingleCoreSystem:
                 instructions=filtered.instructions,
                 llc_accesses=len(stream.accesses),
             )
-        llc_hits = replay(
-            cache, stream.accesses, stream.set_indices, stream.tags, stream=stream
-        )
+        llc_hits = replay(cache, stream)
         timing = self._core.run(filtered, llc_hits) if compute_timing else None
         return RunResult(
             workload=filtered.name,

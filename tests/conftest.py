@@ -128,3 +128,23 @@ def simulate_lru_reference(
 @pytest.fixture
 def geometry() -> CacheGeometry:
     return tiny_geometry()
+
+
+@pytest.fixture(scope="session")
+def fig10_workloads():
+    """A small Figure-10 workload cache (1/64 machine, 20k instructions
+    per core), shared by the multicore golden pin and the merged-stream
+    kernel equivalence tests."""
+    from repro.harness.runner import ExperimentConfig, WorkloadCache
+
+    return WorkloadCache(ExperimentConfig(scale=64, instructions=20_000))
+
+
+@pytest.fixture(scope="session")
+def merged_mix(fig10_workloads):
+    """``(shared-LLC geometry, merged 4-core stream)`` of mix3, a mix
+    whose stream carries writes."""
+    return (
+        fig10_workloads.multicore.shared_geometry,
+        fig10_workloads.prepared_mix("mix3").merged,
+    )

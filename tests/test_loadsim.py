@@ -225,6 +225,22 @@ class TestDeterminism:
         ]
         assert sampler.llc_stats.accesses == lru.llc_stats.accesses
 
+    def test_run_leaves_the_shared_workload_stream_intact(self):
+        """Tenants replay private streams: a run writes each access's
+        ``seq``, which must not leak into the workload's cached LLC
+        stream -- every other replay shares it, and optimal requires
+        ``seq`` to be the stream position."""
+        cache = workload_cache()
+        scenario = small_scenario()
+        prepared = prepare_scenario(cache, scenario)
+        shared = cache.filtered(scenario.tenants[0].workload).llc_stream(
+            prepared.geometry
+        )
+        assert prepared.tenants[0].stream is not shared
+        result = prepared.run("lru")
+        assert result.tenants[0].llc_accesses > 0
+        assert [a.seq for a in shared.accesses] == list(range(len(shared)))
+
     def test_optimal_is_rejected(self):
         prepared = prepare_scenario(workload_cache(), small_scenario())
         with pytest.raises(ValueError, match="future access stream"):

@@ -19,7 +19,8 @@ from tests.conftest import make_access, replay as drive, tiny_geometry
 from repro.cache import Cache, CacheStats
 from repro.cache.cache import ParanoidViolation
 from repro.replacement.lru import LRUPolicy
-from repro.sim.replay import replay as replay_stream
+from repro.sim.hierarchy import PreparedStream
+from repro.sim.replay import replay
 
 
 def make_cache(paranoid=True, sets=4, assoc=2):
@@ -137,7 +138,8 @@ class TestTransparency:
         ]
         plain = Cache(geometry, LRUPolicy(), paranoid=False)
         checked = Cache(geometry, LRUPolicy(), paranoid=True)
-        assert replay_stream(plain, accesses) == replay_stream(checked, accesses)
+        stream = PreparedStream.from_accesses(accesses, geometry)
+        assert replay(plain, stream) == replay(checked, stream)
         assert plain.stats.snapshot() == checked.stats.snapshot()
 
     def test_replay_fast_path_detects_planted_corruption(self):
@@ -147,10 +149,15 @@ class TestTransparency:
             for seq, number in enumerate([0, 8, 16, 24, 0, 32])
         ]
         cache = Cache(geometry, LRUPolicy(), paranoid=True)
-        replay_stream(cache, accesses)
+        replay(cache, PreparedStream.from_accesses(accesses, geometry))
         cache._tag_index[0].clear()
         with pytest.raises(ParanoidViolation):
-            replay_stream(cache, [make_access(0, geometry, seq=100)])
+            replay(
+                cache,
+                PreparedStream.from_accesses(
+                    [make_access(0, geometry, seq=100)], geometry
+                ),
+            )
 
 
 class TestConfiguration:

@@ -12,7 +12,8 @@ promise three ways:
 * golden equivalence on a deterministic mixed stream, full-state deep
   compare, for the four simple policies in the table and for optimal
   (MIN with and without bypass; DBRB has its own suite,
-  ``test_replay_array_dbrb``);
+  ``test_replay_array_dbrb``), and for the four simple policies on a
+  4-core merged Figure-10 stream;
 * a hypothesis property test over random streams and policies;
 * end-to-end sweep bit-identity, array kernels vs an emptied kernel
   table, across the serial and parallel (shared-memory) harness paths.
@@ -45,6 +46,7 @@ from repro.replacement import (
     annotate_next_use,
 )
 from repro.sim import replay_array
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay import _replay_fast, replay
 from repro.utils.rng import XorShift64
 from repro.vvc.cache import VictimRelocationCache
@@ -81,14 +83,6 @@ def make_stream(geometry, length=4000, write_frac=0.3, seed=7, seq_offset=0):
     return accesses
 
 
-def decompose(geometry, accesses):
-    offset_bits = geometry.offset_bits
-    index_mask = geometry.num_sets - 1
-    set_indices = [(a.address >> offset_bits) & index_mask for a in accesses]
-    tags = [(a.address >> offset_bits) >> geometry.index_bits for a in accesses]
-    return set_indices, tags
-
-
 def policy_state(policy):
     """Every array-kernel-touched policy internal, repr-compared."""
     state = {}
@@ -116,14 +110,16 @@ def block_state(cache):
     ]
 
 
-def replay_both(policy_factory, geometry, accesses):
-    """Replay on the object kernel, then through :func:`replay` (which
+def replay_both(policy_factory, geometry, stream):
+    """Replay ``stream`` (a :class:`PreparedStream`, or an access list to
+    decompose) on the object kernel, then through :func:`replay` (which
     takes the array kernel); return both sides."""
-    set_indices, tags = decompose(geometry, accesses)
+    if not isinstance(stream, PreparedStream):
+        stream = PreparedStream.from_accesses(stream, geometry)
     object_cache = Cache(geometry, policy_factory())
-    object_hits = _replay_fast(object_cache, accesses, set_indices, tags)
+    object_hits = _replay_fast(object_cache, stream)
     array_cache = Cache(geometry, policy_factory())
-    array_hits = replay(array_cache, accesses, set_indices, tags)
+    array_hits = replay(array_cache, stream)
     return (object_hits, object_cache), (array_hits, array_cache)
 
 
@@ -155,6 +151,18 @@ def test_array_kernel_matches_object_kernel(name, write_frac):
     assert stats.hits > 0 and stats.misses > 0 and stats.evictions > 0
     if write_frac:
         assert stats.writebacks > 0
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_POLICIES))
+def test_array_kernel_matches_object_kernel_on_merged_stream(name, merged_mix):
+    """A Figure-10 mix's 4-core merged shared-LLC stream is a
+    :class:`PreparedStream` like any other: full state agrees there too."""
+    geometry, stream = merged_mix
+    assert {access.core for access in stream.accesses} == {0, 1, 2, 3}
+    object_side, array_side = replay_both(ARRAY_POLICIES[name], geometry, stream)
+    assert_equivalent(object_side, array_side)
+    stats = array_side[1].stats
+    assert stats.hits > 0 and stats.evictions > 0 and stats.writebacks > 0
 
 
 @pytest.mark.parametrize("name", ["lru", "drrip"])
@@ -231,14 +239,13 @@ def test_optimal_equivalence_property(seed, length, write_frac, bypass, assoc):
 # eligibility and fallback attribution
 # ----------------------------------------------------------------------
 STREAM = make_stream(GEOMETRY)
-SET_INDICES, TAGS = decompose(GEOMETRY, STREAM)
+PREPARED = PreparedStream.from_accesses(STREAM, GEOMETRY)
 
 
-def expect_fallback(cache, reason, accesses=STREAM,
-                    set_indices=SET_INDICES, tags=TAGS):
+def expect_fallback(cache, reason, stream=PREPARED):
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    expected = _replay_fast(object_cache, accesses, set_indices, tags)
-    hits = replay(cache, accesses, set_indices, tags)
+    expected = _replay_fast(object_cache, stream)
+    hits = replay(cache, stream)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == reason
     return hits, expected
@@ -250,26 +257,18 @@ def test_fallback_paranoid():
     assert hits == expected
 
 
-def test_fallback_no_decomposition():
-    cache = Cache(GEOMETRY, LRUPolicy())
-    hits, expected = expect_fallback(
-        cache, "no-decomposition", set_indices=None, tags=None
-    )
-    assert hits == expected
-
-
 def test_fallback_warm_cache():
     """The first replay runs on the planes; a second one is warm."""
     cache = Cache(GEOMETRY, LRUPolicy())
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "array"
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "warm-cache"
 
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
-    _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    _replay_fast(object_cache, PREPARED)
+    _replay_fast(object_cache, PREPARED)
     assert cache.stats.snapshot() == object_cache.stats.snapshot()
     assert block_state(cache) == block_state(object_cache)
 
@@ -279,15 +278,14 @@ def test_fallback_small_stream():
     short = STREAM[: GEOMETRY.num_sets * GEOMETRY.associativity - 1]
     cache = Cache(GEOMETRY, LRUPolicy())
     hits, expected = expect_fallback(
-        cache, "small-stream", accesses=short,
-        set_indices=SET_INDICES[: len(short)], tags=TAGS[: len(short)],
+        cache, "small-stream", PreparedStream.from_accesses(short, GEOMETRY)
     )
     assert hits == expected
 
 
 def test_fallback_unregistered_policy():
     cache = Cache(GEOMETRY, SHiPPolicy())
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "policy:SHiPPolicy"
 
@@ -306,14 +304,15 @@ OBJECT_POLICIES = {
 def test_fallback_policy_no_technique_builds(name, write_frac):
     """Policies outside the kernel table replay on the object kernel,
     named by exact type, with the object kernel's results and state."""
-    accesses = make_stream(GEOMETRY, write_frac=write_frac)
-    set_indices, tags = decompose(GEOMETRY, accesses)
+    stream = PreparedStream.from_accesses(
+        make_stream(GEOMETRY, write_frac=write_frac), GEOMETRY
+    )
     cache = Cache(GEOMETRY, OBJECT_POLICIES[name]())
-    hits = replay(cache, accesses, set_indices, tags)
+    hits = replay(cache, stream)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == f"policy:{type(cache.policy).__name__}"
     object_cache = Cache(GEOMETRY, OBJECT_POLICIES[name]())
-    assert hits == _replay_fast(object_cache, accesses, set_indices, tags)
+    assert hits == _replay_fast(object_cache, stream)
     assert cache.stats.snapshot() == object_cache.stats.snapshot()
     assert block_state(cache) == block_state(object_cache)
     assert policy_state(cache.policy) == policy_state(object_cache.policy)
@@ -324,10 +323,9 @@ def test_fallback_optimal_seq_offset():
     its position declines (``optimal-seq``) and keeps the object path's
     IndexError contract."""
     accesses = make_stream(GEOMETRY, length=2000, seq_offset=10_000)
-    set_indices, tags = decompose(GEOMETRY, accesses)
     cache = Cache(GEOMETRY, OptimalPolicy(annotate_next_use(accesses, GEOMETRY)))
     with pytest.raises(IndexError, match="seq to be the stream position"):
-        replay(cache, accesses, set_indices, tags)
+        replay(cache, PreparedStream.from_accesses(accesses, GEOMETRY))
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "optimal-seq"
 
@@ -337,11 +335,11 @@ def test_fallback_optimal_annotation_length():
     (seq stays in range) but not the kernel's: declined, same results."""
     future = annotate_next_use(STREAM, GEOMETRY) + [0] * 8
     cache = Cache(GEOMETRY, OptimalPolicy(future))
-    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    hits = replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "optimal-seq"
     object_cache = Cache(GEOMETRY, OptimalPolicy(future))
-    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert hits == _replay_fast(object_cache, PREPARED)
     assert cache.stats.snapshot() == object_cache.stats.snapshot()
     assert policy_state(cache.policy) == policy_state(object_cache.policy)
 
@@ -350,7 +348,7 @@ def test_fallback_thread_aware_drrip():
     """The DRRIP kernel is in the table but declines multicore set
     dueling."""
     cache = Cache(GEOMETRY, DRRIPPolicy(num_cores=2))
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "thread-aware-drrip"
 
@@ -362,14 +360,14 @@ class _NullObserver(CacheObserver):
 def test_fallback_observers():
     cache = Cache(GEOMETRY, LRUPolicy())
     cache.add_observer(_NullObserver())
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "observers"
 
 
 def test_fallback_cache_subclass():
     cache = VictimRelocationCache(GEOMETRY, LRUPolicy())
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "cache-subclass"
 
@@ -378,12 +376,12 @@ def test_fallback_probe():
     from repro.telemetry.probe import IntervalRecorder
 
     cache = Cache(GEOMETRY, LRUPolicy(), probe=IntervalRecorder(epochs=4))
-    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    hits = replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "probe"
 
     object_cache = Cache(GEOMETRY, LRUPolicy())
-    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert hits == _replay_fast(object_cache, PREPARED)
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +417,7 @@ def test_kernel_table_covers_exactly_the_array_techniques():
     for key, technique in TECHNIQUES.items():
         cache = Cache(geometry, technique.build(geometry, stream.accesses))
         built.add(type(cache.policy))
-        replay(cache, stream.accesses, stream.set_indices, stream.tags, stream=stream)
+        replay(cache, stream)
         observed[key] = (cache.last_replay_kernel, cache.last_replay_fallback)
 
     assert set(replay_array._KERNELS) <= built

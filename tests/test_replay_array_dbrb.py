@@ -22,7 +22,8 @@ Three layers of pinning, mirroring ``test_replay_array``:
 
 * golden full-state equivalence on a stream engineered to actually
   exercise bypasses and dead-victim overrides (scanning PCs that train
-  dead, reuse PCs that train live);
+  dead, reuse PCs that train live), and on a 4-core merged Figure-10
+  stream;
 * a hypothesis property over random streams and geometries for both
   default policies;
 * every Figure 6 ablation shape must fall back to the object kernel
@@ -52,6 +53,7 @@ from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.predictors import AIPPredictor, CountingPredictor, RefTracePredictor
 from repro.replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy
 from repro.sim import replay_array
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay import _replay_fast, replay
 from repro.utils.hashing import fold_xor
 from repro.utils.rng import XorShift64
@@ -127,14 +129,6 @@ def make_mixed_stream(geometry, length=4000, seed=7):
     return accesses
 
 
-def decompose(geometry, accesses):
-    offset_bits = geometry.offset_bits
-    index_mask = geometry.num_sets - 1
-    set_indices = [(a.address >> offset_bits) & index_mask for a in accesses]
-    tags = [(a.address >> offset_bits) >> geometry.index_bits for a in accesses]
-    return set_indices, tags
-
-
 def dbrb_state(policy):
     """Every DBRB internal the array kernel must reproduce exactly."""
     state = {}
@@ -178,14 +172,16 @@ def block_state(cache):
     ]
 
 
-def replay_both(policy_factory, geometry, accesses):
-    """Replay on the object kernel, then through :func:`replay` (which
+def replay_both(policy_factory, geometry, stream):
+    """Replay ``stream`` (a :class:`PreparedStream`, or an access list to
+    decompose) on the object kernel, then through :func:`replay` (which
     takes the array kernel); return both sides."""
-    set_indices, tags = decompose(geometry, accesses)
+    if not isinstance(stream, PreparedStream):
+        stream = PreparedStream.from_accesses(stream, geometry)
     object_cache = Cache(geometry, policy_factory())
-    object_hits = _replay_fast(object_cache, accesses, set_indices, tags)
+    object_hits = _replay_fast(object_cache, stream)
     array_cache = Cache(geometry, policy_factory())
-    array_hits = replay(array_cache, accesses, set_indices, tags)
+    array_hits = replay(array_cache, stream)
     return (object_hits, object_cache), (array_hits, array_cache)
 
 
@@ -226,6 +222,19 @@ def test_dbrb_array_kernel_mixed_stream(name):
     accesses = make_mixed_stream(GEOMETRY)
     object_side, array_side = replay_both(DBRB_POLICIES[name], GEOMETRY, accesses)
     assert_equivalent(object_side, array_side)
+
+
+@pytest.mark.parametrize("name", sorted(DBRB_POLICIES))
+def test_dbrb_array_kernel_matches_object_kernel_on_merged_stream(name, merged_mix):
+    """A Figure-10 mix's 4-core merged shared-LLC stream: every Figure-10
+    DBRB cell with an array kernel keeps full-state equivalence there."""
+    geometry, stream = merged_mix
+    assert {access.core for access in stream.accesses} == {0, 1, 2, 3}
+    object_side, array_side = replay_both(DBRB_POLICIES[name], geometry, stream)
+    assert_equivalent(object_side, array_side)
+    stats = array_side[1].stats
+    assert stats.bypasses > 0 and stats.dead_block_victims > 0
+    assert stats.writebacks > 0
 
 
 def test_dbrb_array_kernel_handles_stream_seq_offsets():
@@ -333,7 +342,7 @@ def test_dbrb_equivalence_property(seed, length, sets, assoc, name, engineered):
 # ablation shapes: every documented dbrb-* fallback reason
 # ----------------------------------------------------------------------
 STREAM = make_dead_stream(GEOMETRY)
-SET_INDICES, TAGS = decompose(GEOMETRY, STREAM)
+PREPARED = PreparedStream.from_accesses(STREAM, GEOMETRY)
 
 ABLATIONS = {
     "dbrb-predictor:AIPPredictor": lambda: DBRBPolicy(
@@ -366,7 +375,7 @@ ABLATIONS = {
 @pytest.mark.parametrize("reason", sorted(ABLATIONS))
 def test_dbrb_fallback_ablation_shapes(reason):
     cache = Cache(GEOMETRY, ABLATIONS[reason]())
-    replay(cache, STREAM, SET_INDICES, TAGS)
+    replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == reason
 
@@ -376,13 +385,13 @@ def test_dbrb_fallback_warm_predictor():
     or a touched sampler must push the replay to the object kernel."""
     trained = Cache(GEOMETRY, DBRB_POLICIES["sampler"]())
     trained.policy.predictor.tables.train(1, dead=True)
-    replay(trained, STREAM, SET_INDICES, TAGS)
+    replay(trained, PREPARED)
     assert trained.last_replay_kernel == "object"
     assert trained.last_replay_fallback == "dbrb-warm-predictor"
 
     touched = Cache(GEOMETRY, DBRB_POLICIES["sampler"]())
     touched.policy.predictor.sampler.accesses = 1
-    replay(touched, STREAM, SET_INDICES, TAGS)
+    replay(touched, PREPARED)
     assert touched.last_replay_kernel == "object"
     assert touched.last_replay_fallback == "dbrb-warm-predictor"
 
@@ -420,11 +429,11 @@ def test_trained_predictor_declines(reason, name):
     ``random_cdbp``)."""
     factory = TRAINED_DECLINES[(reason, name)]
     cache = Cache(GEOMETRY, factory())
-    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    hits = replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == reason
     object_cache = Cache(GEOMETRY, factory())
-    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert hits == _replay_fast(object_cache, PREPARED)
     assert cache.stats.snapshot() == object_cache.stats.snapshot()
 
 
@@ -442,11 +451,11 @@ def test_trained_predictor_fallback_warm_predictor(name):
     """The kernels start from a cold table; a pre-trained one (a warmup
     experiment) keeps the object kernel."""
     cache = Cache(GEOMETRY, _pretrain(DBRB_POLICIES[name]()))
-    hits = replay(cache, STREAM, SET_INDICES, TAGS)
+    hits = replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "dbrb-warm-predictor"
     object_cache = Cache(GEOMETRY, _pretrain(DBRB_POLICIES[name]()))
-    assert hits == _replay_fast(object_cache, STREAM, SET_INDICES, TAGS)
+    assert hits == _replay_fast(object_cache, PREPARED)
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.replacement import (
     TADIPPolicy,
     TreePLRUPolicy,
 )
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay import replay
 from repro.utils.rng import XorShift64
 from repro.vvc.cache import VictimRelocationCache
@@ -79,8 +80,13 @@ def make_stream(length: int = 8000, blocks: int = 300) -> list:
 
 
 STREAM = make_stream()
-SET_INDICES = [GEOMETRY.set_index(a.address) for a in STREAM]
-TAGS = [GEOMETRY.tag(a.address) for a in STREAM]
+#: Decomposed by the geometry's own accessors, independently of the
+#: shared address split in :func:`repro.sim.hierarchy.decompose`.
+PREPARED = PreparedStream(
+    STREAM,
+    [GEOMETRY.set_index(a.address) for a in STREAM],
+    [GEOMETRY.tag(a.address) for a in STREAM],
+)
 
 
 def run_reference(policy_factory):
@@ -119,7 +125,7 @@ def test_replay_matches_access_loop(name):
     reference, loop_hits = run_reference(policy_factory)
 
     replayed = Cache(GEOMETRY, policy_factory(), name="replay")
-    replay_hits = replay(replayed, STREAM, SET_INDICES, TAGS)
+    replay_hits = replay(replayed, PREPARED)
 
     assert replay_hits == loop_hits
     assert_same_state(reference, replayed)
@@ -134,20 +140,16 @@ def test_replay_matches_access_loop(name):
 
 
 @pytest.mark.parametrize("name", ["lru", "dbrb"])
-def test_replay_inline_decomposition_matches(name):
-    """Without precomputed arrays the kernel derives (set, tag) itself."""
+def test_replay_shared_decomposition_matches(name):
+    """The shared address split every prepared stream goes through agrees
+    with the geometry's accessors, and replays like the access loop."""
     policy_factory = POLICIES[name]
     _, loop_hits = run_reference(policy_factory)
+    stream = PreparedStream.from_accesses(STREAM, GEOMETRY)
+    assert stream.set_indices == PREPARED.set_indices
+    assert stream.tags == PREPARED.tags
     replayed = Cache(GEOMETRY, policy_factory(), name="replay")
-    assert replay(replayed, STREAM) == loop_hits
-
-
-def test_replay_validates_array_lengths():
-    cache = Cache(GEOMETRY, LRUPolicy(), name="llc")
-    with pytest.raises(ValueError):
-        replay(cache, STREAM, SET_INDICES, None)
-    with pytest.raises(ValueError):
-        replay(cache, STREAM, SET_INDICES[:-1], TAGS[:-1])
+    assert replay(replayed, stream) == loop_hits
 
 
 class _CountingObserver(CacheObserver):
@@ -168,7 +170,7 @@ def test_replay_with_observer_takes_reference_path():
     observed = Cache(GEOMETRY, LRUPolicy(), name="observed")
     observer = _CountingObserver()
     observed.add_observer(observer)
-    hits = replay(observed, STREAM, SET_INDICES, TAGS)
+    hits = replay(observed, PREPARED)
 
     assert hits == loop_hits
     assert_same_state(reference, observed)
@@ -182,7 +184,7 @@ def test_replay_with_vvc_subclass_takes_reference_path():
     loop_hits = [loop_cache.access(access) for access in STREAM]
 
     replay_cache = VictimRelocationCache(GEOMETRY, LRUPolicy())
-    replay_hits = replay(replay_cache, STREAM, SET_INDICES, TAGS)
+    replay_hits = replay(replay_cache, PREPARED)
 
     assert replay_hits == loop_hits
     assert loop_cache.stats.snapshot() == replay_cache.stats.snapshot()

@@ -1,12 +1,18 @@
 """Tests for the single-core runner and the quad-core shared-LLC system."""
 
+import hashlib
+
 import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
+from repro.harness import (
+    MULTICORE_LRU_TECHNIQUES,
+    MULTICORE_RANDOM_TECHNIQUES,
+    multicore_comparison,
+)
 from repro.replacement import LRUPolicy, OptimalPolicy, annotate_next_use
 from repro.sim import MachineConfig, MulticoreSystem, SingleCoreSystem
-from repro.sim.system import build_llc_accesses
 from repro.sim.trace import Trace, TraceRecord
 from repro.workloads import build_trace
 
@@ -47,10 +53,10 @@ class TestSingleCoreSystem:
         assert result.timing is None
         assert result.ipc == 0.0
 
-    def test_build_llc_accesses_seq_is_stream_position(self):
+    def test_llc_stream_seq_is_stream_position(self):
         system = SingleCoreSystem(small_machine())
         filtered = system.prepare(simple_trace())
-        accesses = build_llc_accesses(filtered)
+        accesses = filtered.llc_stream(small_machine().llc).accesses
         assert [a.seq for a in accesses] == list(range(len(accesses)))
 
     def test_optimal_policy_integrates(self):
@@ -113,17 +119,19 @@ class TestMulticoreSystem:
     def test_merge_preserves_all_accesses(self, prepared):
         per_core = sum(len(positions) for positions in prepared.per_core_positions)
         assert per_core == len(prepared.merged)
-        assert [a.seq for a in prepared.merged] == list(range(len(prepared.merged)))
+        accesses = prepared.merged.accesses
+        assert [a.seq for a in accesses] == list(range(len(accesses)))
 
     def test_merged_stream_interleaves_cores(self, prepared):
+        accesses = prepared.merged.accesses
         cores_in_first_quarter = {
-            access.core for access in prepared.merged[: len(prepared.merged) // 4]
+            access.core for access in accesses[: len(accesses) // 4]
         }
         assert len(cores_in_first_quarter) == 4  # nobody runs alone up front
 
     def test_core_address_spaces_disjoint(self, prepared):
         by_core = {}
-        for access in prepared.merged:
+        for access in prepared.merged.accesses:
             by_core.setdefault(access.core, set()).add(access.address >> 44)
         for core, prefixes in by_core.items():
             assert prefixes == {core}
@@ -160,3 +168,87 @@ class TestMulticoreSystem:
             "sampler",
         )
         assert sampler.llc_stats.misses <= lru.llc_stats.misses * 1.02
+
+
+# ----------------------------------------------------------------------
+# Figure 10 golden pin
+# ----------------------------------------------------------------------
+#: mix3 on the 1/64 machine, 20k instructions per core (the
+#: ``fig10_workloads`` fixture): merged-stream length and the sha256 of
+#: its ``address,pc,is_write,core,seq;`` records.
+FIG10_MERGED = (14949, "afc09b34410d86eaa0e37f49712034971f47200d0f6c9d18be20ef32579843dc")
+
+#: Per technique, the LRU baseline included: the shared LLC's
+#: ``(accesses, hits, misses, fills, evictions, writebacks, bypasses,
+#: dead_block_victims)`` and the four per-core IPCs.
+FIG10_GOLDEN = {
+    "lru": (
+        (14949, 5288, 9661, 9661, 7613, 2509, 0, 0),
+        (0.660139075633718, 0.6559963266042408, 0.672319755275609, 0.1801177069214732),
+    ),
+    "tdbp": (
+        (14949, 6888, 8061, 4588, 2540, 1598, 3473, 1160),
+        (0.6675731362457145, 0.6596472712581318, 0.672319755275609, 0.19660415473729997),
+    ),
+    "cdbp": (
+        (14949, 6335, 8614, 6869, 4821, 2190, 1745, 27),
+        (0.6674283808014678, 0.6596418323933907, 0.672319755275609, 0.17755918269508206),
+    ),
+    "tadip": (
+        (14949, 6298, 8651, 8651, 6603, 2312, 0, 0),
+        (0.6673059444495402, 0.6595711353124974, 0.672319755275609, 0.1833625949474437),
+    ),
+    "rrip": (
+        (14949, 5943, 9006, 9006, 6958, 2044, 0, 0),
+        (0.663752705919432, 0.6595711353124974, 0.672319755275609, 0.1705724197190246),
+    ),
+    "sampler": (
+        (14949, 6608, 8341, 5299, 3251, 2060, 3042, 1605),
+        (0.663807762174537, 0.6595928866463852, 0.672319755275609, 0.19951915882722637),
+    ),
+    "random": (
+        (14949, 5203, 9746, 9746, 7698, 2769, 0, 0),
+        (0.6601554122053025, 0.6560501197231607, 0.672319755275609, 0.17176818166202892),
+    ),
+    "random_cdbp": (
+        (14949, 5305, 9644, 7794, 5746, 2565, 1850, 162),
+        (0.6636536276713079, 0.6595276369481885, 0.6761153790894416, 0.15736600776207832),
+    ),
+    "random_sampler": (
+        (14949, 6404, 8545, 5498, 3450, 2151, 3047, 1599),
+        (0.6637361908237401, 0.6595656977031773, 0.6761153790894416, 0.1926114257097731),
+    ),
+}
+
+
+def test_figure10_golden_pin(fig10_workloads):
+    """The merged stream and every Figure-10 cell of one mix, bit for bit:
+    neither how the merge is built nor which replay kernel runs a cell
+    may move a statistic or an IPC."""
+    prepared = fig10_workloads.prepared_mix("mix3")
+    digest = hashlib.sha256()
+    for access in prepared.merged.accesses:
+        digest.update(
+            f"{access.address},{access.pc},{int(access.is_write)},"
+            f"{access.core},{access.seq};".encode()
+        )
+    assert (len(prepared.merged), digest.hexdigest()) == FIG10_MERGED
+
+    comparison = multicore_comparison(
+        fig10_workloads,
+        MULTICORE_LRU_TECHNIQUES + MULTICORE_RANDOM_TECHNIQUES,
+        mixes=("mix3",),
+    )
+    results = {"lru": comparison.baseline["mix3"], **comparison.results["mix3"]}
+    observed = {}
+    for key, result in results.items():
+        stats = result.llc_stats
+        observed[key] = (
+            (
+                stats.accesses, stats.hits, stats.misses, stats.fills,
+                stats.evictions, stats.writebacks, stats.bypasses,
+                stats.dead_block_victims,
+            ),
+            tuple(result.ipcs),
+        )
+    assert observed == FIG10_GOLDEN

@@ -115,7 +115,7 @@ class TestHierarchyFilter:
     def test_llc_records_carry_pc_and_write(self):
         trace = Trace("t", [rec(7, 0, write=True)])
         filtered = HierarchyFilter(tiny_machine()).filter(trace)
-        assert filtered.llc_records() == [(7, 0, True)]
+        assert filtered.llc_arrays() == ([7], [0], [True])
 
     def test_temporal_locality_filtering(self):
         """The Section VII-A.3 phenomenon: a block touched k times in quick
@@ -126,5 +126,5 @@ class TestHierarchyFilter:
             for touch, pc in enumerate([0x10, 0x20, 0x30]):
                 records.append(rec(pc, block * 64 + touch * 8))
         filtered = HierarchyFilter(tiny_machine()).filter(Trace("t", records))
-        llc_pcs = {pc for pc, _, _ in filtered.llc_records()}
+        llc_pcs = set(filtered.llc_arrays()[0])
         assert llc_pcs == {0x10}

@@ -19,6 +19,7 @@ from repro.cache.cache import Cache, CacheAccess, CacheGeometry
 from repro.analysis.accuracy import AccuracyObserver
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.replacement import DRRIPPolicy, LRUPolicy, RandomPolicy
+from repro.sim.hierarchy import PreparedStream
 from repro.sim.replay import replay
 from repro.telemetry import NULL_PROBE, IntervalRecorder
 from repro.utils.rng import XorShift64
@@ -75,7 +76,7 @@ def run(policy_factory, probe, observers=False):
     if observers:
         observer = AccuracyObserver(cache)
         cache.add_observer(observer)
-    hits = replay(cache, make_stream())
+    hits = replay(cache, PreparedStream.from_accesses(make_stream(), GEOMETRY))
     return cache, hits, observer
 
 
