@@ -21,7 +21,7 @@ def test_table4_mixes(benchmark, workload_cache, report):
                 filtered = workload_cache.filtered(member)
                 result = workload_cache.system.run(
                     filtered,
-                    lambda g, a: lru.build(g, a),
+                    lambda g, s: lru.build(g, s),
                     "lru",
                     compute_timing=False,
                 )

@@ -163,7 +163,8 @@ def _measure_kernel_cells(
     for benchmark in benchmarks:
         filtered = workload_cache.filtered(benchmark)
         stream = filtered.llc_stream(geometry)
-        accesses = stream.accesses
+        # The object kernel's input, built before any clock starts.
+        stream.accesses
         stream.replay_index(geometry.num_sets)
         if require_array:
             stream.prediction_plane(geometry.num_sets)
@@ -176,7 +177,7 @@ def _measure_kernel_cells(
             best_object = best_array = None
             declined = None
             for _ in range(_ARRAY_TRIALS):
-                cache = Cache(geometry, technique.build(geometry, accesses))
+                cache = Cache(geometry, technique.build(geometry, stream))
                 gc_was_enabled = gc.isenabled()
                 gc.disable()
                 start = time.perf_counter()
@@ -188,7 +189,7 @@ def _measure_kernel_cells(
                 if best_object is None or elapsed < best_object:
                     best_object = elapsed
 
-                cache = Cache(geometry, technique.build(geometry, accesses))
+                cache = Cache(geometry, technique.build(geometry, stream))
                 gc_was_enabled = gc.isenabled()
                 gc.disable()
                 start = time.perf_counter()
@@ -221,7 +222,7 @@ def _measure_kernel_cells(
                 )
                 continue
             cell = per_technique[key]
-            cell["accesses"] += len(accesses)
+            cell["accesses"] += len(stream)
             cell["object_seconds"] += best_object
             cell["array_seconds"] += best_array
             cell["kernel"] = "array"
@@ -231,7 +232,7 @@ def _measure_kernel_cells(
             # One technique with no array kernel: the replay must
             # decline to the object kernel on its own.
             technique = TECHNIQUES[probe_key]
-            cache = Cache(geometry, technique.build(geometry, accesses))
+            cache = Cache(geometry, technique.build(geometry, stream))
             replay(cache, stream)
             if cache.last_replay_kernel != "object":
                 raise SystemExit(
@@ -331,13 +332,13 @@ def _measure_timing(workload_cache, benchmarks) -> Dict:
         build_seconds = time.perf_counter() - start
         cell = {
             # Trace records each side walks, over every technique.
-            "records": len(filtered.trace.records) * len(techniques),
+            "records": len(filtered.trace) * len(techniques),
             "plan_build_seconds": build_seconds,
             "reference_seconds": 0.0,
             "plan_seconds": 0.0,
         }
         for key in techniques:
-            cache = Cache(geometry, TECHNIQUES[key].build(geometry, stream.accesses))
+            cache = Cache(geometry, TECHNIQUES[key].build(geometry, stream))
             hits = replay(cache, stream)
             best_reference = best_plan = None
             for _ in range(_ARRAY_TRIALS):
@@ -397,16 +398,15 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
     for benchmark in benchmarks:
         filtered = workload_cache.filtered(benchmark)
         stream = filtered.llc_stream(geometry)
-        accesses = stream.accesses
 
-        off_cache = Cache(geometry, technique.build(geometry, accesses))
+        off_cache = Cache(geometry, technique.build(geometry, stream))
         start = time.perf_counter()
         replay(off_cache, stream)
         totals["off_seconds"] += time.perf_counter() - start
 
         recorder = IntervalRecorder(epochs=32)
         on_cache = Cache(
-            geometry, technique.build(geometry, accesses), probe=recorder
+            geometry, technique.build(geometry, stream), probe=recorder
         )
         start = time.perf_counter()
         replay(on_cache, stream)
@@ -418,7 +418,7 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
                 f"probe-off {off_cache.stats.snapshot()} != "
                 f"probe-on {on_cache.stats.snapshot()}"
             )
-        totals["accesses"] += len(accesses)
+        totals["accesses"] += len(stream)
 
     totals["off_acc_per_sec"] = totals["accesses"] / totals["off_seconds"]
     totals["on_acc_per_sec"] = totals["accesses"] / totals["on_seconds"]
@@ -550,13 +550,15 @@ def _measure_patterns(config) -> Dict:
         start = time.perf_counter()
         trace = generator.generate(config.instructions, llc_bytes)
         elapsed = time.perf_counter() - start
+        # Records emitted by the columnar builder: ``len`` reads a
+        # column, no record object is built.
         per_family[family] = {
-            "records": len(trace.records),
+            "records": len(trace),
             "seconds": elapsed,
-            "rec_per_sec": len(trace.records) / elapsed,
+            "rec_per_sec": len(trace) / elapsed,
         }
         generate_seconds += elapsed
-        total_records += len(trace.records)
+        total_records += len(trace)
         if family == "zipf":
             sample = trace
 
@@ -572,6 +574,7 @@ def _measure_patterns(config) -> Dict:
         start = time.perf_counter()
         replayed = workload.generate(sample.instructions, llc_bytes)
         replay_seconds = time.perf_counter() - start
+        # Record views compare by value, column by column.
         if replayed.records != sample.records:
             raise SystemExit("TRACE REPLAY DIVERGENCE in the bench round-trip")
 
@@ -586,7 +589,7 @@ def _measure_patterns(config) -> Dict:
             "import_seconds": import_seconds,
             "import_rec_per_sec": int(entry["records"]) / import_seconds,
             "replay_seconds": replay_seconds,
-            "replay_rec_per_sec": len(replayed.records) / replay_seconds,
+            "replay_rec_per_sec": len(replayed) / replay_seconds,
         },
     }
 

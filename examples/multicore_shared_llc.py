@@ -37,7 +37,7 @@ def main(argv) -> int:
         technique = TECHNIQUES[key]
         results[key] = cache.multicore.run(
             prepared,
-            lambda g, a, n, technique=technique: technique.build(g, a, n),
+            lambda g, s, n, technique=technique: technique.build(g, s, n),
             technique_name=key,
         )
 

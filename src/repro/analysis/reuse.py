@@ -145,18 +145,19 @@ def profile_trace(
         block_bits: log2 of the block size for address folding.
     """
     profile = ReuseProfile(name=trace.name, llc_reach=llc_reach)
-    tree = _FenwickTree(len(trace.records))
+    last = len(trace) - 1
+    tree = _FenwickTree(len(trace))
     last_position: Dict[int, int] = {}
-    for position, record in enumerate(trace.records):
-        block = record.address >> block_bits
+    for position, (pc, address) in enumerate(zip(trace.pcs, trace.addresses)):
+        block = address >> block_bits
         previous = last_position.get(block)
         if previous is None:
-            profile.record(record.pc, COLD)
+            profile.record(pc, COLD)
         else:
             # Unique blocks touched since the previous touch = number of
             # "last touch" markers after `previous`.
-            distance = tree.prefix_sum(len(trace.records) - 1) - tree.prefix_sum(previous)
-            profile.record(record.pc, distance)
+            distance = tree.prefix_sum(last) - tree.prefix_sum(previous)
+            profile.record(pc, distance)
             tree.add(previous, -1)
         tree.add(position, 1)
         last_position[block] = position

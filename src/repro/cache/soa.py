@@ -70,11 +70,6 @@ class ReplayIndex:
         next_write: per stream position ``p``, the first position
             ``>= p`` (``p`` itself included) that *writes* to the same
             ``(set, tag)``, or ``len(stream)`` when there is none.
-        seq_is_position: True when every access's ``seq`` equals its
-            stream position (the :class:`~repro.sim.hierarchy.PreparedStream`
-            contract).  Proven once here so the materializer can write
-            positions as sequence numbers without touching the access
-            objects.
     """
 
     __slots__ = (
@@ -85,7 +80,6 @@ class ReplayIndex:
         "block_keys",
         "tag_positions",
         "next_write",
-        "seq_is_position",
     )
 
     def __init__(
@@ -96,7 +90,6 @@ class ReplayIndex:
         block_keys: List[int],
         tag_positions: List[Dict[int, List[int]]],
         next_write: List[int],
-        seq_is_position: bool = False,
     ) -> None:
         self.num_sets = num_sets
         self.index_bits = num_sets.bit_length() - 1
@@ -105,21 +98,18 @@ class ReplayIndex:
         self.block_keys = block_keys
         self.tag_positions = tag_positions
         self.next_write = next_write
-        self.seq_is_position = seq_is_position
 
     @classmethod
     def build(
         cls,
-        accesses: Sequence,
         set_indices: Sequence[int],
         tags: Sequence[int],
-        writes: Optional[Sequence[int]],
+        writes: Sequence[int],
         num_sets: int,
     ) -> "ReplayIndex":
-        """Group a decomposed stream by set.  One pass over the stream
-        for the bucketing, one pass per set for the derived arrays."""
-        if writes is None:
-            writes = [access.is_write for access in accesses]
+        """Group a decomposed stream's columns by set.  One pass over the
+        stream for the bucketing, one pass per set for the derived
+        arrays."""
         total = len(set_indices)
         index_bits = num_sets.bit_length() - 1
         block_keys = [
@@ -151,17 +141,8 @@ class ReplayIndex:
                     if writes[position]:
                         nearest = position
                     next_write[position] = nearest
-        seq_is_position = all(
-            access.seq == position for position, access in enumerate(accesses)
-        )
         return cls(
-            num_sets,
-            set_positions,
-            set_tags,
-            block_keys,
-            tag_positions,
-            next_write,
-            seq_is_position,
+            num_sets, set_positions, set_tags, block_keys, tag_positions, next_write
         )
 
 
@@ -218,15 +199,15 @@ class PredictionPlane:
     @classmethod
     def build(
         cls,
-        accesses: Sequence,
+        pcs: Sequence[int],
         set_indices: Sequence[int],
         tags: Sequence[int],
         num_llc_sets: int,
     ) -> "PredictionPlane":
-        """Simulate the sampler over a decomposed stream (default shape)."""
+        """Simulate the sampler over a decomposed stream's columns
+        (default shape)."""
         from repro.core.sampler import simulate_sampled_stream
 
-        pcs = [access.pc for access in accesses]
         dead, ways, stacks, tables, counters = simulate_sampled_stream(
             set_indices, tags, pcs, num_llc_sets
         )
@@ -347,7 +328,7 @@ class SoACache:
             self._meta[set_index] = way_meta
 
     # ------------------------------------------------------------------
-    def to_cache(self, cache, accesses: Sequence, index: ReplayIndex) -> None:
+    def to_cache(self, cache, stream, index: ReplayIndex) -> None:
         """Materialize the committed sets: planes *and* object substrate.
 
         One fused pass per resident frame writes the frame planes (tags,
@@ -364,6 +345,11 @@ class SoACache:
         ``False``; likewise ``block.meta`` is only replaced from a committed
         ``way_meta``.
 
+        Sequence numbers are the stream positions when the
+        :class:`~repro.sim.hierarchy.PreparedStream` says so (every
+        stream the simulator prepares); only a stream wrapped around
+        hand-made accesses is read for their ``seq``.
+
         Relies on the array path's cold-start eligibility: every frame
         starts invalid, and :meth:`~repro.cache.block.CacheBlock.invalidate`
         resets ``dirty`` / ``predicted_dead`` / ``meta``, so those fields
@@ -372,7 +358,8 @@ class SoACache:
         sets = cache.sets
         cache_index = cache._tag_index
         tag_positions = index.tag_positions
-        seq_is_position = index.seq_is_position
+        seq_is_position = stream.seq_is_position
+        accesses = None if seq_is_position else stream.accesses
         associativity = self.associativity
         tags_plane = self.tags
         valid = self.valid

@@ -163,7 +163,7 @@ def single_thread_comparison(
         filtered = cache.filtered(benchmark)
         baseline[benchmark] = cache.system.run(
             filtered,
-            lambda g, a: lru.build(g, a),
+            lambda g, s: lru.build(g, s),
             technique_name="lru",
         )
         per_technique: Dict[str, RunResult] = {}
@@ -171,7 +171,7 @@ def single_thread_comparison(
             technique = TECHNIQUES[key]
             per_technique[key] = cache.system.run(
                 filtered,
-                lambda g, a, technique=technique: technique.build(g, a),
+                lambda g, s, technique=technique: technique.build(g, s),
                 technique_name=key,
                 compute_timing=technique.timing_meaningful,
             )
@@ -224,7 +224,7 @@ def ablation_experiment(
     speedups: Dict[str, List[float]] = {label: [] for label, _, _ in ABLATION_VARIANTS}
     for benchmark in benchmarks:
         filtered = cache.filtered(benchmark)
-        base = cache.system.run(filtered, lambda g, a: lru.build(g, a), "lru")
+        base = cache.system.run(filtered, lambda g, s: lru.build(g, s), "lru")
         for label, predictor_kwargs, _ in ABLATION_VARIANTS:
             result = cache.system.run(
                 filtered,
@@ -383,7 +383,7 @@ def pattern_sweep_experiment(
     for spec in specs:
         filtered = cache.filtered(spec)
         base = cache.system.run(
-            filtered, lambda g, a: lru.build(g, a), technique_name="lru",
+            filtered, lambda g, s: lru.build(g, s), technique_name="lru",
             compute_timing=False,
         )
         result = cache.system.run(
@@ -520,14 +520,14 @@ def multicore_comparison(
     for mix in mixes:
         prepared = cache.prepared_mix(mix)
         baseline[mix] = cache.multicore.run(
-            prepared, lambda g, a, n: lru.build(g, a, n), "lru"
+            prepared, lambda g, s, n: lru.build(g, s, n), "lru"
         )
         per_technique: Dict[str, MulticoreResult] = {}
         for key in technique_keys:
             technique = TECHNIQUES[key]
             per_technique[key] = cache.multicore.run(
                 prepared,
-                lambda g, a, n, technique=technique: technique.build(g, a, n),
+                lambda g, s, n, technique=technique: technique.build(g, s, n),
                 technique_name=key,
             )
         results[mix] = per_technique
@@ -597,7 +597,7 @@ def timeseries_experiment(
     filtered = cache.filtered(benchmark)
     run = cache.system.run(
         filtered,
-        lambda g, a: technique.build(g, a),
+        lambda g, s: technique.build(g, s),
         technique_name=technique_key,
         observer_factories=[AccuracyObserver] if accuracy else (),
         compute_timing=False,
@@ -626,11 +626,11 @@ def characterization_table(
     for benchmark in benchmarks:
         filtered = cache.filtered(benchmark)
         lru_result = cache.system.run(
-            filtered, lambda g, a: lru.build(g, a), "lru"
+            filtered, lambda g, s: lru.build(g, s), "lru"
         )
         optimal_result = cache.system.run(
             filtered,
-            lambda g, a: optimal.build(g, a),
+            lambda g, s: optimal.build(g, s),
             "optimal",
             compute_timing=False,
         )

@@ -190,7 +190,7 @@ def _run_cell_on(cache: WorkloadCache, cell: Cell) -> RunResult:
         compute_timing = technique.timing_meaningful
     return cache.system.run(
         filtered,
-        lambda g, a: technique.build(g, a),
+        lambda g, s: technique.build(g, s),
         technique_name=name,
         compute_timing=compute_timing,
     )

@@ -1,10 +1,10 @@
 """The cache-management techniques of the paper's Table V.
 
 Each :class:`Technique` builds a fresh LLC replacement policy.  The
-factory receives the LLC geometry, the full access stream (needed by the
-optimal policy's future pass), and the core count (needed by the
-thread-aware policies), mirroring how the paper instantiates each
-comparison point: the DBRB optimization "dropping in the reftrace and
+factory receives the LLC geometry, the prepared LLC stream (needed by
+the optimal policy's future pass over its address column), and the core
+count (needed by the thread-aware policies), mirroring how the paper
+instantiates each comparison point: the DBRB optimization "dropping in the reftrace and
 counting predictors ... in place of our sampling predictor"
 (Section VII).
 """
@@ -12,9 +12,8 @@ counting predictors ... in place of our sampling predictor"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.cache.cache import CacheAccess
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.predictors import CountingPredictor, RefTracePredictor
@@ -29,6 +28,7 @@ from repro.replacement import (
     annotate_next_use,
 )
 from repro.replacement.base import ReplacementPolicy
+from repro.sim.hierarchy import PreparedStream
 
 __all__ = [
     "MULTICORE_LRU_TECHNIQUES",
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 PolicyBuilder = Callable[
-    [CacheGeometry, Sequence[CacheAccess], int], ReplacementPolicy
+    [CacheGeometry, Optional[PreparedStream], int], ReplacementPolicy
 ]
 
 
@@ -69,59 +69,61 @@ class Technique:
     def build(
         self,
         geometry: CacheGeometry,
-        accesses: Sequence[CacheAccess],
+        stream: Optional[PreparedStream],
         num_cores: int = 1,
     ) -> ReplacementPolicy:
-        """Instantiate a fresh policy for one run."""
-        return self.builder(geometry, accesses, num_cores)
+        """Instantiate a fresh policy for one run over ``stream`` (None
+        for a live run with no stream known ahead; only ``optimal``
+        needs one)."""
+        return self.builder(geometry, stream, num_cores)
 
 
-def _lru(geometry, accesses, num_cores):
+def _lru(geometry, stream, num_cores):
     return LRUPolicy()
 
 
-def _random(geometry, accesses, num_cores):
+def _random(geometry, stream, num_cores):
     return RandomPolicy()
 
 
-def _sampler(geometry, accesses, num_cores):
+def _sampler(geometry, stream, num_cores):
     return DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor())
 
 
-def _tdbp(geometry, accesses, num_cores):
+def _tdbp(geometry, stream, num_cores):
     return DBRBPolicy(LRUPolicy(), RefTracePredictor())
 
 
-def _cdbp(geometry, accesses, num_cores):
+def _cdbp(geometry, stream, num_cores):
     return DBRBPolicy(LRUPolicy(), CountingPredictor())
 
 
-def _dip(geometry, accesses, num_cores):
+def _dip(geometry, stream, num_cores):
     return DIPPolicy()
 
 
-def _tadip(geometry, accesses, num_cores):
+def _tadip(geometry, stream, num_cores):
     return TADIPPolicy(num_cores=num_cores)
 
 
-def _rrip(geometry, accesses, num_cores):
+def _rrip(geometry, stream, num_cores):
     return DRRIPPolicy(num_cores=num_cores)
 
 
-def _random_sampler(geometry, accesses, num_cores):
+def _random_sampler(geometry, stream, num_cores):
     return DBRBPolicy(RandomPolicy(), SamplingDeadBlockPredictor())
 
 
-def _random_cdbp(geometry, accesses, num_cores):
+def _random_cdbp(geometry, stream, num_cores):
     return DBRBPolicy(RandomPolicy(), CountingPredictor())
 
 
-def _ship(geometry, accesses, num_cores):
+def _ship(geometry, stream, num_cores):
     return SHiPPolicy()
 
 
-def _optimal(geometry, accesses, num_cores):
-    return OptimalPolicy(annotate_next_use(accesses, geometry), bypass=True)
+def _optimal(geometry, stream, num_cores):
+    return OptimalPolicy(annotate_next_use(stream, geometry), bypass=True)
 
 
 TECHNIQUES: Dict[str, Technique] = {

@@ -42,6 +42,7 @@ boundaries are simulated-time slices of the arrival window).
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -275,7 +276,11 @@ class PreparedScenario:
         scenario = self.scenario
         for tenant in self.tenants:
             tenant.reset(scenario.seed)
-        policy = technique.build(self.geometry, (), num_cores=len(self.tenants))
+        # A finished run's LLC is cyclic garbage (cache and policy refer
+        # to each other), freed only by a full collection; collect it
+        # now so two runs' frame arrays never coexist.
+        gc.collect()
+        policy = technique.build(self.geometry, None, num_cores=len(self.tenants))
         cache = Cache(self.geometry, policy, name="loadsim-LLC")
         recorder = IntervalRecorder(epochs=scenario.epochs)
         recorder.set_context(

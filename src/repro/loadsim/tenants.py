@@ -122,17 +122,17 @@ class PreparedTenant:
     # ------------------------------------------------------------------
     def _build_table(self, filtered: FilteredTrace,
                      l1_latency: int, l2_latency: int) -> None:
-        records = filtered.trace.records
+        gaps = filtered.trace.gaps
         levels = filtered.levels
         ops = self.ops
         llc_cursor = 0
-        for start in range(0, len(records), ops):
-            stop = min(start + ops, len(records))
+        for start in range(0, len(gaps), ops):
+            stop = min(start + ops, len(gaps))
             instructions = 0
             private = 0.0
             llc_lo = llc_cursor
             for position in range(start, stop):
-                instructions += records[position].gap + 1
+                instructions += gaps[position] + 1
                 level = levels[position]
                 if level == L1_HIT:
                     private += l1_latency

@@ -10,10 +10,11 @@ speedup).
 
 Usage contract: the policy needs the future, so the caller must
 
-1. build the full LLC access stream,
+1. prepare the full LLC stream (a :class:`~repro.sim.hierarchy.PreparedStream`),
 2. call :func:`annotate_next_use` on it,
 3. construct :class:`OptimalPolicy` with the result, and
-4. replay the stream with ``access.seq`` equal to each access's position.
+4. replay the stream with ``seq`` equal to each access's position (every
+   stream the simulator prepares has this property).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.replacement.base import ReplacementPolicy
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import Cache, CacheAccess
     from repro.cache.geometry import CacheGeometry
+    from repro.sim.hierarchy import PreparedStream
 
 __all__ = ["NEVER", "OptimalPolicy", "annotate_next_use"]
 
@@ -33,20 +35,24 @@ NEVER = 1 << 62
 
 
 def annotate_next_use(
-    accesses: Sequence["CacheAccess"], geometry: "CacheGeometry"
+    stream: "PreparedStream", geometry: "CacheGeometry"
 ) -> List[int]:
-    """For each access, the stream position of the next access to the same
-    block, or :data:`NEVER`.
+    """For each position of ``stream``, the position of the next access
+    to the same block, or :data:`NEVER`.
 
-    A single backward pass; O(n) time, O(working set) space.
+    Reads the stream's address column only (no access objects).  One
+    forward pass: each access is the next use of the previous access to
+    its block.  O(n) time, O(working set) space.
     """
-    next_use = [NEVER] * len(accesses)
+    offset_bits = geometry.offset_bits
+    next_use = [NEVER] * len(stream)
     last_seen = {}
-    for position in range(len(accesses) - 1, -1, -1):
-        block = geometry.block_address(accesses[position].address)
-        previous = last_seen.get(block)
+    last_seen_get = last_seen.get
+    for position, address in enumerate(stream.addresses):
+        block = address >> offset_bits
+        previous = last_seen_get(block)
         if previous is not None:
-            next_use[position] = previous
+            next_use[previous] = position
         last_seen[block] = position
     return next_use
 

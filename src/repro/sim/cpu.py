@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.sim.hierarchy import FilteredTrace, MachineConfig
+from repro.sim.trace import DEPENDS_FLAG
 
 __all__ = ["CoreModel", "CoreTiming"]
 
@@ -126,8 +127,9 @@ class CoreModel:
     ) -> CoreTiming:
         """The record-by-record model :meth:`run` must match exactly.
 
-        Walks the trace records directly, with an explicit in-flight
-        queue; kept as the oracle for tests and benchmarks.
+        Walks the trace's gap and flag columns record by record, with an
+        explicit in-flight queue; kept as the oracle for tests and
+        benchmarks.
         """
         self._check_hits(filtered, llc_hits)
         config = self.config
@@ -149,8 +151,8 @@ class CoreModel:
         in_flight: deque = deque()
         llc_cursor = 0
 
-        for record_index, record in enumerate(filtered.trace.records):
-            gap = record.gap
+        trace = filtered.trace
+        for record_index, (gap, flag) in enumerate(zip(trace.gaps, trace.flags)):
             inst_pos += gap + 1
             issue += gap / width
             # Window pressure: ops older than `window` instructions must
@@ -166,7 +168,7 @@ class CoreModel:
                 llc_cursor += 1
 
             start = issue
-            if record.depends and last_completion > start:
+            if flag & DEPENDS_FLAG and last_completion > start:
                 # Address depends on the previous load's data.
                 start = last_completion
                 issue = start  # issue logically stalls with it

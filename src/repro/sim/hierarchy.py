@@ -21,11 +21,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cache.cache import CacheAccess
 from repro.cache.geometry import CacheGeometry
-from repro.sim.trace import Trace
+from repro.sim.trace import DEPENDS_BIT, WRITE_BIT, Trace
 
 __all__ = [
     "FilteredTrace",
@@ -172,36 +172,53 @@ class PreparedStream:
     """An LLC access stream, decomposed for one geometry: the one input
     every replay (:func:`repro.sim.replay.replay`) takes.
 
-    Struct-of-arrays layout: position ``i`` of every array describes the
-    same LLC access, so a replay kernel can walk precomputed
-    ``(set_index, tag)`` pairs instead of re-deriving them from the byte
-    address once per technique.  Streams built here (:func:`prepare_stream`,
-    the multicore merge) carry stream-position ``seq`` numbers (the
-    contract the optimal policy needs); their
-    :class:`~repro.cache.cache.CacheAccess` objects are safe to share
+    Struct-of-arrays layout: position ``i`` of every column describes
+    the same LLC access -- its byte ``addresses``, ``pcs``, ``writes``,
+    issuing ``cores`` and the precomputed ``(set_indices, tags)``
+    for the geometry -- so a replay kernel walks columns instead of
+    re-deriving anything from the byte address once per technique.
+
+    The :class:`~repro.cache.cache.CacheAccess` objects the object
+    kernel, observers and the load simulator consume are built from the
+    columns on first use of :attr:`accesses` and cached; the array
+    kernels never ask for them.  Streams built here (:func:`prepare_stream`,
+    the multicore merge) have ``seq_is_position`` true by construction:
+    every access's ``seq`` is its stream position (the contract the
+    optimal policy needs).  Their access objects are safe to share
     across techniques: no policy or predictor mutates them.
     """
 
     __slots__ = (
-        "accesses",
+        "_accesses",
+        "_prediction_plane",
+        "_replay_index",
+        "addresses",
+        "cores",
+        "pcs",
+        "seq_is_position",
         "set_indices",
         "tags",
         "writes",
-        "_replay_index",
-        "_prediction_plane",
     )
 
     def __init__(
         self,
-        accesses: List[CacheAccess],
+        addresses: Sequence[int],
+        pcs: Sequence[int],
+        writes: Sequence[bool],
         set_indices: List[int],
         tags: List[int],
-        writes: Optional[List[bool]] = None,
+        cores: Union[int, Sequence[int]] = 0,
     ) -> None:
-        self.accesses = accesses
+        """``cores`` is one core id for the whole stream or a column."""
+        self.addresses = addresses
+        self.pcs = pcs
+        self.writes = writes
         self.set_indices = set_indices
         self.tags = tags
-        self.writes = writes
+        self.cores = cores
+        self.seq_is_position = True
+        self._accesses: Optional[List[CacheAccess]] = None
         self._replay_index = None
         self._prediction_plane = None
 
@@ -209,13 +226,68 @@ class PreparedStream:
     def from_accesses(
         cls, accesses: List[CacheAccess], geometry: CacheGeometry
     ) -> "PreparedStream":
-        """Decompose an existing access list for ``geometry``."""
-        return cls(
-            accesses, *decompose([access.address for access in accesses], geometry)
+        """Wrap an existing access list, decomposed for ``geometry``.
+
+        The list is kept as :attr:`accesses`; ``seq_is_position`` records
+        whether its ``seq`` numbers are the stream positions.
+        """
+        addresses = [access.address for access in accesses]
+        stream = cls(
+            addresses,
+            [access.pc for access in accesses],
+            [access.is_write for access in accesses],
+            *decompose(addresses, geometry),
+            cores=[access.core for access in accesses],
         )
+        stream._accesses = accesses
+        stream.seq_is_position = all(
+            access.seq == position for position, access in enumerate(accesses)
+        )
+        return stream
+
+    @property
+    def accesses(self) -> List[CacheAccess]:
+        """One :class:`~repro.cache.cache.CacheAccess` per position, with
+        ``seq`` = position; built from the columns on first use."""
+        accesses = self._accesses
+        if accesses is None:
+            count = len(self.tags)
+            cores = self.cores
+            if isinstance(cores, int):
+                cores = repeat(cores, count)
+            # map() drives CacheAccess construction at C speed.
+            accesses = list(
+                map(
+                    CacheAccess,
+                    self.addresses,
+                    self.pcs,
+                    self.writes,
+                    range(count),
+                    cores,
+                )
+            )
+            self._accesses = accesses
+        return accesses
+
+    def slice(self, start: int, stop: int) -> "PreparedStream":
+        """Positions ``[start, stop)`` as a stream of their own, sharing
+        this stream's access objects (``seq`` keeps the full-stream
+        position).  The probe path replays epoch-sized slices."""
+        cores = self.cores
+        part = PreparedStream(
+            self.addresses[start:stop],
+            self.pcs[start:stop],
+            self.writes[start:stop],
+            self.set_indices[start:stop],
+            self.tags[start:stop],
+            cores if isinstance(cores, int) else cores[start:stop],
+        )
+        part._accesses = self.accesses[start:stop]
+        part.seq_is_position = False
+        return part
 
     def __len__(self) -> int:
-        return len(self.accesses)
+        return len(self.tags)
 
     def replay_index(self, num_sets: int):
         """The stream's :class:`~repro.cache.soa.ReplayIndex`, built on
@@ -228,7 +300,7 @@ class PreparedStream:
             from repro.cache.soa import ReplayIndex
 
             index = ReplayIndex.build(
-                self.accesses, self.set_indices, self.tags, self.writes, num_sets
+                self.set_indices, self.tags, self.writes, num_sets
             )
             self._replay_index = index
         return index
@@ -248,13 +320,13 @@ class PreparedStream:
             from repro.cache.soa import PredictionPlane
 
             plane = PredictionPlane.build(
-                self.accesses, self.set_indices, self.tags, num_sets
+                self.pcs, self.set_indices, self.tags, num_sets
             )
             self._prediction_plane = plane
         return plane
 
     def __repr__(self) -> str:
-        return f"PreparedStream({len(self.accesses)} LLC accesses)"
+        return f"PreparedStream({len(self.tags)} LLC accesses)"
 
 
 class TimingPlan(NamedTuple):
@@ -325,38 +397,29 @@ class TimingPlan(NamedTuple):
 
 
 def prepare_stream(
-    llc_arrays: Tuple[List[int], List[int], List[bool]],
+    llc_arrays: Tuple[Sequence[int], Sequence[int], Sequence[bool]],
     geometry: CacheGeometry,
     address_offset: int = 0,
     core: int = 0,
     set_indices: Optional[List[int]] = None,
     tags: Optional[List[int]] = None,
 ) -> PreparedStream:
-    """Materialize a :class:`PreparedStream` from LLC arrays.
+    """A :class:`PreparedStream` over LLC ``(pcs, addresses, writes)``
+    columns.
 
     ``address_offset`` and ``core`` relocate the stream into one core's
     or tenant's address range (the load simulator's private tenant
     streams).  ``set_indices`` / ``tags`` may be supplied when the
     decomposition for ``geometry`` was already computed elsewhere (the
     compiled workload store persists them); otherwise :func:`decompose`
-    derives them from the addresses.
-    The :class:`~repro.cache.cache.CacheAccess` objects are always
-    materialized fresh -- they are per-process Python objects and cannot
-    be shared across process boundaries, unlike the flat arrays.
+    derives them from the addresses.  No access object is built here.
     """
     pcs, addresses, writes = llc_arrays
-    count = len(addresses)
     if address_offset:
         addresses = [address + address_offset for address in addresses]
-    # map() drives CacheAccess construction at C speed; this loop runs
-    # once per (workload, geometry) over every LLC reference, so the
-    # interpreted-loop overhead is measurable in warm-start preparation.
-    accesses = list(
-        map(CacheAccess, addresses, pcs, writes, range(count), repeat(core, count))
-    )
     if set_indices is None:
         set_indices, tags = decompose(addresses, geometry)
-    return PreparedStream(accesses, set_indices, tags, writes)
+    return PreparedStream(addresses, pcs, writes, set_indices, tags, core)
 
 
 class FilteredTrace:
@@ -367,7 +430,7 @@ class FilteredTrace:
         levels: per-record hit level (1 = L1 hit, 2 = L2 hit, 3 = the
             reference reached the LLC; its final latency depends on the
             LLC policy under test).
-        llc_indices: indices into ``trace.records`` of LLC-bound accesses.
+        llc_indices: positions in the trace of LLC-bound accesses.
 
     The paper's methodology simulates L1+L2 once and replays the LLC
     stream once per technique, so everything derivable from the filtering
@@ -402,21 +465,21 @@ class FilteredTrace:
     # precomputed views (built once per workload, shared by techniques)
     # ------------------------------------------------------------------
     def llc_arrays(self) -> Tuple[List[int], List[int], List[bool]]:
-        """The LLC stream as parallel ``(pcs, addresses, writes)`` arrays.
+        """The LLC stream as parallel ``(pcs, addresses, writes)`` lists.
 
-        Geometry-independent; computed on first use and cached.
+        Gathered from the trace columns at the LLC-bound positions (at C
+        speed, no per-record object); geometry-independent; computed on
+        first use and cached.
         """
         if self._llc_arrays is None:
-            records = self.trace.records
-            pcs: List[int] = []
-            addresses: List[int] = []
-            writes: List[bool] = []
-            for index in self.llc_indices:
-                record = records[index]
-                pcs.append(record.pc)
-                addresses.append(record.address)
-                writes.append(record.is_write)
-            self._llc_arrays = (pcs, addresses, writes)
+            trace = self.trace
+            indices = self.llc_indices
+            flags = bytes(map(trace.flags.__getitem__, indices))
+            self._llc_arrays = (
+                list(map(trace.pcs.__getitem__, indices)),
+                list(map(trace.addresses.__getitem__, indices)),
+                list(map(bool, flags.translate(WRITE_BIT))),
+            )
         return self._llc_arrays
 
     def llc_stream(self, geometry: CacheGeometry) -> PreparedStream:
@@ -459,11 +522,12 @@ class FilteredTrace:
     def _timing_columns(
         self, l1_latency: int, l2_latency: int
     ) -> Tuple[Sequence[int], bytes, Sequence[int]]:
-        """Per-record ``(gaps, depends flags, fixed latencies)``."""
-        records = self.trace.records
+        """Per-record ``(gaps, depends flags, fixed latencies)``, read
+        straight from the trace columns."""
+        trace = self.trace
         return (
-            [record.gap for record in records],
-            bytes([record.depends for record in records]),
+            trace.gaps,
+            bytes(trace.flags).translate(DEPENDS_BIT),
             self.fixed_latencies(l1_latency, l2_latency),
         )
 
@@ -508,8 +572,7 @@ class HierarchyFilter:
         append_llc = llc_indices.append
         l1_access = l1.access
         l2_access = l2.access
-        for index, record in enumerate(trace.records):
-            address = record.address
+        for index, address in enumerate(trace.addresses):
             if l1_access(address):
                 append_level(L1_HIT)
             elif l2_access(address):

@@ -27,7 +27,7 @@ from heapq import merge as heap_merge
 from itertools import accumulate
 from typing import Callable, List, Sequence, Tuple
 
-from repro.cache.cache import Cache, CacheAccess
+from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.replacement.base import ReplacementPolicy
@@ -47,10 +47,8 @@ from repro.sim.trace import Trace
 __all__ = ["MulticoreResult", "MulticoreSystem", "PreparedMix"]
 
 #: Builds the shared-LLC policy.  Receives the geometry, the merged
-#: stream's accesses, and the core count (thread-aware policies need it).
-SharedPolicyFactory = Callable[
-    [CacheGeometry, Sequence[CacheAccess], int], ReplacementPolicy
-]
+#: stream, and the core count (thread-aware policies need it).
+SharedPolicyFactory = Callable[[CacheGeometry, PreparedStream, int], ReplacementPolicy]
 
 #: Address bits reserved to keep per-core address spaces disjoint in the
 #: shared LLC (the mixes are multiprogrammed, not shared-memory).
@@ -145,10 +143,12 @@ class MulticoreSystem:
         keyed = []
         for core, ft in enumerate(filtered):
             ipc = max(single_ipcs[core], 1e-6)
-            inst_pos = list(accumulate(record.gap + 1 for record in ft.trace.records))
+            # Instruction position through record ``i`` is the gap prefix
+            # sum plus the ``i + 1`` memory operations themselves.
+            gap_sums = list(accumulate(ft.trace.gaps))
             keyed.append(
                 [
-                    (inst_pos[index] / ipc, core, cursor)
+                    ((gap_sums[index] + index + 1) / ipc, core, cursor)
                     for cursor, index in enumerate(ft.llc_indices)
                 ]
             )
@@ -165,11 +165,11 @@ class MulticoreSystem:
             writes.append(core_writes[cursor])
             cores.append(core)
             positions[core].append(seq)
-        accesses = list(
-            map(CacheAccess, addresses, pcs, writes, range(len(addresses)), cores)
-        )
         set_indices, tags = decompose(addresses, self.shared_geometry)
-        return PreparedStream(accesses, set_indices, tags, writes), positions
+        return (
+            PreparedStream(addresses, pcs, writes, set_indices, tags, cores),
+            positions,
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -180,7 +180,7 @@ class MulticoreSystem:
     ) -> MulticoreResult:
         """Replay the merged stream on a shared LLC; time each core."""
         geometry = self.shared_geometry
-        policy = policy_factory(geometry, prepared.merged.accesses, self.num_cores)
+        policy = policy_factory(geometry, prepared.merged, self.num_cores)
         cache = Cache(geometry, policy, name="sharedLLC")
         hits = replay(cache, prepared.merged)
         ipcs = []

@@ -74,12 +74,12 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
     Args:
         cache: the LLC under test (policy already bound).
         stream: the stream, decomposed for ``cache.geometry``; its
-            accesses' ``seq`` must be the stream position when the policy
-            is position-indexed (optimal).  The array kernels reuse the
+            ``seq`` numbers must be the stream positions when the policy
+            is position-indexed (optimal).  The array kernels read its
+            columns and never build its access objects; they reuse the
             stream's cached :class:`~repro.cache.soa.ReplayIndex` and
             :class:`~repro.cache.soa.PredictionPlane` across techniques.
     """
-    accesses = stream.accesses
     probe = cache.probe
     if type(cache) is not Cache or cache.has_observers:
         # Reference path: subclass access overrides and observer
@@ -89,6 +89,7 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
             "cache-subclass" if type(cache) is not Cache else "observers"
         )
         cache_access = cache.access
+        accesses = stream.accesses
         if not probe.enabled:
             return [cache_access(access) for access in accesses]
 
@@ -110,22 +111,14 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
         # paranoid hooks) is loop-invariant across epoch slices; compute
         # it once here instead of once per slice.
         binding = _bind(cache)
-        set_indices = stream.set_indices
-        tags = stream.tags
 
         def replay_slice(start: int, stop: int) -> List[bool]:
-            return _replay_fast(
-                cache,
-                PreparedStream(
-                    accesses[start:stop], set_indices[start:stop], tags[start:stop]
-                ),
-                binding,
-            )
+            return _replay_fast(cache, stream.slice(start, stop), binding)
 
     # Probe path, either substrate: replay epoch-sized slices and notify
     # the probe at every slice boundary.  Stats commits are additive, so
     # the per-slice commits sum to exactly the single-commit totals.
-    total = len(accesses)
+    total = len(stream)
     epoch = probe.resolve_epoch(total)
     probe.begin_run(cache, total)
     hits: List[bool] = []

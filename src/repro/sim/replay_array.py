@@ -180,7 +180,7 @@ def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
         return None
     soa = SoACache.for_run(cache, index)
     hits, counters = kernel.run(cache, cache.policy, stream, index, soa)
-    soa.to_cache(cache, stream.accesses, index)
+    soa.to_cache(cache, stream, index)
     (
         hit_count,
         miss_count,
@@ -292,7 +292,7 @@ class _OptimalKernel:
         # The object path indexes the annotation by ``seq`` and raises
         # IndexError past its end; the kernel indexes by position, so it
         # only takes streams where the two agree.
-        if not index.seq_is_position or len(policy._next_use) != len(stream):
+        if not stream.seq_is_position or len(policy._next_use) != len(stream):
             return "optimal-seq"
         return None
 
@@ -884,7 +884,7 @@ class _DBRBKernel:
         threshold = predictor.threshold
         counter_max = predictor.counter_max
         signature_mask = predictor.signature_mask
-        pcs = [access.pc for access in stream.accesses]
+        pcs = stream.pcs
         distinct = list(set(pcs))
         folded = dict(
             zip(distinct, fold_xor_many(distinct, predictor.signature_bits))
@@ -974,7 +974,7 @@ class _DBRBKernel:
         column_mask = (1 << addr_bits) - 1
         count_max = predictor.count_max
         never = count_max + 1
-        pcs = [access.pc for access in stream.accesses]
+        pcs = stream.pcs
         distinct = list(set(pcs))
         # Rows come pre-shifted into place: ``entry = row << addr_bits | column``.
         rows = {

@@ -10,7 +10,7 @@ private to its process.  This module makes the compiled form of a
 workload a first-class, persistent artifact:
 
 * :func:`compile_filtered` serializes a prepared
-  :class:`~repro.sim.hierarchy.FilteredTrace` -- full trace records,
+  :class:`~repro.sim.hierarchy.FilteredTrace` -- the full trace columns,
   per-record hit levels, the LLC arrays, per-geometry ``(set index,
   tag)`` decompositions, and the timing model's fixed latencies -- into
   one flat binary blob of typed buffers (:class:`CompiledWorkload`);
@@ -56,11 +56,14 @@ cached on the reconstructed
 :class:`~repro.sim.hierarchy.PreparedStream`, so they cost one pass per
 (workload, geometry) regardless of how many techniques replay, while
 the on-disk format stays a pure function of the workload (no format
-rev, nothing stale to invalidate when a kernel's precompute changes).  Decoding never copies the payload:
+rev, nothing stale to invalidate when a kernel's precompute changes).
+Decoding never copies the payload:
 :meth:`CompiledWorkload.from_buffer` keeps :class:`memoryview` casts
 into the underlying buffer, and :meth:`CompiledWorkload.filtered_trace`
-materializes :class:`~repro.sim.trace.TraceRecord` /
-:class:`~repro.cache.cache.CacheAccess` objects lazily, on first use.
+wraps the ``pc``/``addr``/``gap``/``flags`` views as the
+:class:`~repro.sim.trace.Trace` columns -- the same layout a freshly
+generated trace has -- so no per-record object is built unless a caller
+asks for :attr:`~repro.sim.trace.Trace.records`.
 
 Environment knobs:
 
@@ -90,7 +93,7 @@ from repro.sim.hierarchy import (
     MachineConfig,
     prepare_stream,
 )
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 
 __all__ = [
     "CompiledWorkload",
@@ -114,8 +117,6 @@ _FORMAT = 1
 _KEY_FORMAT = 2
 _ALIGN = 8
 _TRUTHY = ("1", "true", "yes", "on")
-# Maps a ``flags`` byte to its depends bit (bit 1) as 0/1.
-_DEPENDS_BIT = bytes((flag >> 1) & 1 for flag in range(256))
 
 
 def _env_flag(name: str) -> bool:
@@ -174,7 +175,7 @@ def encode_filtered(
     ``geometries`` lists the cache shapes whose ``(set index, tag)``
     decomposition is baked in; the machine's LLC is always included.
     """
-    records = filtered.trace.records
+    trace = filtered.trace
     pcs, addresses, writes = filtered.llc_arrays()
 
     shapes: List[CacheGeometry] = [machine.llc]
@@ -184,20 +185,18 @@ def encode_filtered(
         ]:
             shapes.append(geometry)
 
+    # The trace columns already hold the sections' machine types ('Q' /
+    # 'q' / one byte per value), so their sections are plain copies.
     sections: List[Tuple[str, str, bytes]] = [
-        ("pc", "Q", array("Q", (r.pc for r in records)).tobytes()),
-        ("addr", "Q", array("Q", (r.address for r in records)).tobytes()),
-        ("gap", "q", array("q", (r.gap for r in records)).tobytes()),
-        (
-            "flags",
-            "B",
-            bytes((r.is_write | (r.depends << 1)) for r in records),
-        ),
+        ("pc", "Q", trace.pcs.tobytes()),
+        ("addr", "Q", trace.addresses.tobytes()),
+        ("gap", "q", trace.gaps.tobytes()),
+        ("flags", "B", bytes(trace.flags)),
         ("level", "B", bytes(filtered.levels)),
         ("llc_index", "Q", array("Q", filtered.llc_indices).tobytes()),
         ("llc_pc", "Q", array("Q", pcs).tobytes()),
         ("llc_addr", "Q", array("Q", addresses).tobytes()),
-        ("llc_write", "B", bytes(map(int, writes))),
+        ("llc_write", "B", bytes(writes)),
         (
             "fixed_lat",
             "q",
@@ -232,7 +231,7 @@ def encode_filtered(
         "key": key,
         "name": filtered.name,
         "instructions": filtered.instructions,
-        "records": len(records),
+        "records": len(trace),
         "llc": len(filtered.llc_indices),
         "l1_latency": machine.l1_latency,
         "l2_latency": machine.l2_latency,
@@ -254,54 +253,15 @@ def encode_filtered(
     return bytes(blob)
 
 
-class _LazyRecords:
-    """A records sequence that materializes :class:`TraceRecord` objects
-    from the flat buffers on first real use.
-
-    Replay and the timing model read the blob's sections directly (the
-    timing model through :meth:`CompiledFilteredTrace.timing_plan`), so
-    a sweep cell never touches the full record list and attaching to a
-    compiled workload costs nothing beyond the buffer views.
-    """
-
-    __slots__ = ("_addr", "_flags", "_gap", "_list", "_pc")
-
-    def __init__(self, pcs, addresses, gaps, flags) -> None:
-        self._pc = pcs
-        self._addr = addresses
-        self._gap = gaps
-        self._flags = flags
-        self._list: Optional[List[TraceRecord]] = None
-
-    def _materialize(self) -> List[TraceRecord]:
-        if self._list is None:
-            record = TraceRecord
-            self._list = [
-                record(pc, addr, bool(flag & 1), gap, bool(flag & 2))
-                for pc, addr, gap, flag in zip(
-                    self._pc, self._addr, self._gap, self._flags
-                )
-            ]
-        return self._list
-
-    def __len__(self) -> int:
-        return len(self._pc)
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __getitem__(self, index):
-        return self._materialize()[index]
-
-
 class CompiledFilteredTrace(FilteredTrace):
     """A :class:`FilteredTrace` reconstructed from a compiled blob.
 
-    Behaviorally identical to a freshly prepared trace; the difference is
-    purely where its precomputed views come from: the LLC arrays, stored
-    stream decompositions, fixed latencies and timing-plan columns are
-    served from the blob's buffers (zero-copy until an object view is
-    actually needed) instead of being re-derived from the records.
+    Behaviorally identical to a freshly prepared trace.  Its trace
+    columns are the blob's buffer views, so the shared
+    :class:`FilteredTrace` readers (the timing plan included) work on it
+    unchanged; the overrides below only serve what the blob stores
+    ready-made -- the LLC columns, stored stream decompositions and the
+    fixed latencies -- instead of re-deriving it.
     """
 
     __slots__ = ("_compiled",)
@@ -311,12 +271,13 @@ class CompiledFilteredTrace(FilteredTrace):
         self._compiled = compiled
 
     def llc_arrays(self):
+        # Straight from the blob's LLC sections: no gather over the trace.
         if self._llc_arrays is None:
             compiled = self._compiled
             self._llc_arrays = (
                 list(compiled.view("llc_pc")),
                 list(compiled.view("llc_addr")),
-                [bool(flag) for flag in compiled.view("llc_write")],
+                list(map(bool, compiled.view("llc_write"))),
             )
         return self._llc_arrays
 
@@ -343,20 +304,6 @@ class CompiledFilteredTrace(FilteredTrace):
         if key not in self._latencies and key == self._compiled.latency_pair:
             self._latencies[key] = list(self._compiled.view("fixed_lat"))
         return super().fixed_latencies(l1_latency, l2_latency)
-
-    def _timing_columns(self, l1_latency: int, l2_latency: int):
-        # Straight from the blob's sections, so timing a cell never
-        # materializes the trace records.
-        compiled = self._compiled
-        if (l1_latency, l2_latency) == compiled.latency_pair:
-            latencies = compiled.view("fixed_lat")
-        else:
-            latencies = self.fixed_latencies(l1_latency, l2_latency)
-        return (
-            compiled.view("gap"),
-            compiled.view("flags").tobytes().translate(_DEPENDS_BIT),
-            latencies,
-        )
 
 
 class CompiledWorkload:
@@ -470,10 +417,14 @@ class CompiledWorkload:
 
     def filtered_trace(self) -> CompiledFilteredTrace:
         """Reconstruct the workload (records and streams materialize lazily)."""
-        records = _LazyRecords(
-            self.view("pc"), self.view("addr"), self.view("gap"), self.view("flags")
+        trace = Trace.from_columns(
+            self.name,
+            self.view("pc"),
+            self.view("addr"),
+            self.view("gap"),
+            self.view("flags"),
+            instructions=self.instructions,
         )
-        trace = Trace(self.name, records, instructions=self.instructions)
         return CompiledFilteredTrace(
             trace, self.view("level"), self.view("llc_index"), self
         )

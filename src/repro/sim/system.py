@@ -18,21 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.cache.cache import Cache, CacheAccess, CacheObserver
+from repro.cache.cache import Cache, CacheObserver
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.replacement.base import ReplacementPolicy
 from repro.sim.cpu import CoreModel, CoreTiming
-from repro.sim.hierarchy import FilteredTrace, HierarchyFilter, MachineConfig
+from repro.sim.hierarchy import (
+    FilteredTrace,
+    HierarchyFilter,
+    MachineConfig,
+    PreparedStream,
+)
 from repro.sim.replay import replay
 from repro.sim.trace import Trace
 
 __all__ = ["PolicyFactory", "RunResult", "SingleCoreSystem"]
 
 #: A technique is a callable building the LLC policy for a run.  It gets
-#: the LLC geometry and the full access stream (so the optimal policy can
-#: precompute next-use distances).
-PolicyFactory = Callable[[CacheGeometry, Sequence[CacheAccess]], ReplacementPolicy]
+#: the LLC geometry and the run's prepared LLC stream (so the optimal
+#: policy can precompute next-use distances from its address column).
+PolicyFactory = Callable[[CacheGeometry, PreparedStream], ReplacementPolicy]
 
 
 @dataclass
@@ -116,7 +121,7 @@ class SingleCoreSystem:
         """
         geometry = llc_geometry or self.config.llc
         stream = filtered.llc_stream(geometry)
-        policy = policy_factory(geometry, stream.accesses)
+        policy = policy_factory(geometry, stream)
         cache = Cache(geometry, policy, name="LLC", probe=probe)
         observers = [factory(cache) for factory in observer_factories]
         for observer in observers:
@@ -126,7 +131,7 @@ class SingleCoreSystem:
                 workload=filtered.name,
                 technique=technique_name,
                 instructions=filtered.instructions,
-                llc_accesses=len(stream.accesses),
+                llc_accesses=len(stream),
             )
         llc_hits = replay(cache, stream)
         timing = self._core.run(filtered, llc_hits) if compute_timing else None

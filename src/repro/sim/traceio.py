@@ -16,10 +16,11 @@ in ``.gz``.
 from __future__ import annotations
 
 import gzip
+from array import array
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import DEPENDS_FLAG, WRITE_FLAG, Trace
 
 __all__ = ["load_trace", "save_trace", "trace_lines"]
 
@@ -28,6 +29,9 @@ _MAGIC = "# repro-trace v1"
 #: PCs and addresses are 64-bit; anything outside [0, 2^64) is a
 #: corrupted or hand-mangled file, not a usable reference.
 _FIELD_LIMIT = 1 << 64
+#: Gaps are stored as signed 64-bit values (the ``gaps`` column and the
+#: compiled blob's ``gap`` section).
+_GAP_LIMIT = 1 << 63
 
 
 def _open(path: Path, mode: str):
@@ -45,11 +49,12 @@ def trace_lines(trace: Trace):
     digest.
     """
     yield f"{_MAGIC} name={trace.name}\n"
-    for record in trace.records:
+    for pc, address, gap, flag in zip(
+        trace.pcs, trace.addresses, trace.gaps, trace.flags
+    ):
         yield (
-            f"{record.pc:x} {record.address:x} "
-            f"{'W' if record.is_write else 'R'} {record.gap} "
-            f"{'D' if record.depends else '-'}\n"
+            f"{pc:x} {address:x} {'W' if flag & WRITE_FLAG else 'R'} {gap} "
+            f"{'D' if flag & DEPENDS_FLAG else '-'}\n"
         )
 
 
@@ -57,8 +62,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` (gzip if the name ends in .gz)."""
     path = Path(path)
     with _open(path, "w") as stream:
-        for line in trace_lines(trace):
-            stream.write(line)
+        stream.writelines(trace_lines(trace))
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
@@ -76,7 +80,10 @@ def load_trace(path: Union[str, Path]) -> Trace:
             a truncated final record, or a truncated gzip stream.
     """
     path = Path(path)
-    records: List[TraceRecord] = []
+    pcs = array("Q")
+    addresses = array("Q")
+    gaps = array("q")
+    flags = bytearray()
     name = path.stem
     with _open(path, "r") as stream:
         try:
@@ -120,17 +127,25 @@ def load_trace(path: Union[str, Path]) -> Trace:
                     raise ValueError(
                         f"{path}:{line_number}: negative instruction gap {gap}"
                     )
+                if gap >= _GAP_LIMIT:
+                    raise ValueError(
+                        f"{path}:{line_number}: instruction gap {gap} "
+                        f"out of 64-bit range"
+                    )
                 if kind not in ("R", "W"):
                     raise ValueError(f"{path}:{line_number}: bad access kind {kind!r}")
                 if depends_text not in ("D", "-"):
                     raise ValueError(
                         f"{path}:{line_number}: bad dependence flag {depends_text!r}"
                     )
-                records.append(
-                    TraceRecord(pc, address, kind == "W", gap, depends_text == "D")
+                pcs.append(pc)
+                addresses.append(address)
+                gaps.append(gap)
+                flags.append(
+                    (kind == "W") * WRITE_FLAG | (depends_text == "D") * DEPENDS_FLAG
                 )
         except EOFError:
             # gzip raises EOFError when the stream ends before the
             # end-of-stream marker (an interrupted write or copy).
             raise ValueError(f"{path}: truncated gzip stream") from None
-    return Trace(name, records)
+    return Trace.from_columns(name, pcs, addresses, gaps, flags)

@@ -13,6 +13,7 @@ from __future__ import annotations
 __all__ = ["XorShift64"]
 
 _MASK64 = (1 << 64) - 1
+_UNIT = 1.0 / (1 << 53)
 
 
 class XorShift64:
@@ -45,11 +46,23 @@ class XorShift64:
         """
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        return (self.next_u64() >> 11) % bound
+        # next_u64 inlined here and in random(): workload generation
+        # draws about once per trace record.
+        x = self._state
+        x ^= (x << 13) & _MASK64
+        x ^= x >> 7
+        x ^= (x << 17) & _MASK64
+        self._state = x
+        return (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) % bound
 
     def random(self) -> float:
         """Return a float in ``[0, 1)`` with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        x = self._state
+        x ^= (x << 13) & _MASK64
+        x ^= x >> 7
+        x ^= (x << 17) & _MASK64
+        self._state = x
+        return (((x * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * _UNIT
 
     def choice(self, seq):
         """Return a uniformly random element of a non-empty sequence."""

@@ -16,9 +16,10 @@ Two conventions keep the suite honest as a dead-block-prediction testbed:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from typing import List
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 from repro.utils.hashing import mix64
 from repro.utils.rng import XorShift64
 
@@ -40,13 +41,17 @@ BLOCK_BYTES = 64
 
 
 class TraceBuilder:
-    """Accumulates trace records against an instruction budget.
+    """Accumulates trace operations against an instruction budget.
 
     The builder tracks total instructions (memory ops plus gaps); a
     generator loops until :attr:`exhausted` and then calls :meth:`build`.
+    No per-operation object is built: each operation extends one flat
+    list by its four column values (``pc, address, gap, flags``), which
+    :meth:`build` splits into the :class:`~repro.sim.trace.Trace`
+    columns with strided slices.
     """
 
-    __slots__ = ("budget", "instructions", "name", "records")
+    __slots__ = ("_extend", "_ops", "budget", "instructions", "name")
 
     def __init__(self, name: str, budget: int) -> None:
         if budget <= 0:
@@ -54,7 +59,8 @@ class TraceBuilder:
         self.name = name
         self.budget = budget
         self.instructions = 0
-        self.records: List[TraceRecord] = []
+        self._ops: List[int] = []
+        self._extend = self._ops.extend
 
     @property
     def exhausted(self) -> bool:
@@ -63,31 +69,42 @@ class TraceBuilder:
 
     def load(self, pc: int, address: int, gap: int = 2, depends: bool = False) -> None:
         """Append a load preceded by ``gap`` non-memory instructions."""
-        self.records.append(TraceRecord(pc, address, False, gap, depends))
+        self._extend((pc, address, gap, depends << 1))
         self.instructions += gap + 1
 
     def store(self, pc: int, address: int, gap: int = 2, depends: bool = False) -> None:
         """Append a store preceded by ``gap`` non-memory instructions."""
-        self.records.append(TraceRecord(pc, address, True, gap, depends))
+        self._extend((pc, address, gap, 1 | depends << 1))
         self.instructions += gap + 1
 
     def compute(self, instructions: int) -> None:
-        """Account a burst of non-memory work (attached to the next op)."""
-        # Represented by inflating the next record's gap would complicate
-        # generators; instead fold it into the running total and let the
-        # next record carry gap 0.  Simpler: emit it as a gap-only record
-        # is impossible, so we track it directly.
+        """Account a burst of non-memory work.
+
+        The burst is added to the instruction total only: no operation
+        carries it in its ``gap``, so :meth:`build` hands the running
+        total to the trace instead of re-deriving it from the gaps.
+        """
         if instructions < 0:
             raise ValueError(f"negative compute burst: {instructions}")
         self.instructions += instructions
 
+    @property
+    def records(self):
+        """The operations so far, as a lazy
+        :class:`~repro.sim.trace.TraceRecord` view."""
+        return self.build().records
+
     def build(self) -> Trace:
         """Finalize into a Trace."""
-        trace = Trace(self.name, self.records)
-        # `compute()` bursts are not carried by records; patch the count.
-        if trace.instructions < self.instructions:
-            trace.instructions = self.instructions
-        return trace
+        ops = self._ops
+        return Trace.from_columns(
+            self.name,
+            array("Q", ops[0::4]),
+            array("Q", ops[1::4]),
+            array("q", ops[2::4]),
+            bytearray(ops[3::4]),
+            instructions=self.instructions,
+        )
 
 
 class WorkloadGenerator(ABC):

@@ -40,9 +40,10 @@ import bisect
 import difflib
 import hashlib
 import re
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import Trace
 from repro.utils.hashing import mix64
 from repro.workloads.base import TraceBuilder, WorkloadGenerator
 
@@ -505,27 +506,36 @@ class ComposedPattern(WorkloadGenerator):
         streams = [
             part.generate(
                 max(1000, int(instructions * weight / total_weight)), llc_bytes
-            ).records
+            )
             for part, weight in zip(self.parts, self.weights)
         ]
+        lengths = [len(stream) for stream in streams]
         cursors = [0] * len(streams)
         credits = [0.0] * len(streams)
-        records: List[TraceRecord] = []
+        pcs = array("Q")
+        addresses = array("Q")
+        gaps = array("q")
+        flags = bytearray()
         emitted = 0
         # Smooth weighted round-robin: deterministic, starvation-free.
         while emitted < instructions:
-            live = [i for i in range(len(streams)) if cursors[i] < len(streams[i])]
+            live = [i for i in range(len(streams)) if cursors[i] < lengths[i]]
             if not live:
                 break
             for i in live:
                 credits[i] += self.weights[i]
             pick = max(live, key=lambda i: (credits[i], -i))
             credits[pick] -= total_weight
-            record = streams[pick][cursors[pick]]
-            cursors[pick] += 1
-            records.append(record)
-            emitted += record.gap + 1
-        return Trace(self.name, records)
+            stream = streams[pick]
+            cursor = cursors[pick]
+            cursors[pick] = cursor + 1
+            gap = stream.gaps[cursor]
+            pcs.append(stream.pcs[cursor])
+            addresses.append(stream.addresses[cursor])
+            gaps.append(gap)
+            flags.append(stream.flags[cursor])
+            emitted += gap + 1
+        return Trace.from_columns(self.name, pcs, addresses, gaps, flags)
 
 
 def compose(

@@ -163,7 +163,7 @@ class TraceLibrary:
         index = self.entries()
         index[entry_name] = {
             "digest": digest,
-            "records": len(trace.records),
+            "records": len(trace),
             "instructions": trace.instructions,
             "source": str(path),
         }
@@ -262,22 +262,34 @@ class TraceReplayWorkload(WorkloadGenerator):
 
     def generate(self, instructions: int, llc_bytes: int) -> Trace:
         source = self._load()
-        if not source.records:
+        if not len(source):
             raise WorkloadSpecError(f"trace {self.source!r} has no records")
-        records: List = []
+        # Whole passes over the source while a pass stays under the
+        # budget (one at most when truncating), then the prefix of one
+        # more pass that reaches it.  Columns are copied in bulk.
+        gaps = source.gaps
+        per_pass = sum(gaps) + len(gaps)
+        passes = 0
+        cut = 0
         consumed = 0
         while consumed < instructions:
-            for record in source.records:
-                records.append(record)
-                consumed += record.gap + 1
+            if consumed + per_pass < instructions:
+                consumed += per_pass
+                passes += 1
+                if self.loop:
+                    continue
+                break
+            for position, gap in enumerate(gaps):
+                consumed += gap + 1
                 if consumed >= instructions:
+                    cut = position + 1
                     break
-            else:
-                if not self.loop:
-                    break
-                continue
             break
-        trace = Trace(self.name, records)
+        columns = [
+            column * passes + column[:cut]
+            for column in (source.pcs, source.addresses, gaps, source.flags)
+        ]
+        trace = Trace.from_columns(self.name, *columns, instructions=consumed)
         if trace.instructions < instructions:
             # Truncation mode on a short trace: account the leftover
             # budget as trailing compute so IPC math stays comparable.

@@ -53,10 +53,12 @@ class TestTechniqueRegistry:
 
     def test_every_technique_builds(self):
         from repro.cache import Cache, CacheGeometry
+        from repro.sim.hierarchy import PreparedStream
 
         geometry = CacheGeometry(64 * 16 * 64, 16, 64)
+        empty = PreparedStream.from_accesses([], geometry)
         for technique in TECHNIQUES.values():
-            policy = technique.build(geometry, [], num_cores=4)
+            policy = technique.build(geometry, empty, num_cores=4)
             Cache(geometry, policy)  # binds without error
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import Cache, CacheAccess, CacheGeometry
+from repro.sim.hierarchy import PreparedStream
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.predictors import (
     AIPPredictor,
@@ -64,7 +65,12 @@ POLICY_FACTORIES = [
     ("tadip", lambda g, a: TADIPPolicy(num_cores=2, leader_sets=1)),
     ("srrip", lambda g, a: SRRIPPolicy()),
     ("drrip", lambda g, a: DRRIPPolicy(leader_sets=1)),
-    ("optimal", lambda g, a: OptimalPolicy(annotate_next_use(a, g))),
+    (
+        "optimal",
+        lambda g, a: OptimalPolicy(
+            annotate_next_use(PreparedStream.from_accesses(a, g), g)
+        ),
+    ),
     ("dbrb-sampler", lambda g, a: DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor(sampler_assoc=2))),
     ("dbrb-reftrace", lambda g, a: DBRBPolicy(LRUPolicy(), RefTracePredictor())),
     ("dbrb-counting", lambda g, a: DBRBPolicy(LRUPolicy(), CountingPredictor())),
@@ -119,7 +125,10 @@ def test_optimal_dominates_every_policy(pairs):
     geometry = small_geometry()
     accesses = build_accesses(pairs, geometry)
     optimal_cache = Cache(
-        geometry, OptimalPolicy(annotate_next_use(accesses, geometry))
+        geometry,
+        OptimalPolicy(
+            annotate_next_use(PreparedStream.from_accesses(accesses, geometry), geometry)
+        ),
     )
     for access in accesses:
         optimal_cache.access(access)

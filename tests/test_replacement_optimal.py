@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.cache import Cache, CacheAccess
 from repro.replacement import LRUPolicy, OptimalPolicy, annotate_next_use
 from repro.replacement.optimal import NEVER
+from repro.sim.hierarchy import PreparedStream
 
 from tests.conftest import make_access, replay, tiny_geometry
 
@@ -17,10 +18,14 @@ def build_stream(block_numbers, geometry):
     ]
 
 
+def next_uses(accesses, geometry):
+    return annotate_next_use(PreparedStream.from_accesses(accesses, geometry), geometry)
+
+
 def run_optimal(block_numbers, sets=1, assoc=2, bypass=True):
     geometry = tiny_geometry(sets=sets, assoc=assoc)
     stream = build_stream(block_numbers, geometry)
-    next_use = annotate_next_use(stream, geometry)
+    next_use = next_uses(stream, geometry)
     cache = Cache(geometry, OptimalPolicy(next_use, bypass=bypass))
     hits = [cache.access(access) for access in stream]
     return cache, hits
@@ -35,17 +40,17 @@ class TestAnnotateNextUse:
     def test_simple_chain(self):
         geometry = tiny_geometry()
         stream = build_stream([0, 1, 0, 1, 0], geometry)
-        next_use = annotate_next_use(stream, geometry)
+        next_use = next_uses(stream, geometry)
         assert next_use == [2, 3, 4, NEVER, NEVER]
 
     def test_never_reused(self):
         geometry = tiny_geometry()
         stream = build_stream([0, 1, 2], geometry)
-        assert annotate_next_use(stream, geometry) == [NEVER] * 3
+        assert next_uses(stream, geometry) == [NEVER] * 3
 
     def test_empty_stream(self):
         geometry = tiny_geometry()
-        assert annotate_next_use([], geometry) == []
+        assert next_uses([], geometry) == []
 
     def test_offset_within_block_shares_next_use(self):
         geometry = tiny_geometry()
@@ -53,7 +58,7 @@ class TestAnnotateNextUse:
             CacheAccess(address=0, pc=0, seq=0),
             CacheAccess(address=32, pc=0, seq=1),  # same 64B block
         ]
-        assert annotate_next_use(stream, geometry) == [1, NEVER]
+        assert next_uses(stream, geometry) == [1, NEVER]
 
 
 class TestBeladyChoices:

@@ -194,7 +194,8 @@ def test_array_kernel_equivalence_property(seed, length, write_frac, name):
 
 def optimal_factory(geometry, accesses, bypass):
     """MIN over the stream's own future annotation; fresh per path."""
-    return lambda: OptimalPolicy(annotate_next_use(accesses, geometry), bypass=bypass)
+    stream = PreparedStream.from_accesses(accesses, geometry)
+    return lambda: OptimalPolicy(annotate_next_use(stream, geometry), bypass=bypass)
 
 
 @pytest.mark.parametrize("write_frac", [0.0, 0.3])
@@ -323,9 +324,10 @@ def test_fallback_optimal_seq_offset():
     its position declines (``optimal-seq``) and keeps the object path's
     IndexError contract."""
     accesses = make_stream(GEOMETRY, length=2000, seq_offset=10_000)
-    cache = Cache(GEOMETRY, OptimalPolicy(annotate_next_use(accesses, GEOMETRY)))
+    stream = PreparedStream.from_accesses(accesses, GEOMETRY)
+    cache = Cache(GEOMETRY, OptimalPolicy(annotate_next_use(stream, GEOMETRY)))
     with pytest.raises(IndexError, match="seq to be the stream position"):
-        replay(cache, PreparedStream.from_accesses(accesses, GEOMETRY))
+        replay(cache, stream)
     assert cache.last_replay_kernel == "object"
     assert cache.last_replay_fallback == "optimal-seq"
 
@@ -333,7 +335,7 @@ def test_fallback_optimal_seq_offset():
 def test_fallback_optimal_annotation_length():
     """An annotation longer than the stream is valid for the object path
     (seq stays in range) but not the kernel's: declined, same results."""
-    future = annotate_next_use(STREAM, GEOMETRY) + [0] * 8
+    future = annotate_next_use(PREPARED, GEOMETRY) + [0] * 8
     cache = Cache(GEOMETRY, OptimalPolicy(future))
     hits = replay(cache, PREPARED)
     assert cache.last_replay_kernel == "object"
@@ -415,7 +417,7 @@ def test_kernel_table_covers_exactly_the_array_techniques():
     built = set()
     observed = {}
     for key, technique in TECHNIQUES.items():
-        cache = Cache(geometry, technique.build(geometry, stream.accesses))
+        cache = Cache(geometry, technique.build(geometry, stream))
         built.add(type(cache.policy))
         replay(cache, stream)
         observed[key] = (cache.last_replay_kernel, cache.last_replay_fallback)

@@ -80,12 +80,17 @@ def make_stream(length: int = 8000, blocks: int = 300) -> list:
 
 
 STREAM = make_stream()
-#: Decomposed by the geometry's own accessors, independently of the
-#: shared address split in :func:`repro.sim.hierarchy.decompose`.
+#: Built from the stream's columns (its access objects are then derived
+#: from them, independently of ``STREAM``'s) and decomposed by the
+#: geometry's own accessors, independently of the shared address split
+#: in :func:`repro.sim.hierarchy.decompose`.
 PREPARED = PreparedStream(
-    STREAM,
+    [a.address for a in STREAM],
+    [a.pc for a in STREAM],
+    [a.is_write for a in STREAM],
     [GEOMETRY.set_index(a.address) for a in STREAM],
     [GEOMETRY.tag(a.address) for a in STREAM],
+    cores=[a.core for a in STREAM],
 )
 
 

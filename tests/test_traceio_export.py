@@ -88,6 +88,12 @@ class TestTraceIOValidation:
         with pytest.raises(ValueError, match=r"bad\.trace:2.*negative instruction gap"):
             load_trace(path)
 
+    def test_rejects_gap_beyond_64_bit(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text(f"# repro-trace v1 name=x\n400 1000 R {1 << 63} -\n")
+        with pytest.raises(ValueError, match=r"bad\.trace:2.*gap .*out of 64-bit range"):
+            load_trace(path)
+
     @pytest.mark.parametrize("pc,address,field", [
         ("1" + "0" * 17, "1000", "pc"),          # 2^68: 18 hex digits
         ("400", "1" + "0" * 17, "address"),
