@@ -328,7 +328,7 @@ class SoACache:
             self._meta[set_index] = way_meta
 
     # ------------------------------------------------------------------
-    def to_cache(self, cache, stream, index: ReplayIndex) -> None:
+    def to_cache(self, cache, index: ReplayIndex) -> None:
         """Materialize the committed sets: planes *and* object substrate.
 
         One fused pass per resident frame writes the frame planes (tags,
@@ -345,10 +345,9 @@ class SoACache:
         ``False``; likewise ``block.meta`` is only replaced from a committed
         ``way_meta``.
 
-        Sequence numbers are the stream positions when the
-        :class:`~repro.sim.hierarchy.PreparedStream` says so (every
-        stream the simulator prepares); only a stream wrapped around
-        hand-made accesses is read for their ``seq``.
+        Sequence numbers are the stream positions: every
+        :class:`~repro.sim.hierarchy.PreparedStream` numbers its accesses
+        ``0..n-1``.
 
         Relies on the array path's cold-start eligibility: every frame
         starts invalid, and :meth:`~repro.cache.block.CacheBlock.invalidate`
@@ -358,8 +357,6 @@ class SoACache:
         sets = cache.sets
         cache_index = cache._tag_index
         tag_positions = index.tag_positions
-        seq_is_position = stream.seq_is_position
-        accesses = None if seq_is_position else stream.accesses
         associativity = self.associativity
         tags_plane = self.tags
         valid = self.valid
@@ -399,7 +396,6 @@ class SoACache:
                     first = 0
                 else:
                     first = bisect_left(positions, fill_position)
-                last_position = positions[-1]
                 block = blocks[way]
                 block.valid = True
                 block.tag = tag
@@ -408,10 +404,6 @@ class SoACache:
                 if next_write[fill_position] < sentinel:
                     dirty[frame] = 1
                     block.dirty = True
-                if seq_is_position:
-                    block.fill_seq = fill_position
-                    block.last_access_seq = last_position
-                else:
-                    block.fill_seq = accesses[fill_position].seq
-                    block.last_access_seq = accesses[last_position].seq
+                block.fill_seq = fill_position
+                block.last_access_seq = positions[-1]
                 block.access_count = len(positions) - first

@@ -181,11 +181,12 @@ class PreparedStream:
     The :class:`~repro.cache.cache.CacheAccess` objects the object
     kernel, observers and the load simulator consume are built from the
     columns on first use of :attr:`accesses` and cached; the array
-    kernels never ask for them.  Streams built here (:func:`prepare_stream`,
-    the multicore merge) have ``seq_is_position`` true by construction:
-    every access's ``seq`` is its stream position (the contract the
-    optimal policy needs).  Their access objects are safe to share
-    across techniques: no policy or predictor mutates them.
+    kernels never ask for them.  Every access's ``seq`` is its stream
+    position -- an invariant of every stream, hand-wrapped ones
+    included (:meth:`from_accesses` enforces it), which the optimal
+    policy and the array kernels' block materialization rely on.  The
+    access objects are safe to share across techniques: no policy or
+    predictor mutates them.
     """
 
     __slots__ = (
@@ -195,7 +196,6 @@ class PreparedStream:
         "addresses",
         "cores",
         "pcs",
-        "seq_is_position",
         "set_indices",
         "tags",
         "writes",
@@ -217,7 +217,6 @@ class PreparedStream:
         self.set_indices = set_indices
         self.tags = tags
         self.cores = cores
-        self.seq_is_position = True
         self._accesses: Optional[List[CacheAccess]] = None
         self._replay_index = None
         self._prediction_plane = None
@@ -228,9 +227,18 @@ class PreparedStream:
     ) -> "PreparedStream":
         """Wrap an existing access list, decomposed for ``geometry``.
 
-        The list is kept as :attr:`accesses`; ``seq_is_position`` records
-        whether its ``seq`` numbers are the stream positions.
+        The list is kept as :attr:`accesses`.
+
+        Raises:
+            ValueError: an access's ``seq`` is not its position in the
+                list (the stream-position invariant).
         """
+        for position, access in enumerate(accesses):
+            if access.seq != position:
+                raise ValueError(
+                    f"access at position {position} has seq {access.seq}; "
+                    "a stream's seq numbers must be its positions 0..n-1"
+                )
         addresses = [access.address for access in accesses]
         stream = cls(
             addresses,
@@ -240,9 +248,6 @@ class PreparedStream:
             cores=[access.core for access in accesses],
         )
         stream._accesses = accesses
-        stream.seq_is_position = all(
-            access.seq == position for position, access in enumerate(accesses)
-        )
         return stream
 
     @property
@@ -268,23 +273,6 @@ class PreparedStream:
             )
             self._accesses = accesses
         return accesses
-
-    def slice(self, start: int, stop: int) -> "PreparedStream":
-        """Positions ``[start, stop)`` as a stream of their own, sharing
-        this stream's access objects (``seq`` keeps the full-stream
-        position).  The probe path replays epoch-sized slices."""
-        cores = self.cores
-        part = PreparedStream(
-            self.addresses[start:stop],
-            self.pcs[start:stop],
-            self.writes[start:stop],
-            self.set_indices[start:stop],
-            self.tags[start:stop],
-            cores if isinstance(cores, int) else cores[start:stop],
-        )
-        part._accesses = self.accesses[start:stop]
-        part.seq_is_position = False
-        return part
 
     def __len__(self) -> int:
         return len(self.tags)

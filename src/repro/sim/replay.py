@@ -16,8 +16,8 @@ Correctness contract: ``replay(cache, stream)`` produces the same hit
 vector and leaves the cache in the same state -- bit-identical
 :class:`~repro.cache.stats.CacheStats`, block contents, and policy state --
 as the reference loop ``[cache.access(a) for a in stream.accesses]``.  The
-golden-equivalence tests (``tests/test_replay_equivalence.py``) pin this
-for every replacement policy.
+differential harness (``tests/test_replay_differential.py``) checks this
+for every replacement policy and kernel against that loop.
 
 The kernel only takes the inlined fast path when it can prove it is
 semantically equivalent to the reference loop:
@@ -39,26 +39,25 @@ a stream no shorter than the frame count),
 the stream is replayed on the structure-of-arrays substrate instead
 under the same transparency contract.  The choice is made from those
 observable facts alone; there is no override.  :func:`_replay_fast` is
-the object kernel every other replay takes and the oracle the array
-kernels are tested against.  The kernel actually used and any fallback
-reason are recorded on the cache as ``last_replay_kernel`` /
-``last_replay_fallback``.
+the object kernel every other replay takes.  The kernel actually used
+and any fallback reason are recorded on the cache as
+``last_replay_kernel`` / ``last_replay_fallback``.
 
 Telemetry: when the cache carries an enabled probe
 (:mod:`repro.telemetry.probe`), the stream is replayed in epoch-sized
-slices -- through the *same* inlined kernel, or through ``cache.access``
-on the reference path -- with the probe notified at every slice
-boundary.  Statistics commits are additive, so committing
-per slice is arithmetically identical to one final commit, and the cache
-state simply carries across slices -- the transparency tests pin
-bit-identical results probe-on vs probe-off.  With the default
+position ranges -- through the *same* inlined kernel, or through
+``cache.access`` on the reference path -- with the probe notified at
+every range boundary.  Statistics commits are additive, so committing
+per range is arithmetically identical to one final commit, and the cache
+state simply carries across ranges -- the harness checks bit-identical
+results probe-on vs the reference loop.  With the default
 :data:`~repro.telemetry.probe.NULL_PROBE` the only cost over the
 original kernel is one attribute check per replayed stream.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.cache.cache import Cache
 from repro.replacement.base import ReplacementPolicy
@@ -73,9 +72,8 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
 
     Args:
         cache: the LLC under test (policy already bound).
-        stream: the stream, decomposed for ``cache.geometry``; its
-            ``seq`` numbers must be the stream positions when the policy
-            is position-indexed (optimal).  The array kernels read its
+        stream: the stream, decomposed for ``cache.geometry`` (its
+            ``seq`` numbers are its positions).  The array kernels read its
             columns and never build its access objects; they reuse the
             stream's cached :class:`~repro.cache.soa.ReplayIndex` and
             :class:`~repro.cache.soa.PredictionPlane` across techniques.
@@ -107,17 +105,14 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
         # would observe nothing; probe replays stay on the object kernel.
         cache.last_replay_kernel = "object"
         cache.last_replay_fallback = "probe"
-        # The binding (per-set containers, elided policy callbacks,
-        # paranoid hooks) is loop-invariant across epoch slices; compute
-        # it once here instead of once per slice.
-        binding = _bind(cache)
 
         def replay_slice(start: int, stop: int) -> List[bool]:
-            return _replay_fast(cache, stream.slice(start, stop), binding)
+            return _replay_fast(cache, stream, start, stop)
 
-    # Probe path, either substrate: replay epoch-sized slices and notify
-    # the probe at every slice boundary.  Stats commits are additive, so
-    # the per-slice commits sum to exactly the single-commit totals.
+    # Probe path, either substrate: replay epoch-sized position ranges
+    # and notify the probe at every boundary.  Stats commits are
+    # additive, so the per-range commits sum to exactly the
+    # single-commit totals.
     total = len(stream)
     epoch = probe.resolve_epoch(total)
     probe.begin_run(cache, total)
@@ -130,68 +125,41 @@ def replay(cache: Cache, stream: PreparedStream) -> List[bool]:
     return hits
 
 
-def _bind(cache: Cache):
-    """Snapshot the loop-invariant kernel inputs for ``_replay_fast``.
-
-    The associativity, the per-set containers, the policy callbacks
-    with base-class no-ops elided, and the paranoid hooks.  Computed
-    once per replay; the probe path reuses one binding across all of its
-    epoch slices.
-    """
-    policy = cache.policy
-    policy_type = type(policy)
-    # Callbacks a policy left as the base-class no-op are skipped outright;
-    # the base ``should_bypass`` always answers False, so skipping it is
-    # equivalent to never bypassing.
-    return (
-        cache.geometry.associativity,
-        cache.sets,
-        cache._tag_index,
-        policy.choose_victim,
-        policy.on_hit if policy_type.on_hit is not ReplacementPolicy.on_hit else None,
-        policy.on_fill
-        if policy_type.on_fill is not ReplacementPolicy.on_fill
-        else None,
-        policy.on_miss
-        if policy_type.on_miss is not ReplacementPolicy.on_miss
-        else None,
-        policy.should_bypass
-        if policy_type.should_bypass is not ReplacementPolicy.should_bypass
-        else None,
-        policy.on_evict
-        if policy_type.on_evict is not ReplacementPolicy.on_evict
-        else None,
-        # Paranoid mode keeps the fast path (that is the code under test)
-        # but machine-checks the touched set's invariants after every
-        # access and the statistics identity after the final commit.
-        cache.paranoid,
-        cache.check_invariants,
-    )
+def _override(policy: ReplacementPolicy, name: str):
+    """The policy's ``name`` callback, or None where the policy left it
+    as the base-class no-op (skipped outright; the base
+    ``should_bypass`` always answers False, so skipping it is equivalent
+    to never bypassing)."""
+    if getattr(type(policy), name) is getattr(ReplacementPolicy, name):
+        return None
+    return getattr(policy, name)
 
 
-def _replay_fast(cache: Cache, stream: PreparedStream, binding=None) -> List[bool]:
+def _replay_fast(
+    cache: Cache, stream: PreparedStream, start: int = 0, stop: Optional[int] = None
+) -> List[bool]:
     """The inlined replay kernel: exactly :class:`Cache`, zero observers.
 
-    Commits its local counters to ``cache.stats`` on return, so calling
-    it over consecutive slices of a stream accumulates the same totals
-    as one call over the whole stream (the probe path passes the shared
-    ``binding`` so slices skip re-deriving it).
+    Replays positions ``[start, stop)`` of ``stream`` (the whole stream
+    by default) and commits its local counters to ``cache.stats`` on
+    return, so calling it over consecutive ranges accumulates the same
+    totals as one call over the whole stream (the probe path does).
     """
-    if binding is None:
-        binding = _bind(cache)
-    (
-        associativity,
-        sets,
-        tag_index,
-        choose_victim,
-        on_hit,
-        on_fill,
-        on_miss,
-        should_bypass,
-        on_evict,
-        paranoid,
-        check_set,
-    ) = binding
+    associativity = cache.geometry.associativity
+    sets = cache.sets
+    tag_index = cache._tag_index
+    policy = cache.policy
+    choose_victim = policy.choose_victim
+    on_hit = _override(policy, "on_hit")
+    on_fill = _override(policy, "on_fill")
+    on_miss = _override(policy, "on_miss")
+    should_bypass = _override(policy, "should_bypass")
+    on_evict = _override(policy, "on_evict")
+    # Paranoid mode keeps the fast path (that is the code under test)
+    # but machine-checks the touched set's invariants after every access
+    # and the statistics identity after the final commit.
+    paranoid = cache.paranoid
+    check_set = cache.check_invariants
 
     hits: List[bool] = []
     hits_append = hits.append
@@ -206,6 +174,10 @@ def _replay_fast(cache: Cache, stream: PreparedStream, binding=None) -> List[boo
     accesses = stream.accesses
     set_indices = stream.set_indices
     tags = stream.tags
+    if start or stop is not None:
+        accesses = accesses[start:stop]
+        set_indices = set_indices[start:stop]
+        tags = tags[start:stop]
     for position, access in enumerate(accesses):
         set_index = set_indices[position]
         tag = tags[position]

@@ -14,11 +14,13 @@ entirely and recovered at eviction/commit time from the shared
 :class:`~repro.cache.soa.ReplayIndex` (see that module's docstring for
 why the recovery is exact).
 
-Result transparency is the same contract the object kernel pins: the
+Result transparency is the same contract the object kernel keeps: the
 same hit vector, the same :class:`~repro.cache.stats.CacheStats`, the
 same final block contents and policy state as the reference loop
-``[cache.access(a) for a in stream.accesses]``.
-``tests/test_replay_array.py`` holds the golden and property tests.
+``[cache.access(a) for a in stream.accesses]``.  The differential
+harness ``tests/test_replay_differential.py`` checks every kernel
+against that loop; a new kernel gets coverage from one registry entry
+there.
 
 Loop shape notes (all measured on real filtered LLC streams):
 
@@ -76,11 +78,10 @@ which is a :class:`~repro.sim.hierarchy.PreparedStream` like any other.
 Everything else --
 SHiP, TADIP, the policies no technique builds (tree PLRU, SRRIP, BIP,
 BRRIP), the VVC cache subclass, observer-attached or probe-enabled or
-paranoid replays -- falls through to the object kernel, which stays the
-bit-identity oracle.  A kernel narrows its type's eligibility with a
-``supports(cache, policy)`` hook, checked before the stream's
-:class:`~repro.cache.soa.ReplayIndex` is fetched, and optionally a
-``supports_stream(policy, stream, index)`` hook checked after:
+paranoid replays, and warm caches -- falls through to the object
+kernel.  A kernel narrows its type's eligibility with an optional
+``supports(cache, policy, stream)`` hook, checked before the stream's
+:class:`~repro.cache.soa.ReplayIndex` is fetched:
 
 * DRRIP declines thread-aware set dueling (``thread-aware-drrip``);
 * DBRB declines other predictors (``dbrb-predictor:<Name>``) and every
@@ -89,9 +90,9 @@ bit-identity oracle.  A kernel narrows its type's eligibility with a
   replacement knob off, a default other than LRU/random (other than LRU
   for reftrace/counting, so ``random_cdbp`` reports
   ``dbrb-default:RandomPolicy``), and pre-trained predictors;
-* optimal declines streams whose ``seq`` is not the stream position, or
-  whose future annotation has another length (``optimal-seq``), so the
-  object path keeps its ``IndexError`` contract.
+* optimal declines a future annotation whose length is not the
+  stream's (``optimal-seq``), so the object path keeps its
+  ``IndexError`` contract.
 
 Of Figure 10's techniques, TADIP (``policy:TADIPPolicy``), thread-aware
 DRRIP and ``random_cdbp`` keep the object kernel with those reasons.
@@ -103,7 +104,7 @@ and the service's ``/stats``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cache.soa import SoACache
 from repro.core.policy import DBRBPolicy
@@ -118,69 +119,56 @@ from repro.replacement.random_policy import RandomPolicy
 from repro.replacement.rrip import DRRIPPolicy
 from repro.utils.hashing import fold_xor_many
 
-__all__ = ["maybe_replay_array", "select_kernel"]
+__all__ = ["maybe_replay_array"]
 
 _MASK64 = (1 << 64) - 1
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
-
-
-def select_kernel(cache, stream) -> Tuple[Optional[object], Optional[str]]:
-    """Pick the array kernel for a replay, or the fallback reason.
-
-    The caller (:func:`repro.sim.replay.replay`) has already routed
-    subclassed caches, observers, and enabled probes to the reference /
-    object paths; this checks everything else the array path requires.
-    """
-    if cache.paranoid:
-        return None, "paranoid"
-    if any(cache._tag_index):
-        # Kernels assume a cold frame array (fills allocate ways densely
-        # from zero); a warm cache replays on the object substrate.
-        return None, "warm-cache"
-    geometry = cache.geometry
-    if len(stream) < geometry.num_sets * geometry.associativity:
-        # The array path pays O(frames) for plane setup and commit-time
-        # materialization; a stream shorter than the frame count cannot
-        # amortize it (measured slower than the object kernel).
-        return None, "small-stream"
-    policy = cache.policy
-    kernel = _KERNELS.get(type(policy))
-    if kernel is None:
-        return None, f"policy:{type(policy).__name__}"
-    supports = getattr(kernel, "supports", None)
-    reason = None if supports is None else supports(cache, policy)
-    if reason is not None:
-        return None, reason
-    return kernel, None
 
 
 def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
     """Replay ``stream`` on the array substrate when eligible; else
     return None.
 
+    The caller (:func:`repro.sim.replay.replay`) has already routed
+    subclassed caches, observers, and enabled probes to the reference /
+    object paths; this checks everything else the array path requires.
     On success the cache is left bit-identical to an object-kernel
     replay (blocks, tag index, statistics, policy state) and
     ``cache.last_replay_kernel`` is ``"array"``; on decline the fallback
     reason is recorded and the caller runs the object kernel.
     """
-    kernel, reason = select_kernel(cache, stream)
-    if kernel is None:
-        cache.last_replay_kernel = "object"
-        cache.last_replay_fallback = reason
-        return None
-    index = stream.replay_index(cache.geometry.num_sets)
-    supports_stream = getattr(kernel, "supports_stream", None)
-    reason = (
-        None if supports_stream is None
-        else supports_stream(cache.policy, stream, index)
-    )
+    reason = None
+    geometry = cache.geometry
+    policy = cache.policy
+    kernel = _KERNELS.get(type(policy))
+    if cache.paranoid:
+        reason = "paranoid"
+    elif cache.stats.accesses or any(cache._tag_index):
+        # Kernels assume a cold cache: fills allocate ways densely from
+        # zero and the policy's recency state is the freshly bound one.
+        # A cache that has replayed before -- even one flushed since,
+        # whose policy state is still warm -- replays on the object
+        # substrate.
+        reason = "warm-cache"
+    elif len(stream) < geometry.num_sets * geometry.associativity:
+        # The array path pays O(frames) for plane setup and commit-time
+        # materialization; a stream shorter than the frame count cannot
+        # amortize it (measured slower than the object kernel).
+        reason = "small-stream"
+    elif kernel is None:
+        reason = f"policy:{type(policy).__name__}"
+    else:
+        supports = getattr(kernel, "supports", None)
+        if supports is not None:
+            reason = supports(cache, policy, stream)
     if reason is not None:
         cache.last_replay_kernel = "object"
         cache.last_replay_fallback = reason
         return None
+    index = stream.replay_index(geometry.num_sets)
     soa = SoACache.for_run(cache, index)
-    hits, counters = kernel.run(cache, cache.policy, stream, index, soa)
-    soa.to_cache(cache, stream, index)
+    hits, counters = kernel.run(cache, policy, stream, index, soa)
+    soa.to_cache(cache, index)
     (
         hit_count,
         miss_count,
@@ -288,11 +276,12 @@ class _OptimalKernel:
     incoming block's next use lies beyond it (``should_bypass``), else
     evict its first way (``choose_victim``'s strict ``>`` scan)."""
 
-    def supports_stream(self, policy, stream, index) -> Optional[str]:
-        # The object path indexes the annotation by ``seq`` and raises
-        # IndexError past its end; the kernel indexes by position, so it
-        # only takes streams where the two agree.
-        if not stream.seq_is_position or len(policy._next_use) != len(stream):
+    def supports(self, cache, policy, stream) -> Optional[str]:
+        # The kernel reads one annotation entry per stream position; an
+        # annotation of another length was made for another stream (the
+        # object path indexes it by ``seq`` and keeps its IndexError
+        # contract past the end).
+        if len(policy._next_use) != len(stream):
             return "optimal-seq"
         return None
 
@@ -525,7 +514,7 @@ class _DRRIPKernel:
     against per-core PSELs; ``supports`` declines it so multicore runs
     keep the object kernel."""
 
-    def supports(self, cache, policy) -> Optional[str]:
+    def supports(self, cache, policy, stream) -> Optional[str]:
         if policy.num_cores > 1:
             return "thread-aware-drrip"
         return None
@@ -658,7 +647,7 @@ class _DBRBKernel:
     resident would contradict ``f`` being the final fill.
     """
 
-    def supports(self, cache, policy) -> Optional[str]:
+    def supports(self, cache, policy, stream) -> Optional[str]:
         predictor = policy.predictor
         kind = type(predictor)
         if kind is RefTracePredictor or kind is CountingPredictor:
@@ -1120,9 +1109,9 @@ def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
 # (TADIPPolicy over LRUPolicy, SHiPPolicy over SRRIPPolicy) must not
 # inherit its parent's kernel.  These are the policy types Table V's
 # techniques build; every other policy replays on the object kernel with
-# fallback reason ``policy:<Name>``.  A kernel's ``supports`` /
-# ``supports_stream`` hooks narrow eligibility further (thread-aware
-# DRRIP, DBRB ablation shapes, optimal over a mis-sequenced stream).
+# fallback reason ``policy:<Name>``.  A kernel's ``supports`` hook
+# narrows eligibility further (thread-aware DRRIP, DBRB ablation shapes,
+# optimal over another stream's annotation).
 _KERNELS = {
     LRUPolicy: _LRUKernel(),
     RandomPolicy: _RandomKernel(),

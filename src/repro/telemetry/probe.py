@@ -10,8 +10,9 @@ Design constraints, in priority order:
 
 1. **Transparency**: probes are strictly observational.  Replay results
    (hit vectors, statistics, block and policy state) are bit-identical
-   with any probe attached or not; ``tests/test_telemetry_transparency.py``
-   pins this.
+   with any probe attached or not; the differential harness
+   (``tests/test_replay_differential.py``) replays every policy with an
+   :class:`IntervalRecorder` attached against the reference loop.
 2. **Probes-off is free**: the default :data:`NULL_PROBE` is checked once
    per *replay*, not once per access -- the fast path of
    :func:`repro.sim.replay.replay` is byte-for-byte the code that runs

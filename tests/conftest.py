@@ -27,6 +27,8 @@ from typing import Iterable, List
 import pytest
 
 from repro.cache import Cache, CacheAccess, CacheGeometry
+from repro.sim.hierarchy import PreparedStream, decompose
+from repro.utils.rng import XorShift64
 
 _HARD_TEST_TIMEOUT = 120.0
 
@@ -123,6 +125,59 @@ def simulate_lru_reference(
                 bucket.pop()
             hits.append(False)
     return hits
+
+
+#: The shapes :func:`make_stream` builds.
+SHAPES = ("mixed", "dead", "cold")
+
+
+def make_stream(geometry, shape="mixed", length=4000, seed=7, write_frac=0.3):
+    """A deterministic :class:`PreparedStream` of one of three shapes.
+
+    * ``mixed``: reuse skew over three times the cache's frames, one PC
+      per block: hits, conflicts and evictions, while dead-block
+      predictions mostly stay quiet.
+    * ``dead``: scanning PCs sweep sixteen times the frames (their
+      sampler evictions train *dead*) while a few reuse PCs hammer a hot
+      quarter of the frames (trained *live*), so predictions fire:
+      bypasses and dead-victim overrides.
+    * ``cold``: half the accesses reuse a hot working set, half stream
+      through never-revisited blocks from a handful of PCs; two cores
+      interleave.
+    """
+    rng = XorShift64(seed)
+    frames = geometry.num_sets * geometry.associativity
+    next_cold = 16 * frames
+    addresses, pcs, writes, cores = [], [], [], []
+    for position in range(length):
+        if shape == "mixed":
+            block = rng.randrange(3 * frames)
+            if rng.random() < 0.5:
+                block = rng.randrange(max(1, 3 * frames // 8))
+            pc = block & 0xFFFF
+        elif shape == "dead":
+            if rng.random() < 0.55:
+                block = rng.randrange(16 * frames)
+                pc = 0x40 + block % 3
+            else:
+                block = rng.randrange(max(1, frames // 4))
+                pc = 0x900 + block % 5
+        elif rng.randrange(2):
+            block = rng.randrange(2 * frames)
+            if rng.randrange(4):
+                block %= max(1, 3 * frames // 8)
+            pc = 0x400000 + 8 * rng.randrange(24)
+        else:
+            block = next_cold
+            next_cold += 1
+            pc = 0x500000 + 8 * rng.randrange(4)
+        addresses.append(block * geometry.block_bytes)
+        pcs.append(pc)
+        writes.append(rng.random() < write_frac)
+        cores.append(position % 2 if shape == "cold" else 0)
+    return PreparedStream(
+        addresses, pcs, writes, *decompose(addresses, geometry), cores=cores
+    )
 
 
 @pytest.fixture

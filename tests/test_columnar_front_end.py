@@ -201,7 +201,6 @@ def test_figure4_sweep_on_the_array_path_builds_no_access(monkeypatch):
         assert filtered._streams
         for stream in filtered._streams.values():
             assert stream._accesses is None
-            assert stream.seq_is_position
             assert access_fields(stream.accesses) == access_fields(
                 eager_accesses(*filtered.llc_arrays())
             )

@@ -155,7 +155,7 @@ class TestTransparency:
             replay(
                 cache,
                 PreparedStream.from_accesses(
-                    [make_access(0, geometry, seq=100)], geometry
+                    [make_access(0, geometry, seq=0)], geometry
                 ),
             )
 

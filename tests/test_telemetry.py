@@ -13,8 +13,13 @@ import json
 
 import pytest
 
+from repro.analysis.accuracy import AccuracyObserver
+from repro.cache import Cache, CacheGeometry
+from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
 from repro.harness import ExperimentConfig, WorkloadCache
 from repro.harness.parallel import parallel_single_thread_comparison
+from repro.replacement import LRUPolicy
+from repro.sim.replay import replay
 from repro.telemetry import (
     EventLog,
     IntervalRecorder,
@@ -29,6 +34,7 @@ from repro.telemetry import (
     write_csv,
     write_ndjson,
 )
+from tests.conftest import make_stream
 
 TINY = ExperimentConfig(scale=32, instructions=20_000, seed=3)
 
@@ -89,6 +95,51 @@ def test_recorder_counter_vs_gauge_convention():
     per_epoch = recorder.series("thing_per_epoch")
     assert per_epoch == [3, 7]
     assert recorder.series("level") == [1.5, 5.0]
+
+
+def test_epoch_deltas_sum_to_run_totals():
+    recorder = IntervalRecorder(epochs=9)
+    geometry = CacheGeometry(size_bytes=32 * 4 * 64, associativity=4)
+    cache = Cache(
+        geometry, DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor()), probe=recorder
+    )
+    replay(cache, make_stream(geometry, "cold", 6000))
+    stats = cache.stats
+    for field in ("accesses", "hits", "misses", "fills", "evictions",
+                  "writebacks", "bypasses", "dead_block_victims"):
+        assert sum(getattr(s, field) for s in recorder.samples) == \
+            getattr(stats, field), field
+    # Epochs tile the stream exactly: contiguous, complete, in order.
+    assert recorder.samples[0].start == 0
+    assert recorder.samples[-1].end == stats.accesses
+    for before, after in zip(recorder.samples, recorder.samples[1:]):
+        assert after.start == before.end
+
+
+def test_timeseries_experiment_matches_probeless_run():
+    """End to end: the timeseries cell's aggregates equal a plain run."""
+    from repro.harness import ExperimentConfig, WorkloadCache, TECHNIQUES
+    from repro.harness import timeseries_experiment
+
+    config = ExperimentConfig(scale=32, instructions=30_000, seed=7)
+    cache = WorkloadCache(config)
+    result = timeseries_experiment(cache, "mcf", "sampler", epochs=6)
+
+    technique = TECHNIQUES["sampler"]
+    plain = cache.system.run(
+        cache.filtered("mcf"),
+        lambda g, a: technique.build(g, a),
+        technique_name="sampler",
+        observer_factories=[AccuracyObserver],
+        compute_timing=False,
+    )
+    assert result.run.llc_hits == plain.llc_hits
+    assert result.run.llc_stats.snapshot() == plain.llc_stats.snapshot()
+    assert result.samples, "recorder captured no epochs"
+    columns = result.recorder.fields()
+    for required in ("coverage", "false_positive_rate", "bypass_rate",
+                     "sampler_occupancy", "table_saturation"):
+        assert required in columns, required
 
 
 def test_render_report_and_sparkline():
