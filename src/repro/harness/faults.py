@@ -17,7 +17,9 @@ around it.  This module supplies the pieces
   watchdog (catches workers that die without reporting), bounded retry
   with exponential backoff between rounds, then graceful degradation to
   serial in-process execution of whatever still fails, and only then a
-  partial result or :class:`SweepAborted`;
+  partial result or :class:`SweepAborted`.  Without a pool it runs every
+  cell in-process under the same taxonomy, so ``allow_partial`` means
+  the same thing at every job count;
 * a deterministic fault-injection hook (``REPRO_FAULT_INJECT``) used by
   the tests to kill, stall, or fault workers on demand.
 
@@ -497,19 +499,24 @@ def drain_cleanup_hooks(
 #: Wire format a supervised worker returns:
 #: (benchmark, technique_key, status, payload, timing) with status "ok"
 #: carrying the cell result, "timeout"/"error" carrying a diagnostic
-#: string.  ``timing`` is ``{"wall_seconds": ..., "cpu_seconds": ...}``
-#: measured inside the worker (None when the cell never ran to a
-#: measurable end); it feeds the sweep's events and run manifest.
-WireResult = Tuple[str, Optional[str], str, object, Optional[Dict[str, float]]]
+#: string.  ``timing`` is the cell's timing record (wall and CPU
+#: seconds, store hits and misses, replay kernel and fallback) measured
+#: inside the worker, None when the cell never ran to a measurable end;
+#: it feeds the success callback, the sweep's events and run manifest.
+WireResult = Tuple[str, Optional[str], str, object, Optional[Dict[str, object]]]
+
+#: An in-process cell executor: returns the cell's result and timing
+#: record, or raises.
+InProcess = Callable[[Cell], Tuple[object, Dict[str, object]]]
 
 
 def run_cells_supervised(
-    make_pool: Callable[[], multiprocessing.pool.Pool],
+    make_pool: Optional[Callable[[], multiprocessing.pool.Pool]],
     worker: Callable[..., WireResult],
     cells: Sequence[Cell],
     policy: FaultPolicy,
-    on_success: Callable[[Cell, object], None],
-    serial_fallback: Optional[Callable[[Cell], object]] = None,
+    on_success: Callable[[Cell, object, Optional[Dict[str, object]]], None],
+    in_process: Optional[InProcess] = None,
     on_event: Optional[Callable[..., None]] = None,
     cleanup: Union[Callable[[], None], Sequence[Callable[[], None]], None] = None,
 ) -> List[CellError]:
@@ -518,7 +525,8 @@ def run_cells_supervised(
     Args:
         make_pool: builds a fresh worker pool for each round (a round
             whose pool was poisoned by dead workers is terminated, never
-            reused).
+            reused).  ``None`` skips the parallel rounds: every cell
+            runs through ``in_process`` instead.
         worker: picklable task function taking
             ``(benchmark, technique_key, attempt, cell_timeout)`` and
             returning a :data:`WireResult`.  It must convert its own
@@ -526,10 +534,15 @@ def run_cells_supervised(
             only a hard worker death leaves a cell unreported.
         cells: the work list, in deterministic order.
         policy: timeout / retry / degradation knobs.
-        on_success: called once per completed cell, in completion order
-            (checkpoint persistence hooks in here).
-        serial_fallback: in-process executor for graceful degradation;
-            ``None`` disables degradation regardless of the policy.
+        on_success: called as ``(cell, result, timing)`` once per
+            completed cell, in completion order (checkpoint persistence
+            hooks in here).
+        in_process: :data:`InProcess` executor for the cells that run in
+            this process -- all of them without a pool, else graceful
+            degradation of those still failing after the retry rounds
+            (``None`` disables degradation regardless of the policy).
+            A cell it raises on becomes a :class:`CellCrashed` whose
+            ``__cause__`` is the exception.
         on_event: optional progress callback ``(kind, cell_label,
             **payload)`` -- see
             :meth:`repro.telemetry.events.SweepTelemetry.on_event` for
@@ -548,12 +561,12 @@ def run_cells_supervised(
 
     Returns the list of unrecovered failures, in work-list order; empty
     on full success.  Raises :class:`SweepAborted` when failures remain
-    and ``policy.allow_partial`` is false.
+    and ``policy.allow_partial`` is false, chained to the first failure's
+    in-process exception (if it has one).
     """
     try:
         return _run_cells_supervised(
-            make_pool, worker, cells, policy, on_success,
-            serial_fallback, on_event,
+            make_pool, worker, cells, policy, on_success, in_process, on_event,
         )
     finally:
         if cleanup is not None:
@@ -562,16 +575,15 @@ def run_cells_supervised(
 
 
 def _run_cells_supervised(
-    make_pool: Callable[[], multiprocessing.pool.Pool],
+    make_pool: Optional[Callable[[], multiprocessing.pool.Pool]],
     worker: Callable[..., WireResult],
     cells: Sequence[Cell],
     policy: FaultPolicy,
-    on_success: Callable[[Cell, object], None],
-    serial_fallback: Optional[Callable[[Cell], object]] = None,
-    on_event: Optional[Callable[..., None]] = None,
+    on_success: Callable[[Cell, object, Optional[Dict[str, object]]], None],
+    in_process: Optional[InProcess],
+    on_event: Optional[Callable[..., None]],
 ) -> List[CellError]:
     pending: List[Cell] = list(cells)
-    completed = 0
     failures: Dict[Cell, CellError] = {}
     watchdog = policy.effective_watchdog()
 
@@ -579,7 +591,14 @@ def _run_cells_supervised(
         if on_event is not None:
             on_event(kind, cell_label(cell) if cell is not None else "", **payload)
 
-    for attempt in range(policy.max_retries + 1):
+    def succeed(cell: Cell, payload: object, timing) -> None:
+        pending.remove(cell)
+        failures.pop(cell, None)
+        on_success(cell, payload, timing)
+        emit("finished", cell, status="ok", timing=timing)
+
+    rounds = policy.max_retries + 1 if make_pool is not None else 0
+    for attempt in range(rounds):
         if not pending:
             break
         if attempt:
@@ -615,11 +634,7 @@ def _run_cells_supervised(
                 received += 1
                 cell = (benchmark, key)
                 if status == "ok":
-                    pending.remove(cell)
-                    failures.pop(cell, None)
-                    completed += 1
-                    on_success(cell, payload)
-                    emit("finished", cell, status="ok", timing=timing)
+                    succeed(cell, payload, timing)
                 elif status == "timeout":
                     failures[cell] = CellTimeout(
                         benchmark, key, attempts=attempt + 1, detail=str(payload)
@@ -647,42 +662,39 @@ def _run_cells_supervised(
                     detail="worker died without reporting",
                 )
 
-    # Graceful degradation: whatever still fails runs serially in the
-    # parent, with no pool and no fault injection in the way.
-    if pending and policy.degrade_serially and serial_fallback is not None:
+    # In-process execution, with no pool and no fault injection in the
+    # way: every cell when there is no pool, else graceful degradation
+    # of whatever still fails.
+    serial: List[Cell] = []
+    attempts, prefix = 1, ""
+    if make_pool is None:
+        serial = list(pending)
+    elif pending and policy.degrade_serially and in_process is not None:
         emit(
             "degraded", None,
             reason=f"{len(pending)} cell(s) failed in parallel; "
             "re-running serially in the parent",
         )
-        for cell in list(pending):
-            emit("started", cell)
-            wall_start = time.perf_counter()
-            cpu_start = time.process_time()
-            try:
-                payload = serial_fallback(cell)
-            except Exception as exc:
-                failures[cell] = CellCrashed(
-                    cell[0], cell[1],
-                    attempts=policy.max_retries + 2,
-                    detail=f"serial fallback failed: {type(exc).__name__}: {exc}",
-                )
-            else:
-                pending.remove(cell)
-                failures.pop(cell, None)
-                completed += 1
-                on_success(cell, payload)
-                emit(
-                    "finished", cell, status="ok",
-                    timing={
-                        "wall_seconds": time.perf_counter() - wall_start,
-                        "cpu_seconds": time.process_time() - cpu_start,
-                    },
-                )
+        serial = list(pending)
+        attempts, prefix = rounds + 1, "serial fallback failed: "
+    for cell in serial:
+        emit("started", cell)
+        try:
+            payload, timing = in_process(cell)
+        except Exception as exc:
+            failures[cell] = CellCrashed(
+                cell[0], cell[1], attempts=attempts,
+                detail=f"{prefix}{type(exc).__name__}: {exc}",
+            )
+            failures[cell].__cause__ = exc
+        else:
+            succeed(cell, payload, timing)
 
     unrecovered = [failures[cell] for cell in cells if cell in failures]
     for failure in unrecovered:
         emit("finished", failure.cell, status="failed", timing=None)
     if unrecovered and not policy.allow_partial:
-        raise SweepAborted(unrecovered, completed=completed)
+        raise SweepAborted(
+            unrecovered, completed=len(cells) - len(pending)
+        ) from unrecovered[0].__cause__
     return unrecovered

@@ -3,8 +3,15 @@
 The single-thread comparisons behind Figures 4/5 and 7/8 are
 embarrassingly parallel: every (benchmark, technique) cell replays its
 own LLC stream on its own cache, and cells only meet again at reporting
-time.  This module fans those cells over a :mod:`multiprocessing` pool
-and supervises them:
+time.  :func:`run_cells` is the one executor for such a grid: the CLI
+sweep (:func:`parallel_single_thread_comparison`) and the experiment
+service's scheduler both dispatch through it.  It runs the cells
+in-process for one worker or fans them over a supervised
+:mod:`multiprocessing` pool for more, and for every completed cell --
+in-process, pooled, degraded to serial, or (through
+:func:`_run_cell_timed`) on a fleet worker -- it builds the same timing
+record: wall and CPU seconds, store hits and misses, replay kernel and
+fallback reason.  Around it:
 
 * each completed cell is persisted to an optional
   :class:`~repro.harness.checkpoint.CheckpointStore` the moment it
@@ -61,19 +68,22 @@ The job count comes from, in priority order: the ``jobs`` argument, the
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiments import SingleThreadComparison
 from repro.harness.faults import (
     Cell,
+    CellError,
     FaultPolicy,
     cell_deadline,
     cell_label,
     DeadlineExceeded,
+    WireResult,
     maybe_inject_fault,
     run_cells_supervised,
 )
@@ -95,6 +105,7 @@ __all__ = [
     "make_cell_pool_factory",
     "parallel_single_thread_comparison",
     "resolve_jobs",
+    "run_cells",
 ]
 
 #: Sentinel technique key for the per-benchmark LRU baseline cell.
@@ -154,9 +165,8 @@ def make_cell_pool_factory(
 
     This is the single construction path for sweep pools -- explicit
     ``"spawn"`` context, :func:`_init_worker` wiring the per-worker
-    workload cache to the store and/or shared-memory segments -- shared
-    by :func:`parallel_single_thread_comparison` and the experiment
-    service's scheduler, so both fan work out identically.
+    workload cache to the store and/or shared-memory segments -- used by
+    :func:`run_cells`.
     """
     context = multiprocessing.get_context("spawn")
 
@@ -246,7 +256,7 @@ def _run_cell(
 
 def _run_cell_supervised(
     task: Tuple[str, Optional[str], int, Optional[float]]
-) -> Tuple[str, Optional[str], str, object, Optional[Dict[str, float]]]:
+) -> WireResult:
     """Supervised worker entry: deadline, fault injection, and exception
     capture around :func:`_run_cell`.
 
@@ -274,6 +284,99 @@ def _run_cell_supervised(
             f"{type(exc).__name__}: {exc}",
             None,
         )
+
+
+def _run_cell_timed(
+    cache: WorkloadCache, cell: Cell
+) -> Tuple[RunResult, Dict[str, object]]:
+    """Run one cell in this process and build its timing record: the
+    in-process executor of :func:`run_cells` (whole sweeps and serial
+    degradation alike) and of fleet workers."""
+    start = _cell_clock(cache)
+    result = _run_cell_on(cache, cell)
+    return result, _cell_timing(cache, start, result)
+
+
+def run_cells(
+    cache: WorkloadCache,
+    cells: Sequence[Cell],
+    jobs: int,
+    policy: FaultPolicy,
+    on_success: Callable[[Cell, RunResult, Dict[str, object]], None],
+    on_event: Optional[Callable[..., None]] = None,
+    shared_memory: bool = False,
+    on_streams: Optional[Callable[[Dict[str, object]], None]] = None,
+) -> List[CellError]:
+    """Execute ``cells``: the one cell dispatch path of every sweep.
+
+    One worker (``min(jobs, len(cells))``) runs the cells in this
+    process on ``cache``; more fan them over a supervised ``spawn``
+    pool.  When ``cache`` has a workload store or ``shared_memory`` is
+    set, the pool starts warm: each workload is compiled or loaded once
+    here, and workers load the store's blobs or attach zero-copy to a
+    shared-memory export that the cleanup hooks tear down however
+    supervision ends.
+
+    Both modes run under :func:`~repro.harness.faults.run_cells_supervised`:
+    a cell that raises in-process is a ``CellCrashed`` like a pooled
+    one, and ``policy.allow_partial`` picks between returning the
+    failures and raising ``SweepAborted``.  Every completed cell --
+    in-process, pooled or degraded to serial -- reaches
+    ``on_success(cell, result, timing)`` with its :func:`_cell_timing`
+    record; ``on_event`` gets the supervision events and ``on_streams``
+    the workload-store summary for the run manifest.  Returns the
+    unrecovered failures.
+    """
+    workers = min(jobs, len(cells))
+    streams = cache.stream_store
+    root = os.fspath(streams.root) if streams is not None else None
+    hits, misses = cache.stream_hits, cache.stream_misses
+
+    def summary(shared: bool, **extra) -> Dict[str, object]:
+        return {
+            "root": root,
+            "shared_memory": shared,
+            "hits": cache.stream_hits - hits,
+            "misses": cache.stream_misses - misses,
+            **extra,
+        }
+
+    make_pool = None
+    cleanup: List[Callable[[], None]] = []
+    if workers > 1:
+        stream_manifest = None
+        if streams is not None or shared_memory:
+            compile_start = time.perf_counter()
+            compiled = {
+                benchmark: cache.compiled(benchmark)
+                for benchmark in dict.fromkeys(b for b, _ in cells)
+            }
+            if shared_memory:
+                export = SharedStreamExport.create(compiled)
+                cleanup.append(export.close)
+                stream_manifest = export.manifest()
+            if on_streams is not None:
+                on_streams(summary(
+                    shared_memory,
+                    compile_seconds=time.perf_counter() - compile_start,
+                    workloads=sorted(compiled),
+                ))
+        make_pool = make_cell_pool_factory(
+            cache.config, workers, root, stream_manifest
+        )
+    failures = run_cells_supervised(
+        make_pool,
+        _run_cell_supervised,
+        cells,
+        policy,
+        on_success=on_success,
+        in_process=functools.partial(_run_cell_timed, cache),
+        on_event=on_event,
+        cleanup=cleanup,
+    )
+    if make_pool is None and streams is not None and on_streams is not None:
+        on_streams(summary(False))
+    return failures
 
 
 def _sweep_telemetry(
@@ -437,9 +540,10 @@ def parallel_single_thread_comparison(
     else:
         streams = StreamStore.from_env(stream_cache)
     use_shm = shared_memory_enabled(shared_memory)
-    if streams is not None and workload_cache is not None:
-        if workload_cache.stream_store is None:
-            workload_cache.stream_store = streams
+    if workload_cache is None:
+        workload_cache = WorkloadCache(config, stream_store=streams)
+    elif workload_cache.stream_store is None:
+        workload_cache.stream_store = streams
 
     cells: List[Cell] = []
     for benchmark in benchmarks:
@@ -451,14 +555,17 @@ def parallel_single_thread_comparison(
         benchmark: {} for benchmark in benchmarks
     }
 
-    def record(cell: Cell, result: RunResult) -> None:
+    def place(cell: Cell, result: RunResult) -> None:
         benchmark, technique_key = cell
         if technique_key is _BASELINE:
             baseline[benchmark] = result
         else:
             results[benchmark][technique_key] = result
+
+    def record(cell: Cell, result: RunResult, timing: Dict[str, object]) -> None:
+        place(cell, result)
         if store is not None:
-            store.store(config, benchmark, technique_key, result)
+            store.store(config, *cell, result)
 
     # Resume: completed cells come off disk, not off the machine.
     to_run: List[Cell] = []
@@ -466,11 +573,7 @@ def parallel_single_thread_comparison(
     for cell in cells:
         loaded = store.load(config, *cell) if (resume and store) else None
         if loaded is not None:
-            benchmark, technique_key = cell
-            if technique_key is _BASELINE:
-                baseline[benchmark] = loaded
-            else:
-                results[benchmark][technique_key] = loaded
+            place(cell, loaded)
             resumed.append(cell)
         else:
             to_run.append(cell)
@@ -489,100 +592,32 @@ def parallel_single_thread_comparison(
         if manifest is not None:
             manifest.write(manifest_file)
 
+    def on_streams(summary: Dict[str, object]) -> None:
+        if manifest is not None:
+            manifest.stream_store = summary
+
     failures = ()
     sweep_status = "ok"
-    export: Optional[SharedStreamExport] = None
     try:
         if to_run:
-            if effective_jobs <= 1:
-                if workload_cache is None:
-                    workload_cache = WorkloadCache(config, stream_store=streams)
-                for cell in to_run:
-                    if telemetry is not None:
-                        telemetry.cell_started(cell_label(cell))
-                    start = _cell_clock(workload_cache)
-                    result = _run_cell_on(workload_cache, cell)
-                    record(cell, result)
-                    if telemetry is not None:
-                        timing = _cell_timing(workload_cache, start, result)
-                        telemetry.cell_finished(cell_label(cell), "ok", timing=timing)
-                if manifest is not None and streams is not None:
-                    manifest.stream_store = {
-                        "root": os.fspath(streams.root),
-                        "shared_memory": False,
-                        "hits": workload_cache.stream_hits,
-                        "misses": workload_cache.stream_misses,
-                    }
-            else:
-                # Warm fan-out: the parent compiles or loads every
-                # workload exactly once; workers then load blobs from
-                # the store, or attach zero-copy to shared memory.
-                warm = streams is not None or use_shm
-                store_root = os.fspath(streams.root) if streams is not None else None
-                stream_manifest = None
-                if warm:
-                    if workload_cache is None:
-                        workload_cache = WorkloadCache(config, stream_store=streams)
-                    compile_start = time.perf_counter()
-                    hits_start = workload_cache.stream_hits
-                    misses_start = workload_cache.stream_misses
-                    compiled = {}
-                    for benchmark in dict.fromkeys(b for b, _ in to_run):
-                        compiled[benchmark] = workload_cache.compiled(benchmark)
-                    if use_shm:
-                        export = SharedStreamExport.create(compiled)
-                        stream_manifest = export.manifest()
-                    if manifest is not None:
-                        manifest.stream_store = {
-                            "root": store_root,
-                            "shared_memory": use_shm,
-                            "hits": workload_cache.stream_hits - hits_start,
-                            "misses": workload_cache.stream_misses - misses_start,
-                            "compile_seconds": time.perf_counter() - compile_start,
-                            "workloads": sorted(compiled),
-                        }
-
-                make_pool = make_cell_pool_factory(
-                    config, min(effective_jobs, len(to_run)),
-                    store_root, stream_manifest,
+            failures = tuple(
+                run_cells(
+                    workload_cache,
+                    to_run,
+                    effective_jobs,
+                    policy,
+                    on_success=record,
+                    on_event=telemetry.on_event if telemetry is not None else None,
+                    shared_memory=use_shm,
+                    on_streams=on_streams,
                 )
-
-                fallback_cache = workload_cache
-
-                def serial_fallback(cell: Cell) -> RunResult:
-                    nonlocal fallback_cache
-                    if fallback_cache is None:
-                        fallback_cache = WorkloadCache(config, stream_store=streams)
-                    return _run_cell_on(fallback_cache, cell)
-
-                # Registered in acquisition order; run_cells_supervised
-                # drains them LIFO and tolerates a raising hook, so the
-                # shm unlink runs even if an earlier-registered hook
-                # breaks.
-                cleanup_hooks = []
-                if export is not None:
-                    cleanup_hooks.append(export.close)
-
-                failures = tuple(
-                    run_cells_supervised(
-                        make_pool,
-                        _run_cell_supervised,
-                        to_run,
-                        policy,
-                        on_success=record,
-                        serial_fallback=serial_fallback if policy.degrade_serially else None,
-                        on_event=telemetry.on_event if telemetry is not None else None,
-                        cleanup=cleanup_hooks,
-                    )
-                )
-                if failures:
-                    sweep_status = "partial"
+            )
+            if failures:
+                sweep_status = "partial"
     except BaseException:
         sweep_status = "aborted"
         raise
     finally:
-        if export is not None:
-            export.close()  # idempotent; covers failures before supervision
         if telemetry is not None:
             telemetry.sweep_finished(sweep_status)
             if manifest is not None:

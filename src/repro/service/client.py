@@ -285,7 +285,7 @@ class ServiceClient:
         status: str,
         result: Optional[str] = None,
         error: str = "",
-        timing: Optional[Dict[str, float]] = None,
+        timing: Optional[Dict[str, object]] = None,
     ) -> Dict:
         body: Dict = {
             "worker_id": worker_id,

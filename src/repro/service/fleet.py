@@ -350,7 +350,7 @@ class FleetCoordinator:
         status: str,
         result_b64: Optional[str] = None,
         error: str = "",
-        timing: Optional[Dict[str, float]] = None,
+        timing: Optional[Dict[str, object]] = None,
     ) -> Dict:
         """Settle one cell of a lease with a worker's outcome.
 

@@ -2,12 +2,13 @@
 
 A worker is a plain process that registers with a fleet-mode server,
 pulls cell batches under time-bounded leases, executes them through
-:func:`repro.harness.parallel._run_cell_on` -- the *same* single code
-path every CLI sweep and local service batch uses, which is what keeps
-fleet results bit-identical -- and posts each result back as it
-finishes.  Fleet-level parallelism comes from running many workers;
-within one worker, cells run serially, so a worker is cheap, crashable,
-and trivially reasoned about.
+:func:`repro.harness.parallel._run_cell_timed` -- the *same* in-process
+cell path, with the same timing record, that every CLI sweep and local
+service batch uses, which is what keeps fleet results bit-identical --
+and posts each result and its timing back as it finishes.  Fleet-level
+parallelism comes from running many workers; within one worker, cells
+run serially, so a worker is cheap, crashable, and trivially reasoned
+about.
 
 Resilience, per docs/robustness.md's fleet failure taxonomy:
 
@@ -45,12 +46,11 @@ import base64
 import os
 import random
 import threading
-import time
 from typing import Dict, Optional, Set, Union
 
 from repro.harness.checkpoint import result_to_wire
 from repro.harness.faults import ChaosSpec, cell_label
-from repro.harness.parallel import _run_cell_on
+from repro.harness.parallel import _run_cell_timed
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import CompiledWorkload, StreamStore
 from repro.service.client import ServiceClient, ServiceError
@@ -316,10 +316,8 @@ class FleetWorker:
             self._sleep(self.lease_ttl * 1.5)
         if self.chaos.fires("kill", label, attempt):
             os._exit(_KILL_EXIT_CODE)  # simulated OOM kill: no cleanup
-        wall = time.perf_counter()
-        cpu = time.process_time()
         try:
-            result = _run_cell_on(cache, (benchmark, technique))
+            result, timing = _run_cell_timed(cache, (benchmark, technique))
         except Exception as exc:
             self.stats["cells_failed"] += 1
             self._post_completion(
@@ -327,10 +325,6 @@ class FleetWorker:
                 error=f"{type(exc).__name__}: {exc}",
             )
             return
-        timing = {
-            "wall_seconds": time.perf_counter() - wall,
-            "cpu_seconds": time.process_time() - cpu,
-        }
         payload = base64.b64encode(result_to_wire(result)).decode("ascii")
         self.stats["cells_completed"] += 1
         self._post_completion(
@@ -344,7 +338,7 @@ class FleetWorker:
         status: str,
         result: Optional[str] = None,
         error: str = "",
-        timing: Optional[Dict[str, float]] = None,
+        timing: Optional[Dict[str, object]] = None,
     ) -> None:
         try:
             self.client.fleet_complete(

@@ -11,8 +11,8 @@ workload a first-class, persistent artifact:
 
 * :func:`compile_filtered` serializes a prepared
   :class:`~repro.sim.hierarchy.FilteredTrace` -- the full trace columns,
-  per-record hit levels, the LLC arrays, per-geometry ``(set index,
-  tag)`` decompositions, and the timing model's fixed latencies -- into
+  per-record hit levels, the LLC arrays, the LLC's ``(set index, tag)``
+  decomposition, and the timing model's fixed latencies -- into
   one flat binary blob of typed buffers (:class:`CompiledWorkload`);
 * :class:`StreamStore` is a content-addressed on-disk store of those
   blobs, keyed by everything that determines a workload's compiled form
@@ -45,7 +45,7 @@ Sections: ``pc``/``addr``/``gap`` (one ``q``/``Q`` per trace record),
 ``flags`` (bit 0 = write, bit 1 = depends), ``level`` (1/2/3 per
 record), ``llc_index``, ``llc_pc``/``llc_addr``/``llc_write`` (the LLC
 stream), ``fixed_lat`` (per-record resolved latency, -1 for LLC-bound),
-and ``set@O:I`` / ``tag@O:I`` pairs for each compiled geometry
+and the ``set@O:I`` / ``tag@O:I`` pair of the machine's LLC
 (``O``/``I`` = offset/index bits).
 
 Replay-side derived structures -- the per-geometry
@@ -85,7 +85,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.cache.geometry import CacheGeometry
 from repro.sim.hierarchy import (
@@ -168,22 +168,13 @@ def encode_filtered(
     filtered: FilteredTrace,
     machine: MachineConfig,
     key: str,
-    geometries: Sequence[CacheGeometry] = (),
 ) -> bytes:
     """Serialize a prepared workload into one self-describing blob.
 
-    ``geometries`` lists the cache shapes whose ``(set index, tag)``
-    decomposition is baked in; the machine's LLC is always included.
+    The machine LLC's ``(set index, tag)`` decomposition is baked in.
     """
     trace = filtered.trace
     pcs, addresses, writes = filtered.llc_arrays()
-
-    shapes: List[CacheGeometry] = [machine.llc]
-    for geometry in geometries:
-        if (geometry.offset_bits, geometry.index_bits) not in [
-            (g.offset_bits, g.index_bits) for g in shapes
-        ]:
-            shapes.append(geometry)
 
     # The trace columns already hold the sections' machine types ('Q' /
     # 'q' / one byte per value), so their sections are plain copies.
@@ -206,11 +197,10 @@ def encode_filtered(
             ).tobytes(),
         ),
     ]
-    for geometry in shapes:
-        stream = filtered.llc_stream(geometry)
-        set_id, tag_id = _stream_section_ids(geometry)
-        sections.append(("" + set_id, "Q", array("Q", stream.set_indices).tobytes()))
-        sections.append(("" + tag_id, "Q", array("Q", stream.tags).tobytes()))
+    stream = filtered.llc_stream(machine.llc)
+    set_id, tag_id = _stream_section_ids(machine.llc)
+    sections.append((set_id, "Q", array("Q", stream.set_indices).tobytes()))
+    sections.append((tag_id, "Q", array("Q", stream.tags).tobytes()))
 
     itemsize = {"Q": 8, "q": 8, "B": 1}
     table: Dict[str, Dict[str, int]] = {}
@@ -467,12 +457,9 @@ def compile_filtered(
     filtered: FilteredTrace,
     machine: MachineConfig,
     key: str,
-    geometries: Sequence[CacheGeometry] = (),
 ) -> CompiledWorkload:
     """Compile a prepared workload into its flat, shareable form."""
-    return CompiledWorkload.from_buffer(
-        encode_filtered(filtered, machine, key, geometries)
-    )
+    return CompiledWorkload.from_buffer(encode_filtered(filtered, machine, key))
 
 
 # ----------------------------------------------------------------------

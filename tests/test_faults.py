@@ -36,6 +36,8 @@ from repro.harness.faults import (
 )
 from repro.harness.parallel import parallel_single_thread_comparison
 from repro.harness.runner import ExperimentConfig, WorkloadCache
+from repro.harness.techniques import Technique
+from repro.telemetry.manifest import RunManifest
 
 BENCHMARKS = ("perlbench", "mcf")
 TECHNIQUE_KEYS = ("rrip",)
@@ -219,7 +221,7 @@ class TestSupervisedCleanup:
             _run_cell_supervised,
             [("perlbench", None)],
             FaultPolicy(max_retries=0, **FAST),
-            on_success=lambda cell, result: results.__setitem__(cell, result),
+            on_success=lambda cell, result, timing: results.__setitem__(cell, result),
             cleanup=[early, raiser, late],
         )
         assert failures == []
@@ -240,18 +242,27 @@ class TestCrashRecovery:
         assert not comparison.is_partial
         assert_bit_identical(serial_reference(), comparison)
 
-    def test_hard_crashes_degrade_to_serial(self, monkeypatch):
+    def test_hard_crashes_degrade_to_serial(self, monkeypatch, tmp_path):
         # Every parallel attempt dies via os._exit; graceful degradation
         # re-runs the cells in-process (where injection never applies)
         # and the sweep still completes bit-identically.
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        manifest_path = tmp_path / "manifest.json"
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(max_retries=0, watchdog=2.0, backoff=0.0),
+            manifest_path=manifest_path,
         )
         assert not comparison.is_partial
         assert comparison.failure_report() == ""
         assert_bit_identical(serial_reference(), comparison)
+        # Degraded cells carry the same timing record as any other cell.
+        cells = RunManifest.load(str(manifest_path))["cells"]
+        assert len(cells) == len(BENCHMARKS) * (len(TECHNIQUE_KEYS) + 1)
+        for entry in cells.values():
+            assert entry["status"] == "ok"
+            assert entry["kernel"] in ("array", "object")
+            assert "store_hits" in entry and "store_misses" in entry
 
     def test_unrecoverable_crash_aborts_with_taxonomy(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
@@ -285,6 +296,49 @@ class TestCrashRecovery:
         assert len(comparison.failures) == len(BENCHMARKS) * (len(TECHNIQUE_KEYS) + 1)
         report = comparison.failure_report()
         assert "partial sweep" in report and "mcf" in report
+
+
+@pytest.fixture
+def failing_build(monkeypatch):
+    """Make building the ``rrip`` policy raise; returns the exception."""
+    injected = RuntimeError("injected build failure")
+    build = Technique.build
+
+    def failing(technique, *args, **kwargs):
+        if technique.key == "rrip":
+            raise injected
+        return build(technique, *args, **kwargs)
+
+    monkeypatch.setattr(Technique, "build", failing)
+    return injected
+
+
+@pytest.mark.faults
+class TestInProcessFailures:
+    """At ``jobs=1`` a raising cell is a supervised failure, as pooled."""
+
+    def test_allow_partial_at_one_job_returns_partial(self, failing_build):
+        comparison = parallel_single_thread_comparison(
+            SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=1, allow_partial=True,
+        )
+        assert comparison.is_partial
+        assert [f.cell for f in comparison.failures] == [("perlbench", "rrip")]
+        assert isinstance(comparison.failures[0], CellCrashed)
+        # The surviving baseline cell still completed, bit-identically.
+        reference = single_thread_comparison(WorkloadCache(SMALL), (), ("perlbench",))
+        assert (
+            comparison.baseline["perlbench"].llc_stats.snapshot()
+            == reference.baseline["perlbench"].llc_stats.snapshot()
+        )
+
+    def test_abort_at_one_job_chains_the_exception(self, failing_build):
+        with pytest.raises(SweepAborted) as excinfo:
+            parallel_single_thread_comparison(
+                SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=1,
+                allow_partial=False,
+            )
+        assert [f.cell for f in excinfo.value.failures] == [("perlbench", "rrip")]
+        assert excinfo.value.__cause__ is failing_build
 
 
 @pytest.mark.faults

@@ -240,5 +240,12 @@ class TestGoldenBitIdentity:
             stats = client.stats()
             assert stats["stream_store"]["enabled"]
             assert stats["stream_store"]["shared_memory"]
+            # Pooled cells keep the timing their worker measured.
+            finished = [
+                event for event in client.stream_events(job["id"], follow=False)
+                if event["event"] == "cell_finished"
+            ]
+            assert len(finished) == 2  # baseline + rrip
+            assert all(event["wall_seconds"] > 0 for event in finished)
         finally:
             handle.stop()
