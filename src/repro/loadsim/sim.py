@@ -298,8 +298,9 @@ class PreparedScenario:
         memory_latency = self.machine.memory_latency
         events: List[Tuple] = []
         latency_series: List[float] = []
-        state = {"station_free": 0.0, "access_seq": 0, "llc_count": 0,
-                 "completed_in_window": 0}
+        # ``llc_count`` is also the next LLC access's ``seq``.
+        state = {"station_free": 0.0, "llc_count": 0, "completed_in_window": 0}
+        cache_access = cache.access
 
         def complete(time: float, tenant: PreparedTenant, req_id: int,
                      latency: float) -> None:
@@ -320,20 +321,22 @@ class PreparedScenario:
             tenant.instructions += instructions
             if record_events:
                 events.append(("arr", time, tenant.index, req_id))
-            service = 0.0
-            accesses = tenant.stream.accesses
-            for position in range(llc_lo, llc_hi):
-                access = accesses[position]
-                access.seq = state["access_seq"]
-                state["access_seq"] += 1
-                state["llc_count"] += 1
-                tenant.llc_accesses += 1
-                if cache.access(access):
-                    service += llc_latency
-                else:
-                    service += memory_latency
-                    tenant.llc_misses += 1
             if llc_hi > llc_lo:
+                first = state["llc_count"]
+                hits = 0
+                for seq, access in enumerate(
+                    tenant.stream.accesses[llc_lo:llc_hi], first
+                ):
+                    access.seq = seq
+                    hits += cache_access(access)
+                count = llc_hi - llc_lo
+                misses = count - hits
+                state["llc_count"] = first + count
+                tenant.llc_accesses += count
+                tenant.llc_misses += misses
+                # Latencies are whole cycles, so this is exactly the
+                # per-access sum.
+                service = hits * llc_latency + misses * memory_latency
                 start = max(time + private, state["station_free"])
                 completion = start + service
                 state["station_free"] = completion

@@ -119,10 +119,13 @@ class WorkloadGenerator(ABC):
     def __init__(self, name: str, seed: int = 1) -> None:
         self.name = name
         self.seed = seed
+        # Hashed once: a pattern's name is its canonical spec, tens of
+        # bytes long, and pc()/data_region() run once per record.
+        self._name_hash = _stable_hash(name)
 
     def _rng(self) -> XorShift64:
         """A fresh deterministic generator for one trace production."""
-        mixed = _stable_hash(self.name) & 0xFFFF_FFFF
+        mixed = self._name_hash & 0xFFFF_FFFF
         return XorShift64((self.seed << 32) ^ mixed ^ 0xA5A5_5A5A)
 
     @abstractmethod
@@ -142,7 +145,7 @@ class WorkloadGenerator(ABC):
     def pc(self, index: int) -> int:
         """The ``index``-th PC of this generator's pool (4-byte spaced,
         namespaced by benchmark so suites do not alias)."""
-        base = CODE_BASE + ((_stable_hash(self.name) & 0xFF) << 12)
+        base = CODE_BASE + ((self._name_hash & 0xFF) << 12)
         return base + 4 * index
 
     def data_region(self, region_index: int) -> int:
@@ -155,7 +158,7 @@ class WorkloadGenerator(ABC):
         (as multiprogrammed mixes do) do not systematically collide in
         the sampler the way no two real programs' heaps would.
         """
-        benchmark_offset = (_stable_hash(self.name) & 0x3FF) << 20
+        benchmark_offset = (self._name_hash & 0x3FF) << 20
         return DATA_BASE + (region_index << 30) + benchmark_offset
 
     def __repr__(self) -> str:

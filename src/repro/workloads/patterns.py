@@ -188,14 +188,22 @@ class PatternWorkload(WorkloadGenerator):
         """Digest of the canonical spec (folded into stream-store keys)."""
         return spec_digest(self.spec())
 
-    def _maybe_store(
-        self, builder: TraceBuilder, rng, pc: int, address: int, gap: int
-    ) -> None:
-        """Emit a load or -- with probability ``write`` -- a store."""
-        if self.params.get("write", 0.0) and rng.random() < self.params["write"]:
-            builder.store(pc, address, gap)
-        else:
-            builder.load(pc, address, gap)
+    def _emitter(self, builder: TraceBuilder, rng) -> Callable[[int, int, int], None]:
+        """``emit(pc, address, gap)``: a load or -- with probability
+        ``write`` -- a store.  The write draw is made only when
+        ``write > 0``, after the caller's own draws for the record."""
+        write = self.params["write"]
+        if not write:
+            return builder.load
+        random, load, store = rng.random, builder.load, builder.store
+
+        def emit(pc: int, address: int, gap: int) -> None:
+            if random() < write:
+                store(pc, address, gap)
+            else:
+                load(pc, address, gap)
+
+        return emit
 
 
 # ----------------------------------------------------------------------
@@ -241,15 +249,16 @@ class ZipfianPattern(PatternWorkload):
             cumulative.append(total)
         base = self.data_region(0)
         salt = (self.seed << 8) ^ 0x5bd1
+        pool = [self.pc(index) for index in range(pcs)]
         rng = self._rng()
         builder = TraceBuilder(self.name, instructions)
+        emit = self._emitter(builder, rng)
         while not builder.exhausted:
             rank = bisect.bisect_left(cumulative, rng.random() * total)
             if rank >= blocks:
                 rank = blocks - 1
             block = mix64(rank ^ salt) % blocks
-            pc = self.pc(min(rank, pcs - 1))
-            self._maybe_store(builder, rng, pc, base + block * 64, gap)
+            emit(pool[min(rank, pcs - 1)], base + block * 64, gap)
         return builder.build()
 
 
@@ -287,16 +296,18 @@ class HotspotPattern(PatternWorkload):
         probability = self.params["p"]
         gap = self.params["gap"]
         base = self.data_region(0)
+        pool = [self.pc(index) for index in range(16)]
         rng = self._rng()
         builder = TraceBuilder(self.name, instructions)
+        emit = self._emitter(builder, rng)
         while not builder.exhausted:
             if rng.random() < probability:
                 block = rng.randrange(hot_blocks)
-                pc = self.pc(block % 8)
+                pc = pool[block % 8]
             else:
                 block = hot_blocks + rng.randrange(cold_blocks)
-                pc = self.pc(8 + block % 8)
-            self._maybe_store(builder, rng, pc, base + block * 64, gap)
+                pc = pool[8 + block % 8]
+            emit(pc, base + block * 64, gap)
         return builder.build()
 
 
@@ -340,17 +351,17 @@ class BurstyPattern(PatternWorkload):
         idle = self.params["idle"]
         gap = self.params["gap"]
         base = self.data_region(0)
+        pool = [self.pc(index) for index in range(8)]
         rng = self._rng()
         builder = TraceBuilder(self.name, instructions)
+        emit = self._emitter(builder, rng)
         while not builder.exhausted:
             start = rng.randrange(max(1, blocks - window))
             for index in range(burst):
                 if builder.exhausted:
                     break
                 block = start + rng.randrange(window)
-                self._maybe_store(
-                    builder, rng, self.pc(index % 8), base + block * 64, gap
-                )
+                emit(pool[index % 8], base + block * 64, gap)
             builder.compute(idle)
         return builder.build()
 
@@ -380,17 +391,20 @@ class SequentialPattern(PatternWorkload):
         blocks = max(streams, self.region_blocks(llc_bytes, self.params["footprint"]))
         share = blocks // streams
         gap = self.params["gap"]
+        wrap = max(1, share)
+        pool = [self.pc(index) for index in range(streams)]
+        bases = [self.data_region(stream) for stream in range(streams)]
         rng = self._rng()
         builder = TraceBuilder(self.name, instructions)
+        emit = self._emitter(builder, rng)
         cursors = [0] * streams
         while not builder.exhausted:
             for stream in range(streams):
                 if builder.exhausted:
                     break
                 block = cursors[stream]
-                cursors[stream] = (block + 1) % max(1, share)
-                address = self.data_region(stream) + block * 64
-                self._maybe_store(builder, rng, self.pc(stream), address, gap)
+                cursors[stream] = (block + 1) % wrap
+                emit(pool[stream], bases[stream] + block * 64, gap)
         return builder.build()
 
 
@@ -419,13 +433,13 @@ class UniformRandomPattern(PatternWorkload):
         gap = self.params["gap"]
         pcs = self.params["pcs"]
         base = self.data_region(0)
+        pool = [self.pc(index) for index in range(pcs)]
         rng = self._rng()
         builder = TraceBuilder(self.name, instructions)
+        emit = self._emitter(builder, rng)
         while not builder.exhausted:
             block = rng.randrange(blocks)
-            self._maybe_store(
-                builder, rng, self.pc(rng.randrange(pcs)), base + block * 64, gap
-            )
+            emit(pool[rng.randrange(pcs)], base + block * 64, gap)
         return builder.build()
 
 

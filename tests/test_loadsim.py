@@ -299,6 +299,27 @@ class TestGoldenScenario:
         )
 
 
+@pytest.mark.parametrize("technique", ["lru", "sampler"])
+def test_tenant_counters_add_up_to_the_llc_stats(technique):
+    """The run counts LLC accesses and misses per request; summed over
+    tenants they must equal the shared LLC's own counters."""
+    four_tenants = LoadScenario(
+        tenants=tuple(
+            TenantSpec(workload=workload, arrival="poisson(rate=1)")
+            for workload in ("zipf(a=1.2)", "bursty", "hotspot", "seq")
+        ),
+        duration=30_000.0,
+        seed=5,
+        epochs=4,
+    )
+    busy = prepare_scenario(workload_cache(), four_tenants).run(technique)
+    assert busy.llc_stats.hits > 0 and busy.llc_stats.misses > 0
+    for result in (golden_result(technique), busy):
+        stats = result.llc_stats
+        assert sum(t.llc_accesses for t in result.tenants) == stats.accesses
+        assert sum(t.llc_misses for t in result.tenants) == stats.misses
+
+
 # ----------------------------------------------------------------------
 # harness + exporters + telemetry integration
 # ----------------------------------------------------------------------

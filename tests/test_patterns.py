@@ -10,6 +10,8 @@ different trace, and parse(spec()) is the identity.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from repro.workloads import (
     workload_spec,
     workload_spec_digest,
 )
+from repro.workloads import base
 
 pytestmark = pytest.mark.workloads
 
@@ -243,3 +246,77 @@ class TestFamilyShapes:
         generator = UniformRandomPattern(footprint=2.0, seed=1)
         records = generator.generate(INSTRUCTIONS, LLC_BYTES).records
         assert len({record.address for record in records}) > len(records) // 4
+
+
+# ----------------------------------------------------------------------
+# pinned traces: generation speed-ups must not move a single draw
+# ----------------------------------------------------------------------
+PIN_INSTRUCTIONS = 20_000
+PIN_LLC_BYTES = 64 * 1024
+#: sha256 over a trace's four columns and its instruction count, per
+#: ``(spec, seed)``, recorded from the generators that still hashed
+#: their name on every ``pc()`` call.  The ``write=0.25`` variants pin
+#: the write draw's place in the RNG sequence; the compose specs pin
+#: the parts' order.
+PINNED_TRACES = {
+    ("zipf", 1): "86e7fe0ec834325ab7f74e07458a661e3c22df62c0cd0cf145bbab312be03636",
+    ("zipf", 7): "bd11d411e7e40894c0bf15bca35ac8933b7ff443cd6c9aaaea4f6101af171d2c",
+    ("zipf(write=0.25)", 1): "9c1891992c1b6afa142b2bb741a10f3389807f4970d27c3833f97a057182db9c",
+    ("zipf(write=0.25)", 7): "87f49cb2fb6dbc9e7e3f4ba6c152cdea1d582a8f93e3545c371fa1f31f05e324",
+    ("hotspot", 1): "eb645c9fb157932397a6732f452964355b5aa96a3f89814e5a8adbf4b35db47d",
+    ("hotspot", 7): "fdd2677afcbeb560aabe74c8889dfa1243c22667fe4f4f8f540ad9a8912b61b6",
+    ("hotspot(write=0.25)", 1): "57e74f6ff9d6547ded2cf893bf4f1cdfb9a39194ca461b712d4558fd0dbe2cd8",
+    ("hotspot(write=0.25)", 7): "328186aca3d06f8520205a4ccdc2eb2d49aab219ae129b4df6868ef83c3cf705",
+    ("bursty", 1): "672afef68a20056ab3d0da2b4e8ab6fdd9b8e3fccee9df34caa950678576a251",
+    ("bursty", 7): "98cb731ad363215610faa75e6c81ec788f78936c29137565e41852de3b82592a",
+    ("bursty(write=0.25)", 1): "a065811551e4ff51ee82931d348c20ca0d8eee0da10040bb302526101f759dd6",
+    ("bursty(write=0.25)", 7): "329c9d83ad69d09461ed92b987532b3a2bee07004054a7b53cd153b370b85401",
+    ("seq", 1): "7c027064131d059ed6ee311ee0e16c31804d9f91ae22f9a42ef1b42fc2681a39",
+    ("seq", 7): "134629419958d38e290e4d1036cba638ea7bfce420ef08326535963b8a09fb7d",
+    ("seq(write=0.25)", 1): "af0ba7b52ed2fb268b8666aff0cc28837a34ca52205af7a8a8efb26d3dbd4f67",
+    ("seq(write=0.25)", 7): "8ad8e1079585661795a24426024cd297744c5c2b09c698b2dd3f7b2b7434ee96",
+    ("uniform", 1): "0ecea557f05c18ffbfa8b45b94571e9b1af7a9316286802a5acfe1f446d120b1",
+    ("uniform", 7): "5f7017bc20de7fdc7bfd394dc845196a8300c2e4abd2bccd3241e85ac963f341",
+    ("uniform(write=0.25)", 1): "28aa8c83fb5615c136d4bd2c8ff6b6572a5a5af7b9ec40841851cc6b6c6bff66",
+    ("uniform(write=0.25)", 7): "8d92e3cc89e952e98f162f3675e15d95d8adbe0e5788634dab0d17b3998d6cea",
+    ("phased(zipf,bursty)", 1): "3e328ea5b07a4fd3618a0031d535933f5c2b35cd40d748332b6e9a684f817b7d",
+    ("phased(zipf,bursty)", 7): "eb407db6ef9091e04bf4d6364352465ace4010f0c6023920fcfc0e5b4a82ed60",
+    ("blend(hotspot,seq)", 1): "e0f9f4fe464705ec31d7885f9c44e5819fff46e9e69254b5b4ac5d2075d187d9",
+    ("blend(hotspot,seq)", 7): "9f702cd4aec66898f400a33d23537734e4c5d2d713d3f64ebf0336c828952ded",
+}
+
+
+def columns_digest(trace) -> str:
+    digest = hashlib.sha256()
+    for column in (trace.pcs, trace.addresses, trace.gaps):
+        digest.update(column.tobytes())
+    digest.update(bytes(trace.flags))
+    digest.update(str(trace.instructions).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec, seed", sorted(PINNED_TRACES))
+def test_pattern_traces_are_pinned(spec, seed):
+    trace = parse_workload_spec(spec, seed=seed).generate(
+        PIN_INSTRUCTIONS, PIN_LLC_BYTES
+    )
+    assert columns_digest(trace) == PINNED_TRACES[spec, seed]
+
+
+@pytest.mark.parametrize("spec", ["seq", "zipf(a=1.2)"])
+def test_name_hash_cost_does_not_scale_with_trace_length(monkeypatch, spec):
+    """A generator hashes its (spec-long) name once, not per record."""
+    calls = []
+    original = base._stable_hash
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(base, "_stable_hash", counting)
+    counts = {}
+    for instructions in (20_000, 40_000):
+        del calls[:]
+        parse_workload_spec(spec).generate(instructions, PIN_LLC_BYTES)
+        counts[instructions] = len(calls)
+    assert counts[20_000] == counts[40_000] <= 2
