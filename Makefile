@@ -74,9 +74,9 @@ test-loadsim:
 # with a notice rather than failing the whole check.
 lint:
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
-		$(PYTHON) -m ruff check src tests benchmarks; \
+		$(PYTHON) -m ruff check src tests benchmarks examples; \
 	elif command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests benchmarks examples; \
 	else \
 		echo "lint: ruff not installed, skipping (pip install ruff to enable)"; \
 	fi

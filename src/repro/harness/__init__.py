@@ -8,8 +8,9 @@
   techniques.
 * :mod:`repro.harness.experiments` -- one function per paper experiment
   (Figures 1, 4-10; Tables I-IV), returning structured results.
-* :mod:`repro.harness.parallel` -- process-parallel fan-out of the
-  single-thread sweeps (``REPRO_JOBS``), bit-identical to serial runs.
+* :mod:`repro.harness.parallel` -- the one cell runner and sweep driver
+  every figure goes through: process-parallel fan-out (``REPRO_JOBS``),
+  bit-identical to serial runs, with checkpoints and run manifests.
 * :mod:`repro.harness.checkpoint` -- content-addressed on-disk store of
   completed sweep cells (``REPRO_CHECKPOINT_DIR``), enabling
   resume-after-interruption.

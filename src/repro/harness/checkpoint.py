@@ -17,19 +17,24 @@ canonical key string over everything that determines its result::
 
 so checkpoints written under one configuration can never be mistaken for
 another's (change the seed, the scale, or the budget and every key --
-hence every path -- changes).  Files live under ``<root>/cells/`` as
-pickles of ``{"key": <key string>, "result": <stripped RunResult>}``;
-the embedded key is verified on load, which turns both hash collisions
-and hand-misplaced files into cache misses rather than silent
-corruption.  Writes go through a temporary file and ``os.replace`` so a
+hence every path -- changes).  A cell measured another way, or run with
+a reshaped predictor, is named by a
+:class:`~repro.harness.techniques.Scheme` whose content key adds exactly
+those fields (``...|technique=sampler|measure=accuracy``); a Figure-10
+mix cell keys on its mix name (``benchmark=mix3``) and stores a
+shared-LLC :class:`~repro.sim.multicore.MulticoreResult`.  Files live
+under ``<root>/cells/`` as pickles of ``{"key": <key string>,
+"result": <stripped result>}``; the embedded key is verified on load,
+which turns both hash collisions and hand-misplaced files into cache
+misses rather than silent corruption.  Writes go through a temporary file and ``os.replace`` so a
 crash mid-write leaves either the old bytes or the new, never a torn
 file; unreadable or torn checkpoints are treated as missing (and
 re-running the cell rewrites them).
 
 Results are stored stripped of their cache and observers, exactly as
 they cross a worker-process boundary: sweeps only consume stats, timing,
-and hit vectors, and policies hold arbitrarily rich (and arbitrarily
-unpicklable) state.
+hit vectors and the observer numbers copied into ``RunResult.analysis``,
+and policies hold arbitrarily rich (and arbitrarily unpicklable) state.
 
 The store root comes from, in priority order: an explicit path, the
 ``REPRO_CHECKPOINT_DIR`` environment variable (see
@@ -47,6 +52,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.harness.runner import ExperimentConfig
+from repro.sim.multicore import MulticoreResult
 from repro.sim.system import RunResult
 
 __all__ = [
@@ -58,6 +64,10 @@ __all__ = [
 
 _FORMAT = "v1"
 
+#: What a cell produces: a single-core run, or a Figure-10 mix's
+#: shared-LLC run.
+CellResult = Union[RunResult, MulticoreResult]
+
 
 def result_to_wire(result: RunResult) -> bytes:
     """Serialize one cell result for transport (fleet completions).
@@ -67,10 +77,17 @@ def result_to_wire(result: RunResult) -> bytes:
     simulator state -- so a result that crossed the fleet protocol is
     byte-for-byte the result a local checkpoint write would have stored.
     """
+    return pickle.dumps(_stripped(result), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _stripped(result: CellResult) -> CellResult:
+    """A copy without the live cache and observers (a shared-LLC
+    :class:`~repro.sim.multicore.MulticoreResult` carries neither)."""
     stripped = copy.copy(result)
-    stripped.cache = None
-    stripped.observers = ()
-    return pickle.dumps(stripped, protocol=pickle.HIGHEST_PROTOCOL)
+    if isinstance(stripped, RunResult):
+        stripped.cache = None
+        stripped.observers = ()
+    return stripped
 
 
 def result_from_wire(data: bytes) -> RunResult:
@@ -133,7 +150,8 @@ class CheckpointStore:
         technique_key: Optional[str],
     ) -> str:
         """Canonical key string for one cell (``technique_key=None`` is
-        the LRU baseline cell)."""
+        the LRU baseline cell; a :class:`~repro.harness.techniques.Scheme`
+        contributes its content key)."""
         technique = technique_key if technique_key is not None else "<baseline>"
         return (
             f"{_FORMAT}|scale={config.scale}|instructions={config.instructions}"
@@ -160,16 +178,14 @@ class CheckpointStore:
         config: ExperimentConfig,
         benchmark: str,
         technique_key: Optional[str],
-        result: RunResult,
+        result: CellResult,
     ) -> Path:
         """Persist one completed cell (atomically; returns the path)."""
         key = self.cell_key(config, benchmark, technique_key)
         path = self.cell_path(config, benchmark, technique_key)
-        stripped = copy.copy(result)
-        stripped.cache = None
-        stripped.observers = ()
         payload = pickle.dumps(
-            {"key": key, "result": stripped}, protocol=pickle.HIGHEST_PROTOCOL
+            {"key": key, "result": _stripped(result)},
+            protocol=pickle.HIGHEST_PROTOCOL,
         )
         # The tmp name must be unique per *writer*, not just per process:
         # the experiment service stores cells from a dispatcher thread
@@ -189,7 +205,7 @@ class CheckpointStore:
         config: ExperimentConfig,
         benchmark: str,
         technique_key: Optional[str],
-    ) -> Optional[RunResult]:
+    ) -> Optional[CellResult]:
         """The checkpointed result for a cell, or None.
 
         Missing, torn, unpicklable, or key-mismatched files all read as
@@ -206,7 +222,7 @@ class CheckpointStore:
         if (
             not isinstance(payload, dict)
             or payload.get("key") != self.cell_key(config, benchmark, technique_key)
-            or not isinstance(payload.get("result"), RunResult)
+            or not isinstance(payload.get("result"), (RunResult, MulticoreResult))
         ):
             return None
         return payload["result"]

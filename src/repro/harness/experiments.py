@@ -16,21 +16,25 @@ Function                        Paper experiment
 :func:`multicore_comparison`      Figure 10(a)/(b)
 :func:`characterization_table`    Table III
 ==============================  =========================================
+
+Every one of them, and :func:`pattern_sweep_experiment`, is a list of
+(workload, scheme) cells plus a reducer: the cells run through
+:func:`repro.harness.parallel.sweep`, so each figure honours
+``REPRO_JOBS``, ``REPRO_CHECKPOINT_DIR`` and ``REPRO_EVENTS_FILE`` /
+``REPRO_MANIFEST`` the way the CLI sweep does, and is bit-identical
+whatever the job count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import AccuracyObserver
-from repro.analysis.efficiency import EfficiencyObserver
-from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
-from repro.harness.faults import CellError
+from repro.harness.faults import Cell, CellError
+from repro.harness.parallel import parallel_single_thread_comparison, sweep
 from repro.harness.runner import WorkloadCache
-from repro.harness.techniques import TECHNIQUES
-from repro.predictors import CountingPredictor, RefTracePredictor
-from repro.replacement import LRUPolicy
+from repro.harness.techniques import TECHNIQUES, Scheme
 from repro.sim.metrics import geometric_mean
 from repro.sim.multicore import MulticoreResult
 from repro.sim.system import RunResult
@@ -52,6 +56,7 @@ __all__ = [
     "ablation_experiment",
     "accuracy_experiment",
     "characterization_table",
+    "comparison_cells",
     "efficiency_experiment",
     "loadsim_experiment",
     "multicore_comparison",
@@ -61,6 +66,25 @@ __all__ = [
     "timeseries_experiment",
     "zipf_skew_axis",
 ]
+
+
+def comparison_cells(workloads: Sequence[str], schemes: Sequence) -> List[Cell]:
+    """The workload x (LRU baseline + schemes) grid, baseline first per
+    workload: the cells of Figures 4-8 and 10, Table III and the pattern
+    sweep, and of the experiment service's sweep jobs."""
+    return [(workload, scheme) for workload in workloads for scheme in (None, *schemes)]
+
+
+def _grid(workloads: Sequence[str], keys: Sequence[str], runs: Mapping[Cell, object]):
+    """Split ``runs`` into the per-workload baseline and per-technique
+    maps; cells missing from ``runs`` (failed in a partial sweep) are
+    left out."""
+    baseline = {w: runs[(w, None)] for w in workloads if (w, None) in runs}
+    results = {
+        w: {key: runs[(w, key)] for key in keys if (w, key) in runs}
+        for w in workloads
+    }
+    return baseline, results
 
 
 # ----------------------------------------------------------------------
@@ -86,6 +110,24 @@ class SingleThreadComparison:
     def is_partial(self) -> bool:
         """True when at least one cell failed unrecoverably."""
         return bool(self.failures)
+
+    @classmethod
+    def from_cells(
+        cls,
+        benchmarks: Sequence[str],
+        technique_keys: Sequence[str],
+        runs: Mapping[Cell, RunResult],
+        failures: Sequence[CellError] = (),
+    ) -> "SingleThreadComparison":
+        """Assemble the :func:`comparison_cells` grid's results."""
+        baseline, results = _grid(benchmarks, technique_keys, runs)
+        return cls(
+            benchmarks=tuple(benchmarks),
+            technique_keys=tuple(technique_keys),
+            baseline=baseline,
+            results=results,
+            failures=tuple(failures),
+        )
 
     def failure_report(self) -> str:
         """Human-readable summary of the failed cells ("" when complete)."""
@@ -155,40 +197,21 @@ def single_thread_comparison(
     technique_keys: Sequence[str],
     benchmarks: Sequence[str] = SINGLE_THREAD_SUBSET,
 ) -> SingleThreadComparison:
-    """Run every (benchmark, technique) pair plus the LRU baseline."""
-    baseline: Dict[str, RunResult] = {}
-    results: Dict[str, Dict[str, RunResult]] = {}
-    lru = TECHNIQUES["lru"]
-    for benchmark in benchmarks:
-        filtered = cache.filtered(benchmark)
-        baseline[benchmark] = cache.system.run(
-            filtered,
-            lambda g, s: lru.build(g, s),
-            technique_name="lru",
-        )
-        per_technique: Dict[str, RunResult] = {}
-        for key in technique_keys:
-            technique = TECHNIQUES[key]
-            per_technique[key] = cache.system.run(
-                filtered,
-                lambda g, s, technique=technique: technique.build(g, s),
-                technique_name=key,
-                compute_timing=technique.timing_meaningful,
-            )
-        results[benchmark] = per_technique
-    return SingleThreadComparison(
-        benchmarks=tuple(benchmarks),
-        technique_keys=tuple(technique_keys),
-        baseline=baseline,
-        results=results,
-    )
+    """Run every (benchmark, technique) pair plus the LRU baseline: the
+    same code path as
+    :func:`~repro.harness.parallel.parallel_single_thread_comparison`,
+    with every knob left to the environment."""
+    return parallel_single_thread_comparison(cache, technique_keys, benchmarks)
 
 
 # ----------------------------------------------------------------------
 # Figure 6: component ablation
 # ----------------------------------------------------------------------
 #: The paper's six feasible component combinations, in Figure 6's order,
-#: with the paper's reported speedups for reference.
+#: with the paper's reported speedups for reference.  Each names the
+#: ``SamplingDeadBlockPredictor`` arguments it changes; the last row is
+#: the predictor's defaults (``sampler_assoc=12``, sampler and skewed
+#: tables on), so it runs as the plain ``sampler`` cell.
 ABLATION_VARIANTS: Tuple[Tuple[str, dict, float], ...] = (
     ("DBRB alone", dict(use_sampler=False, skewed=False), 1.034),
     ("DBRB+3 tables", dict(use_sampler=False, skewed=True), 1.023),
@@ -203,11 +226,7 @@ ABLATION_VARIANTS: Tuple[Tuple[str, dict, float], ...] = (
         dict(use_sampler=True, skewed=False, sampler_assoc=12),
         1.056,
     ),
-    (
-        "DBRB+sampler+3 tables+12-way",
-        dict(use_sampler=True, skewed=True, sampler_assoc=12),
-        1.059,
-    ),
+    ("DBRB+sampler+3 tables+12-way", dict(), 1.059),
 )
 
 
@@ -220,25 +239,20 @@ def ablation_experiment(
     Returns ``(variant label, measured gmean speedup, paper's value)``
     triples in the paper's presentation order.
     """
-    lru = TECHNIQUES["lru"]
-    speedups: Dict[str, List[float]] = {label: [] for label, _, _ in ABLATION_VARIANTS}
-    for benchmark in benchmarks:
-        filtered = cache.filtered(benchmark)
-        base = cache.system.run(filtered, lambda g, s: lru.build(g, s), "lru")
-        for label, predictor_kwargs, _ in ABLATION_VARIANTS:
-            result = cache.system.run(
-                filtered,
-                lambda g, a, kw=predictor_kwargs: DBRBPolicy(
-                    LRUPolicy(), SamplingDeadBlockPredictor(**kw)
-                ),
-                technique_name=label,
-            )
-            if base.ipc > 0 and result.ipc > 0:
-                speedups[label].append(result.ipc / base.ipc)
-    return [
-        (label, geometric_mean(speedups[label]), paper)
-        for label, _, paper in ABLATION_VARIANTS
+    schemes = [
+        Scheme("sampler", shape=tuple(sorted(shape.items()))) if shape else "sampler"
+        for _, shape, _ in ABLATION_VARIANTS
     ]
+    runs, _ = sweep(cache, comparison_cells(benchmarks, schemes), command="figure6")
+    rows = []
+    for (label, _, paper), scheme in zip(ABLATION_VARIANTS, schemes):
+        speedups = []
+        for benchmark in benchmarks:
+            base, result = runs[(benchmark, None)], runs[(benchmark, scheme)]
+            if base.ipc > 0 and result.ipc > 0:
+                speedups.append(result.ipc / base.ipc)
+        rows.append((label, geometric_mean(speedups), paper))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +275,8 @@ class AccuracyResult:
         return sum(values) / len(values)
 
 
-_ACCURACY_PREDICTORS = {
-    "reftrace": RefTracePredictor,
-    "counting": CountingPredictor,
-    "sampler": SamplingDeadBlockPredictor,
-}
+#: Figure 9's predictors, each measured through its DBRB technique.
+_ACCURACY_TECHNIQUES = {"reftrace": "tdbp", "counting": "cdbp", "sampler": "sampler"}
 
 
 def accuracy_experiment(
@@ -274,25 +285,25 @@ def accuracy_experiment(
 ) -> AccuracyResult:
     """Figure 9: per-predictor coverage and false-positive rate, measured
     on the DBRB policy with a default LRU cache."""
-    coverage: Dict[str, Dict[str, float]] = {k: {} for k in _ACCURACY_PREDICTORS}
-    false_positive: Dict[str, Dict[str, float]] = {k: {} for k in _ACCURACY_PREDICTORS}
-    for benchmark in benchmarks:
-        filtered = cache.filtered(benchmark)
-        for name, predictor_class in _ACCURACY_PREDICTORS.items():
-            result = cache.system.run(
-                filtered,
-                lambda g, a, cls=predictor_class: DBRBPolicy(LRUPolicy(), cls()),
-                technique_name=name,
-                observer_factories=[AccuracyObserver],
-                compute_timing=False,
-            )
-            observer: AccuracyObserver = result.observers[0]
-            coverage[name][benchmark] = observer.coverage
-            false_positive[name][benchmark] = observer.false_positive_rate
+    schemes = {
+        name: Scheme(key, "accuracy") for name, key in _ACCURACY_TECHNIQUES.items()
+    }
+    cells = [
+        (benchmark, scheme)
+        for benchmark in benchmarks
+        for scheme in schemes.values()
+    ]
+    runs, _ = sweep(cache, cells, command="figure9")
+
+    def per_benchmark(name: str, number: str) -> Dict[str, float]:
+        return {b: runs[(b, schemes[name])].analysis[number] for b in benchmarks}
+
     return AccuracyResult(
-        predictors=tuple(_ACCURACY_PREDICTORS),
-        coverage=coverage,
-        false_positive=false_positive,
+        predictors=tuple(schemes),
+        coverage={name: per_benchmark(name, "coverage") for name in schemes},
+        false_positive={
+            name: per_benchmark(name, "false_positive_rate") for name in schemes
+        },
     )
 
 
@@ -370,40 +381,21 @@ def pattern_sweep_experiment(
 ) -> PatternSweepResult:
     """Miss rate / coverage / false positives along a workload axis.
 
-    Runs each spec under plain LRU (DBRB off) and under sampler-driven
-    DBRB with an accuracy observer (DBRB on).  Any workload name
-    resolvable by :func:`repro.workloads.build_trace` works -- pattern
-    specs, trace replays, or suite benchmarks.
+    Runs each spec as the LRU baseline cell (DBRB off) and under
+    sampler-driven DBRB with an accuracy observer (DBRB on).  Any
+    workload name resolvable by :func:`repro.workloads.build_trace`
+    works -- pattern specs, trace replays, or suite benchmarks.
     """
-    lru = TECHNIQUES["lru"]
-    lru_miss: Dict[str, float] = {}
-    dbrb_miss: Dict[str, float] = {}
-    coverage: Dict[str, float] = {}
-    false_positive: Dict[str, float] = {}
-    for spec in specs:
-        filtered = cache.filtered(spec)
-        base = cache.system.run(
-            filtered, lambda g, s: lru.build(g, s), technique_name="lru",
-            compute_timing=False,
-        )
-        result = cache.system.run(
-            filtered,
-            lambda g, a: DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor()),
-            technique_name="sampler",
-            observer_factories=[AccuracyObserver],
-            compute_timing=False,
-        )
-        observer: AccuracyObserver = result.observers[0]
-        lru_miss[spec] = base.llc_stats.miss_rate
-        dbrb_miss[spec] = result.llc_stats.miss_rate
-        coverage[spec] = observer.coverage
-        false_positive[spec] = observer.false_positive_rate
+    dbrb = Scheme("sampler", "accuracy")
+    runs, _ = sweep(cache, comparison_cells(specs, (dbrb,)), command="pattern-sweep")
     return PatternSweepResult(
         specs=tuple(specs),
-        lru_miss_rate=lru_miss,
-        dbrb_miss_rate=dbrb_miss,
-        coverage=coverage,
-        false_positive=false_positive,
+        lru_miss_rate={s: runs[(s, None)].llc_stats.miss_rate for s in specs},
+        dbrb_miss_rate={s: runs[(s, dbrb)].llc_stats.miss_rate for s in specs},
+        coverage={s: runs[(s, dbrb)].analysis["coverage"] for s in specs},
+        false_positive={
+            s: runs[(s, dbrb)].analysis["false_positive_rate"] for s in specs
+        },
     )
 
 
@@ -429,32 +421,16 @@ def efficiency_experiment(
     The paper uses 456.hmmer on a 1MB LRU cache (22% -> 87%); we use the
     synthetic hmmer analogue on the configured machine.
     """
-    filtered = cache.filtered(benchmark)
-    last_seq = len(filtered.llc_indices)
-
-    def measure(policy_factory, label):
-        result = cache.system.run(
-            filtered,
-            policy_factory,
-            technique_name=label,
-            observer_factories=[EfficiencyObserver],
-            compute_timing=False,
-        )
-        observer: EfficiencyObserver = result.observers[0]
-        observer.finalize(result.cache, last_seq)
-        return observer
-
-    lru_observer = measure(lambda g, a: LRUPolicy(), "lru")
-    sampler_observer = measure(
-        lambda g, a: DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor()),
-        "sampler",
-    )
+    lru, sampler = Scheme("lru", "efficiency"), Scheme("sampler", "efficiency")
+    runs, _ = sweep(cache, [(benchmark, lru), (benchmark, sampler)], command="figure1")
+    lru_numbers = runs[(benchmark, lru)].analysis
+    sampler_numbers = runs[(benchmark, sampler)].analysis
     return EfficiencyResult(
         benchmark=benchmark,
-        lru_efficiency=lru_observer.efficiency,
-        sampler_efficiency=sampler_observer.efficiency,
-        lru_matrix=lru_observer.efficiency_matrix(),
-        sampler_matrix=sampler_observer.efficiency_matrix(),
+        lru_efficiency=lru_numbers["efficiency"],
+        sampler_efficiency=sampler_numbers["efficiency"],
+        lru_matrix=lru_numbers["efficiency_matrix"],
+        sampler_matrix=sampler_numbers["efficiency_matrix"],
     )
 
 
@@ -514,23 +490,8 @@ def multicore_comparison(
     mixes: Sequence[str] = MIX_NAMES,
 ) -> MulticoreComparison:
     """Figure 10: run each mix on the shared LLC under each technique."""
-    baseline: Dict[str, MulticoreResult] = {}
-    results: Dict[str, Dict[str, MulticoreResult]] = {}
-    lru = TECHNIQUES["lru"]
-    for mix in mixes:
-        prepared = cache.prepared_mix(mix)
-        baseline[mix] = cache.multicore.run(
-            prepared, lambda g, s, n: lru.build(g, s, n), "lru"
-        )
-        per_technique: Dict[str, MulticoreResult] = {}
-        for key in technique_keys:
-            technique = TECHNIQUES[key]
-            per_technique[key] = cache.multicore.run(
-                prepared,
-                lambda g, s, n, technique=technique: technique.build(g, s, n),
-                technique_name=key,
-            )
-        results[mix] = per_technique
+    runs, _ = sweep(cache, comparison_cells(mixes, technique_keys), command="figure10")
+    baseline, results = _grid(mixes, technique_keys, runs)
     return MulticoreComparison(
         mixes=tuple(mixes),
         technique_keys=tuple(technique_keys),
@@ -620,26 +581,16 @@ def characterization_table(
 ) -> List[List]:
     """Table III rows: benchmark, MPKI (LRU), MPKI (MIN), IPC (LRU), and
     subset membership (the paper's boldface)."""
-    lru = TECHNIQUES["lru"]
-    optimal = TECHNIQUES["optimal"]
+    runs, _ = sweep(cache, comparison_cells(benchmarks, ("optimal",)), command="table3")
     rows = []
     for benchmark in benchmarks:
-        filtered = cache.filtered(benchmark)
-        lru_result = cache.system.run(
-            filtered, lambda g, s: lru.build(g, s), "lru"
-        )
-        optimal_result = cache.system.run(
-            filtered,
-            lambda g, s: optimal.build(g, s),
-            "optimal",
-            compute_timing=False,
-        )
+        lru, optimal = runs[(benchmark, None)], runs[(benchmark, "optimal")]
         rows.append(
             [
                 benchmark,
-                lru_result.mpki,
-                optimal_result.mpki,
-                lru_result.ipc,
+                lru.mpki,
+                optimal.mpki,
+                lru.ipc,
                 "yes" if benchmark in _SUBSET else "",
             ]
         )

@@ -1,6 +1,6 @@
 """Fault tolerance for experiment sweeps.
 
-A long sweep is a grid of independent (benchmark, technique) cells, and
+A long sweep is a grid of independent (workload, technique) cells, and
 the failure of any one cell -- a crashed worker, an OOM kill, a policy
 bug that wedges a replay -- must not destroy the hours of completed work
 around it.  This module supplies the pieces
@@ -80,8 +80,12 @@ __all__ = [
     "run_cells_supervised",
 ]
 
-#: A cell identity: (benchmark, technique key or None for the baseline).
-Cell = Tuple[str, Optional[str]]
+#: A cell identity: (workload or Table-IV mix, scheme).  The scheme is
+#: None for the LRU baseline, a technique key for a plain run, or a
+#: :class:`~repro.harness.techniques.Scheme` for another measure or a
+#: reshaped predictor; labels, fault draws and checkpoint keys use its
+#: ``str``, so plain cells keep the identity they always had.
+Cell = Tuple[str, object]
 
 
 def cell_label(cell: Cell) -> str:

@@ -1,22 +1,31 @@
 """Process-parallel, fault-tolerant experiment sweeps.
 
-The single-thread comparisons behind Figures 4/5 and 7/8 are
-embarrassingly parallel: every (benchmark, technique) cell replays its
-own LLC stream on its own cache, and cells only meet again at reporting
-time.  :func:`run_cells` is the one executor for such a grid: the CLI
-sweep (:func:`parallel_single_thread_comparison`) and the experiment
-service's scheduler both dispatch through it.  It runs the cells
-in-process for one worker or fans them over a supervised
-:mod:`multiprocessing` pool for more, and for every completed cell --
-in-process, pooled, degraded to serial, or (through
+Every figure and table the harness regenerates is a list of independent
+cells -- (workload or Table-IV mix, scheme) pairs, each replaying its
+own LLC stream on its own cache -- reduced into a result object only at
+reporting time (:mod:`repro.harness.experiments`).  :func:`_run_cell_on`
+is the one function that runs a cell, through
+:meth:`~repro.sim.system.SingleCoreSystem.run` or
+:meth:`~repro.sim.multicore.MulticoreSystem.run`; :func:`run_cells` is
+the one executor for a cell list, and :func:`sweep` the one driver
+around it, which every figure function -- Figures 1, 4/5, 6, 7/8, 9
+and 10, Table III, the pattern sweep -- and the CLI sweep
+(:func:`parallel_single_thread_comparison`) call.  The experiment
+service's scheduler dispatches through :func:`run_cells` too.
+
+:func:`run_cells` runs the cells in-process for one worker or fans them
+over a supervised :mod:`multiprocessing` pool for more, and for every
+completed cell -- in-process, pooled, degraded to serial, or (through
 :func:`_run_cell_timed`) on a fleet worker -- it builds the same timing
 record: wall and CPU seconds, store hits and misses, replay kernel and
-fallback reason.  Around it:
+fallback reason.  Around it, :func:`sweep` adds:
 
 * each completed cell is persisted to an optional
   :class:`~repro.harness.checkpoint.CheckpointStore` the moment it
   finishes, and ``resume=True`` reloads completed cells instead of
   re-running them (``REPRO_CHECKPOINT_DIR`` / ``--checkpoint-dir``);
+  cells are content-addressed, so a figure reuses any cell another
+  figure already stored (Figure 6's LRU baselines are Figure 4's);
 * cells run under per-cell wall-clock deadlines, bounded retry with
   exponential backoff, a parent-side watchdog for workers that die
   without reporting, and graceful degradation to serial in-process
@@ -24,9 +33,12 @@ fallback reason.  Around it:
   :class:`~repro.harness.faults.CellTimeout` /
   :class:`~repro.harness.faults.CellCrashed` /
   :class:`~repro.harness.faults.SweepAborted` taxonomy;
-* with ``allow_partial=True`` an unrecoverable sweep still returns a
-  :class:`~repro.harness.experiments.SingleThreadComparison` for the
-  cells that completed, carrying the failure report.
+* progress events and a run manifest with every cell's kernel and
+  fallback reason (``REPRO_EVENTS_FILE`` / ``REPRO_MANIFEST``);
+* with ``allow_partial=True`` an unrecoverable sweep still returns the
+  cells that completed plus the failure report (a
+  :class:`~repro.harness.experiments.SingleThreadComparison` carries
+  it).
 
 Determinism contract: a parallel sweep is bit-identical to the serial
 one, whatever the job count, OS scheduling, retries, or resumes.  That
@@ -34,8 +46,9 @@ holds because every source of randomness is seeded per *task*, not per
 process:
 
 * workload generation draws from ``ExperimentConfig.seed`` and the
-  benchmark name only (``build_trace(benchmark, ..., seed=config.seed)``),
-  so each worker regenerates exactly the trace the serial run would use;
+  workload name only (``build_trace(benchmark, ..., seed=config.seed)``,
+  ``build_mix_traces(mix, ..., seed=config.seed)``), so each worker
+  regenerates exactly the trace the serial run would use;
 * policy RNGs (e.g. the random-replacement XorShift) use fixed
   per-policy seeds and are constructed fresh inside each cell;
 * supervision (retry, resume, degradation) decides only *whether* a
@@ -53,7 +66,8 @@ fresh (no inherited interpreter state can leak into a cell).  Worker
 processes each hold a private :class:`WorkloadCache`; without the
 compiled workload store, a workload's generation + L1/L2 filtering pass
 is repeated once per worker that draws a cell of that benchmark -- the
-price of process isolation.  With the store enabled
+price of process isolation (a Figure-10 mix is likewise prepared once
+per worker that draws one of its cells).  With the store enabled
 (``REPRO_STREAM_CACHE`` / ``stream_cache=``) the parent compiles or
 loads each workload exactly once and workers take the warm path: they
 load the compiled blob from disk, or -- with ``REPRO_SHM`` /
@@ -72,10 +86,11 @@ import functools
 import multiprocessing
 import os
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.harness.checkpoint import CheckpointStore
-from repro.harness.experiments import SingleThreadComparison
+from repro.analysis.accuracy import AccuracyObserver
+from repro.analysis.efficiency import EfficiencyObserver
+from repro.harness.checkpoint import CellResult, CheckpointStore
 from repro.harness.faults import (
     Cell,
     CellError,
@@ -88,7 +103,7 @@ from repro.harness.faults import (
     run_cells_supervised,
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
-from repro.harness.techniques import TECHNIQUES, validate_techniques
+from repro.harness.techniques import TECHNIQUES, Scheme, validate_techniques
 from repro.sim.streamstore import (
     SharedStreamExport,
     StreamManifest,
@@ -99,13 +114,17 @@ from repro.sim.streamstore import (
 from repro.sim.system import RunResult
 from repro.telemetry.events import EventLog, ProgressRenderer, SweepTelemetry
 from repro.telemetry.manifest import RunManifest
-from repro.workloads import SINGLE_THREAD_SUBSET
+from repro.workloads import MIX_NAMES, SINGLE_THREAD_SUBSET
+
+if TYPE_CHECKING:  # experiments builds on this module
+    from repro.harness.experiments import SingleThreadComparison
 
 __all__ = [
     "make_cell_pool_factory",
     "parallel_single_thread_comparison",
     "resolve_jobs",
     "run_cells",
+    "sweep",
 ]
 
 #: Sentinel technique key for the per-benchmark LRU baseline cell.
@@ -180,30 +199,55 @@ def make_cell_pool_factory(
     return make_pool
 
 
-def _run_cell_on(cache: WorkloadCache, cell: Cell) -> RunResult:
-    """Run one (benchmark, technique) cell on the given workload cache.
+#: The analysis observer each non-default measure attaches.
+_OBSERVERS = {"accuracy": (AccuracyObserver,), "efficiency": (EfficiencyObserver,)}
 
-    ``technique_key=None`` is the LRU baseline cell.  This is the single
+
+def _run_cell_on(cache: WorkloadCache, cell: Cell) -> CellResult:
+    """Run one cell on the given workload cache.
+
+    The scheme ``None`` is the LRU baseline cell.  A Table-IV mix runs
+    on the shared LLC; any other workload runs single-core, with the
+    measure's observer attached, and the observer's numbers copied into
+    ``result.analysis`` -- after :meth:`EfficiencyObserver.finalize` for
+    efficiency -- so they outlive the observer.  This is the single
     execution path every mode shares -- worker processes, the serial
-    in-process sweep, and the graceful-degradation fallback -- which is
-    what keeps them bit-identical.
+    in-process sweep, the graceful-degradation fallback and fleet
+    workers -- which is what keeps them bit-identical.
     """
-    benchmark, technique_key = cell
-    filtered = cache.filtered(benchmark)
-    if technique_key is _BASELINE:
-        technique = TECHNIQUES["lru"]
-        name = "lru"
-        compute_timing = True
+    workload, scheme = cell
+    if isinstance(scheme, Scheme):
+        key, measure, build = scheme.technique, scheme.measure, scheme.build
     else:
-        technique = TECHNIQUES[technique_key]
-        name = technique_key
-        compute_timing = technique.timing_meaningful
-    return cache.system.run(
+        key = "lru" if scheme is _BASELINE else scheme
+        measure, build = "run", TECHNIQUES[key].build
+    name = key if scheme is _BASELINE else str(scheme)
+    if workload in MIX_NAMES:
+        if measure != "run":
+            raise ValueError(f"mix cell {cell_label(cell)}: only 'run' is measured")
+        return cache.multicore.run(cache.prepared_mix(workload), build, name)
+    filtered = cache.filtered(workload)
+    result = cache.system.run(
         filtered,
-        lambda g, s: technique.build(g, s),
+        build,
         technique_name=name,
-        compute_timing=compute_timing,
+        observer_factories=_OBSERVERS.get(measure, ()),
+        compute_timing=measure == "run" and TECHNIQUES[key].timing_meaningful,
     )
+    if measure == "accuracy":
+        observer = result.observers[0]
+        result.analysis = {
+            "coverage": observer.coverage,
+            "false_positive_rate": observer.false_positive_rate,
+        }
+    elif measure == "efficiency":
+        observer = result.observers[0]
+        observer.finalize(result.cache, len(filtered.llc_indices))
+        result.analysis = {
+            "efficiency": observer.efficiency,
+            "efficiency_matrix": observer.efficiency_matrix(),
+        }
+    return result
 
 
 def _cell_clock(cache: WorkloadCache) -> Tuple[float, float, int, int]:
@@ -218,7 +262,7 @@ def _cell_clock(cache: WorkloadCache) -> Tuple[float, float, int, int]:
 
 
 def _cell_timing(
-    cache: WorkloadCache, start: Tuple[float, float, int, int], result: RunResult
+    cache: WorkloadCache, start: Tuple[float, float, int, int], result: CellResult
 ) -> Dict[str, object]:
     """The per-cell timing record the NDJSON events and the manifest
     carry: wall and CPU seconds and store hits/misses since ``start``,
@@ -230,32 +274,33 @@ def _cell_timing(
         "store_hits": cache.stream_hits - hits_start,
         "store_misses": cache.stream_misses - misses_start,
     }
-    kernel = getattr(result, "kernel", None)
-    if kernel is not None:
-        timing["kernel"] = kernel
-    fallback = getattr(result, "kernel_fallback", None)
-    if fallback is not None:
-        timing["kernel_fallback"] = fallback
+    if result.kernel is not None:
+        timing["kernel"] = result.kernel
+    if result.kernel_fallback is not None:
+        timing["kernel_fallback"] = result.kernel_fallback
     return timing
 
 
-def _run_cell(
-    task: Tuple[str, Optional[str]]
-) -> Tuple[str, Optional[str], RunResult]:
-    """Run one cell in a worker process (unsupervised; kept as the plain
-    building block).  The result is stripped of its cache and observers
-    before crossing the process boundary (policies hold unpicklable
-    state; sweeps only read stats, timing, and hit vectors).
+def _run_cell(task: Cell) -> Tuple[str, object, CellResult]:
+    """Run one cell in a worker process, unsupervised.
+
+    Kept apart from :func:`_run_cell_supervised` because the benchmark
+    harness (``perfbench/spans.py``) wraps this function, together with
+    :func:`_init_worker`, to trace each pool worker per cell.  The
+    result is stripped of its cache and observers before crossing the
+    process boundary (policies hold unpicklable state; sweeps only read
+    stats, timing, hit vectors and ``analysis``).
     """
-    benchmark, technique_key = task
-    result = _run_cell_on(_WORKER_CACHE, (benchmark, technique_key))
-    result.cache = None
-    result.observers = ()
-    return benchmark, technique_key, result
+    workload, scheme = task
+    result = _run_cell_on(_WORKER_CACHE, task)
+    if isinstance(result, RunResult):
+        result.cache = None
+        result.observers = ()
+    return workload, scheme, result
 
 
 def _run_cell_supervised(
-    task: Tuple[str, Optional[str], int, Optional[float]]
+    task: Tuple[str, object, int, Optional[float]]
 ) -> WireResult:
     """Supervised worker entry: deadline, fault injection, and exception
     capture around :func:`_run_cell`.
@@ -288,7 +333,7 @@ def _run_cell_supervised(
 
 def _run_cell_timed(
     cache: WorkloadCache, cell: Cell
-) -> Tuple[RunResult, Dict[str, object]]:
+) -> Tuple[CellResult, Dict[str, object]]:
     """Run one cell in this process and build its timing record: the
     in-process executor of :func:`run_cells` (whole sweeps and serial
     degradation alike) and of fleet workers."""
@@ -302,7 +347,7 @@ def run_cells(
     cells: Sequence[Cell],
     jobs: int,
     policy: FaultPolicy,
-    on_success: Callable[[Cell, RunResult, Dict[str, object]], None],
+    on_success: Callable[[Cell, CellResult, Dict[str, object]], None],
     on_event: Optional[Callable[..., None]] = None,
     shared_memory: bool = False,
     on_streams: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -312,10 +357,10 @@ def run_cells(
     One worker (``min(jobs, len(cells))``) runs the cells in this
     process on ``cache``; more fan them over a supervised ``spawn``
     pool.  When ``cache`` has a workload store or ``shared_memory`` is
-    set, the pool starts warm: each workload is compiled or loaded once
-    here, and workers load the store's blobs or attach zero-copy to a
-    shared-memory export that the cleanup hooks tear down however
-    supervision ends.
+    set, the pool starts warm: each single-core workload is compiled or
+    loaded once here, and workers load the store's blobs or attach
+    zero-copy to a shared-memory export that the cleanup hooks tear down
+    however supervision ends.
 
     Both modes run under :func:`~repro.harness.faults.run_cells_supervised`:
     a cell that raises in-process is a ``CellCrashed`` like a pooled
@@ -348,8 +393,9 @@ def run_cells(
         if streams is not None or shared_memory:
             compile_start = time.perf_counter()
             compiled = {
-                benchmark: cache.compiled(benchmark)
-                for benchmark in dict.fromkeys(b for b, _ in cells)
+                workload: cache.compiled(workload)
+                for workload in dict.fromkeys(w for w, _ in cells)
+                if workload not in MIX_NAMES
             }
             if shared_memory:
                 export = SharedStreamExport.create(compiled)
@@ -439,10 +485,9 @@ def _sweep_telemetry(
     return SweepTelemetry(sinks=sinks, manifest=manifest), manifest, manifest_path
 
 
-def parallel_single_thread_comparison(
+def sweep(
     cache: Union[WorkloadCache, ExperimentConfig],
-    technique_keys: Sequence[str],
-    benchmarks: Sequence[str] = SINGLE_THREAD_SUBSET,
+    cells: Sequence[Cell],
     jobs: Optional[int] = None,
     checkpoint: Union[CheckpointStore, str, os.PathLike, None] = None,
     resume: bool = False,
@@ -454,15 +499,18 @@ def parallel_single_thread_comparison(
     command: str = "run",
     stream_cache: Union[StreamStore, str, os.PathLike, None] = None,
     shared_memory: Optional[bool] = None,
-) -> SingleThreadComparison:
-    """Figure 4/5/7/8 sweep, fanned over supervised worker processes.
+) -> Tuple[Dict[Cell, CellResult], Tuple[CellError, ...]]:
+    """Run a figure's cells: the one driver behind every figure function.
+
+    Validates every cell's technique, resumes checkpointed cells, runs
+    the rest through :func:`run_cells` with progress events and a run
+    manifest, and checkpoints each completed cell.
 
     Args:
         cache: a :class:`WorkloadCache` to use (and to run serially in
             when ``jobs == 1``), or an :class:`ExperimentConfig` from
             which each worker builds its own cache.
-        technique_keys: techniques to sweep (baseline LRU always runs).
-        benchmarks: workloads to sweep.
+        cells: the (workload, scheme) cells to run, in order.
         jobs: worker processes; ``None`` defers to ``REPRO_JOBS``.
         checkpoint: a :class:`CheckpointStore`, a directory path for
             one, or ``None`` to defer to ``REPRO_CHECKPOINT_DIR`` (no
@@ -474,9 +522,8 @@ def parallel_single_thread_comparison(
             to the ``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES`` /
             ``REPRO_RETRY_BACKOFF`` environment.
         allow_partial: override the policy's ``allow_partial``; a
-            partial sweep returns the completed cells with
-            ``comparison.failures`` describing the rest instead of
-            raising :class:`~repro.harness.faults.SweepAborted`.
+            partial sweep returns the completed cells and the failures
+            instead of raising :class:`~repro.harness.faults.SweepAborted`.
         events_file: NDJSON progress-event sink -- a path or an open
             file object (``None`` defers to ``REPRO_EVENTS_FILE``); see
             :mod:`repro.telemetry.events` for the schema.
@@ -489,7 +536,8 @@ def parallel_single_thread_comparison(
             atomically at sweep start and again at the end -- including
             on an aborted sweep, so a crashed run still leaves its
             provenance on disk.
-        command: label recorded in the manifest ("run", "suite", ...).
+        command: label recorded in the manifest ("run", "suite",
+            "figure6", ...).
         stream_cache: a :class:`~repro.sim.streamstore.StreamStore`, a
             directory path for one, or ``None`` to defer to
             ``REPRO_STREAM_CACHE`` (store disabled when that is unset
@@ -502,9 +550,9 @@ def parallel_single_thread_comparison(
             Workers attach zero-copy; the parent tears the segments
             down when supervision ends, however it ends.
 
-    Returns the same :class:`SingleThreadComparison` a serial
-    :func:`~repro.harness.experiments.single_thread_comparison` call
-    would, bit-identically -- including after resumes and retries.
+    Returns ``(results, failures)``: every completed cell's result --
+    bit-identical whatever the job count, retries and resumes -- and
+    the unrecovered failures (empty unless partial results are allowed).
 
     Raises:
         ValueError: for unknown technique keys (checked up front, before
@@ -512,7 +560,12 @@ def parallel_single_thread_comparison(
         SweepAborted: when cells fail unrecoverably and partial results
             are not allowed.
     """
-    bad_techniques = validate_techniques(technique_keys)
+    techniques = dict.fromkeys(
+        scheme.technique if isinstance(scheme, Scheme) else scheme
+        for _, scheme in cells
+        if scheme is not _BASELINE
+    )
+    bad_techniques = validate_techniques(techniques)
     if bad_techniques:
         raise ValueError("; ".join(bad_techniques))
 
@@ -545,25 +598,10 @@ def parallel_single_thread_comparison(
     elif workload_cache.stream_store is None:
         workload_cache.stream_store = streams
 
-    cells: List[Cell] = []
-    for benchmark in benchmarks:
-        cells.append((benchmark, _BASELINE))
-        cells.extend((benchmark, key) for key in technique_keys)
+    results: Dict[Cell, CellResult] = {}
 
-    baseline: Dict[str, RunResult] = {}
-    results: Dict[str, Dict[str, RunResult]] = {
-        benchmark: {} for benchmark in benchmarks
-    }
-
-    def place(cell: Cell, result: RunResult) -> None:
-        benchmark, technique_key = cell
-        if technique_key is _BASELINE:
-            baseline[benchmark] = result
-        else:
-            results[benchmark][technique_key] = result
-
-    def record(cell: Cell, result: RunResult, timing: Dict[str, object]) -> None:
-        place(cell, result)
+    def record(cell: Cell, result: CellResult, timing: Dict[str, object]) -> None:
+        results[cell] = result
         if store is not None:
             store.store(config, *cell, result)
 
@@ -573,20 +611,22 @@ def parallel_single_thread_comparison(
     for cell in cells:
         loaded = store.load(config, *cell) if (resume and store) else None
         if loaded is not None:
-            place(cell, loaded)
+            results[cell] = loaded
             resumed.append(cell)
         else:
             to_run.append(cell)
 
+    workloads = list(dict.fromkeys(workload for workload, _ in cells))
+    schemes = [str(scheme) for scheme in dict.fromkeys(
+        scheme for _, scheme in cells if scheme is not _BASELINE
+    )]
     effective_jobs = min(resolve_jobs(jobs), len(to_run)) if to_run else 1
     telemetry, manifest, manifest_file = _sweep_telemetry(
         events_file, progress, manifest_path, store, command, config,
-        technique_keys, benchmarks, effective_jobs,
+        schemes, workloads, effective_jobs,
     )
     if telemetry is not None:
-        telemetry.sweep_started(
-            len(cells), list(benchmarks), list(technique_keys), effective_jobs
-        )
+        telemetry.sweep_started(len(cells), workloads, schemes, effective_jobs)
         for cell in resumed:
             telemetry.cell_resumed(cell_label(cell))
         if manifest is not None:
@@ -624,11 +664,56 @@ def parallel_single_thread_comparison(
                 manifest.finalize(sweep_status, finished_at=time.time())
                 manifest.write(manifest_file)
             telemetry.close()
+    return results, failures
 
-    return SingleThreadComparison(
-        benchmarks=tuple(benchmarks),
-        technique_keys=tuple(technique_keys),
-        baseline=baseline,
-        results=results,
-        failures=failures,
+
+def parallel_single_thread_comparison(
+    cache: Union[WorkloadCache, ExperimentConfig],
+    technique_keys: Sequence[str],
+    benchmarks: Sequence[str] = SINGLE_THREAD_SUBSET,
+    jobs: Optional[int] = None,
+    checkpoint: Union[CheckpointStore, str, os.PathLike, None] = None,
+    resume: bool = False,
+    fault_policy: Optional[FaultPolicy] = None,
+    allow_partial: Optional[bool] = None,
+    events_file=None,
+    progress: Optional[bool] = None,
+    manifest_path: Union[str, os.PathLike, None] = None,
+    command: str = "run",
+    stream_cache: Union[StreamStore, str, os.PathLike, None] = None,
+    shared_memory: Optional[bool] = None,
+) -> "SingleThreadComparison":
+    """Figure 4/5/7/8 sweep: every benchmark under the LRU baseline and
+    each technique, through :func:`sweep`.
+
+    ``technique_keys`` are the techniques to sweep (the baseline LRU
+    always runs) and ``benchmarks`` the workloads; every other argument
+    is :func:`sweep`'s.  With ``allow_partial`` a sweep whose cells fail
+    unrecoverably returns the completed cells with
+    ``comparison.failures`` describing the rest.
+
+    :func:`~repro.harness.experiments.single_thread_comparison` is this
+    function with every knob left to the environment, so both return
+    the same :class:`SingleThreadComparison` bit-identically --
+    including after resumes and retries.
+    """
+    from repro.harness.experiments import SingleThreadComparison, comparison_cells
+
+    results, failures = sweep(
+        cache,
+        comparison_cells(benchmarks, technique_keys),
+        jobs=jobs,
+        checkpoint=checkpoint,
+        resume=resume,
+        fault_policy=fault_policy,
+        allow_partial=allow_partial,
+        events_file=events_file,
+        progress=progress,
+        manifest_path=manifest_path,
+        command=command,
+        stream_cache=stream_cache,
+        shared_memory=shared_memory,
+    )
+    return SingleThreadComparison.from_cells(
+        benchmarks, technique_keys, results, failures
     )

@@ -17,8 +17,10 @@ Variable                   Meaning                                  Default
 ``REPRO_INSTRUCTIONS``     instruction budget per benchmark         400000
 ``REPRO_SEED``             workload generation seed                 1
 ``REPRO_CORES``            cores in the multicore experiments       4
-``REPRO_JOBS``             worker processes for experiment sweeps   1
-``REPRO_CHECKPOINT_DIR``   persist completed sweep cells here       (off)
+``REPRO_JOBS``             worker processes for a figure's cells    1
+``REPRO_CHECKPOINT_DIR``   persist completed figure cells here      (off)
+``REPRO_EVENTS_FILE``      NDJSON progress events of each figure    (off)
+``REPRO_MANIFEST``         run manifest path of each figure         (off)
 ``REPRO_CELL_TIMEOUT``     per-cell wall-clock budget, seconds      (off)
 ``REPRO_CELL_RETRIES``     parallel retry rounds per failed cell    2
 ``REPRO_RETRY_BACKOFF``    base backoff between retry rounds, s     0.1
@@ -27,12 +29,18 @@ Variable                   Meaning                                  Default
 ``REPRO_SHM``              shared-memory workload fan-out           0
 =========================  =======================================  ========
 
-``REPRO_JOBS`` is read by :mod:`repro.harness.parallel`, not here: it
-controls how many (benchmark, technique) cells run concurrently and has
-no effect on simulated results (see docs/performance.md).  The
-checkpoint/timeout/retry knobs belong to the fault-tolerance layer
+``REPRO_JOBS`` is read by :mod:`repro.harness.parallel`, not here: every
+figure function runs its cells through that module's one driver, so it
+controls how many cells of any figure -- Figures 1, 4-10, Table III,
+the pattern sweep -- run concurrently, and has no effect on simulated
+results (see docs/performance.md).  The same driver reads the
+checkpoint/timeout/retry knobs of the fault-tolerance layer
 (:mod:`repro.harness.checkpoint`, :mod:`repro.harness.faults`; see
-docs/robustness.md) and likewise never change simulated results;
+docs/robustness.md), which likewise never change simulated results,
+and the observability knobs: ``REPRO_EVENTS_FILE`` writes a figure's
+progress events and, next to them, its run manifest
+(``<events>.manifest.json``, or ``REPRO_MANIFEST``; see
+docs/observability.md);
 ``REPRO_PARANOID`` is read by :class:`repro.cache.Cache` and only makes
 runs slower and invariant violations loud.  ``REPRO_STREAM_CACHE`` and
 ``REPRO_SHM`` enable the compiled workload store and its shared-memory

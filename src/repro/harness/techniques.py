@@ -33,8 +33,10 @@ from repro.sim.hierarchy import PreparedStream
 __all__ = [
     "MULTICORE_LRU_TECHNIQUES",
     "MULTICORE_RANDOM_TECHNIQUES",
+    "MEASURES",
     "RANDOM_DEFAULT_TECHNIQUES",
     "SINGLE_THREAD_TECHNIQUES",
+    "Scheme",
     "TECHNIQUES",
     "Technique",
     "UnknownTechniqueError",
@@ -217,6 +219,63 @@ MULTICORE_RANDOM_TECHNIQUES: Tuple[str, ...] = (
     "random_cdbp",
     "random_sampler",
 )
+
+
+#: What a cell measures: ``run`` (LLC stats, hit vector and, where the
+#: technique's timing is meaningful, core timing), ``accuracy`` (dead
+#: block prediction coverage and false positives, Figure 9) or
+#: ``efficiency`` (live-time ratio and per-frame matrix, Figure 1).
+MEASURES: Tuple[str, ...] = ("run", "accuracy", "efficiency")
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """A technique run under a non-default measure or predictor shape.
+
+    ``shape`` is a sorted tuple of ``SamplingDeadBlockPredictor`` keyword
+    arguments that replaces the ``sampler`` technique's default predictor
+    (Figure 6's component combinations).  A plain run is named by its
+    technique key alone, never by a ``Scheme``, so the identity of plain
+    cells does not change; a scheme's ``str`` is its content key
+    (``sampler|measure=accuracy``, ``sampler|shape=skewed=False``), which
+    labels its cell in events and manifests and extends its checkpoint
+    key with the non-default fields.
+    """
+
+    technique: str
+    measure: str = "run"
+    shape: Tuple[Tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.measure not in MEASURES:
+            raise ValueError(
+                f"unknown measure {self.measure!r} (valid: {', '.join(MEASURES)})"
+            )
+        if self.shape and self.technique != "sampler":
+            raise ValueError("a predictor shape applies to the 'sampler' technique")
+        if self.measure == "run" and not self.shape:
+            raise ValueError(
+                f"a plain run is named by its technique key {self.technique!r}"
+            )
+
+    def __str__(self) -> str:
+        text = self.technique
+        if self.shape:
+            text += "|shape=" + ",".join(f"{k}={v}" for k, v in self.shape)
+        if self.measure != "run":
+            text += f"|measure={self.measure}"
+        return text
+
+    def build(
+        self,
+        geometry: CacheGeometry,
+        stream: Optional[PreparedStream],
+        num_cores: int = 1,
+    ) -> ReplacementPolicy:
+        """Instantiate the technique's policy, reshaped if ``shape`` says so."""
+        if self.shape:
+            return DBRBPolicy(LRUPolicy(), SamplingDeadBlockPredictor(**dict(self.shape)))
+        return TECHNIQUES[self.technique].build(geometry, stream, num_cores)
 
 
 class UnknownTechniqueError(KeyError):

@@ -60,7 +60,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.experiments import SingleThreadComparison
+from repro.harness.experiments import SingleThreadComparison, comparison_cells
 from repro.harness.export import to_dict
 from repro.harness.faults import FaultPolicy, cell_label
 from repro.harness.parallel import resolve_jobs, run_cells
@@ -294,10 +294,7 @@ class ExperimentScheduler:
         if sweep:
             if not benchmarks:
                 benchmarks = list(SINGLE_THREAD_SUBSET)
-            cells: List[Cell] = []
-            for benchmark in benchmarks:
-                cells.append((benchmark, None))
-                cells.extend((benchmark, t) for t in techniques)
+            cells: List[Cell] = comparison_cells(benchmarks, techniques)
             kind = "sweep"
         else:
             if len(benchmarks) != 1 or len(techniques) > 1:
@@ -469,30 +466,15 @@ class ExperimentScheduler:
                     "(store cleared underneath the service?)"
                 )
             return _run_to_dict(run, benchmark, technique)
-        comparison = self._assemble_comparison(job)
-        return to_dict(comparison)
-
-    def _assemble_comparison(self, job: Job) -> SingleThreadComparison:
-        baseline: Dict[str, RunResult] = {}
-        results: Dict[str, Dict[str, RunResult]] = {
-            b: {} for b in job.benchmarks
-        }
-        for benchmark, technique in job.cells:
-            run = self.checkpoint.load(job.config, benchmark, technique)
-            if run is None:
+        runs = {}
+        for cell in job.cells:
+            runs[cell] = self.checkpoint.load(job.config, *cell)
+            if runs[cell] is None:
                 raise RuntimeError(
-                    f"job {job.id}: checkpoint for "
-                    f"{cell_label((benchmark, technique))} is missing"
+                    f"job {job.id}: checkpoint for {cell_label(cell)} is missing"
                 )
-            if technique is None:
-                baseline[benchmark] = run
-            else:
-                results[benchmark][technique] = run
-        return SingleThreadComparison(
-            benchmarks=job.benchmarks,
-            technique_keys=job.techniques,
-            baseline=baseline,
-            results=results,
+        return to_dict(
+            SingleThreadComparison.from_cells(job.benchmarks, job.techniques, runs)
         )
 
     def stats(self) -> Dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge as heap_merge
 from itertools import accumulate
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
@@ -76,6 +76,10 @@ class MulticoreResult:
     single_ipcs: List[float]
     llc_stats: CacheStats
     instructions: int
+    #: Replay kernel of the shared-LLC stream and, for the object kernel,
+    #: why the array path was not taken (as on ``RunResult``).
+    kernel: Optional[str] = None
+    kernel_fallback: Optional[str] = None
 
     @property
     def weighted_ipc(self) -> float:
@@ -194,4 +198,6 @@ class MulticoreSystem:
             single_ipcs=prepared.single_ipcs,
             llc_stats=cache.stats,
             instructions=sum(ft.instructions for ft in prepared.filtered),
+            kernel=cache.last_replay_kernel,
+            kernel_fallback=cache.last_replay_fallback,
         )

@@ -15,8 +15,8 @@ one expensive filter pass serves all six techniques of Figure 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cache.cache import Cache, CacheObserver
 from repro.cache.geometry import CacheGeometry
@@ -62,6 +62,11 @@ class RunResult:
     #: data, which stays bit-identical across kernels.
     kernel: Optional[str] = None
     kernel_fallback: Optional[str] = None
+    #: Plain numbers read off an analysis observer (``coverage`` and
+    #: ``false_positive_rate``; ``efficiency`` and ``efficiency_matrix``)
+    #: by the harness's cell runner, so they survive process boundaries,
+    #: checkpoints and the fleet wire, which all drop the observers.
+    analysis: Dict[str, object] = field(default_factory=dict)
 
     @property
     def mpki(self) -> float:

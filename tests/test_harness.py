@@ -21,7 +21,9 @@ from repro.harness import (
     multicore_comparison,
     single_thread_comparison,
 )
-from repro.harness.experiments import ablation_experiment
+from repro.harness.experiments import ABLATION_VARIANTS, ablation_experiment
+from repro.harness.parallel import _run_cell_on
+from repro.harness.techniques import Scheme
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +175,20 @@ class TestAblationExperiment:
         for _, measured, paper in rows:
             assert measured > 0
             assert paper > 1.0
+
+    def test_default_row_is_the_sampler_cell(self, small_cache):
+        # "DBRB+sampler+3 tables+12-way" is SamplingDeadBlockPredictor()'s
+        # own defaults, so the row runs as the plain sampler cell.
+        shape = dict(use_sampler=True, skewed=True, sampler_assoc=12)
+        shaped = _run_cell_on(
+            small_cache, ("hmmer", Scheme("sampler", shape=tuple(sorted(shape.items()))))
+        )
+        plain = _run_cell_on(small_cache, ("hmmer", "sampler"))
+        assert shaped.llc_stats.snapshot() == plain.llc_stats.snapshot()
+        assert shaped.timing.cycles == plain.timing.cycles
+        assert shaped.llc_hits == plain.llc_hits
+        assert ABLATION_VARIANTS[-1][0] == "DBRB+sampler+3 tables+12-way"
+        assert ABLATION_VARIANTS[-1][1] == {}
 
 
 class TestMulticoreComparison:

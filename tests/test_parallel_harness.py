@@ -2,8 +2,10 @@
 
 The load-bearing promise of :mod:`repro.harness.parallel` is that a
 parallel sweep is *bit-identical* to the serial one; the tests here pin
-that on a small budget, along with job-count resolution and the
-``REPRO_CORES`` / ``REPRO_JOBS`` environment overrides.
+that on a small budget -- for the CLI sweep and for every figure
+function -- along with the run manifest every figure writes, up-front
+technique validation, job-count resolution and the ``REPRO_CORES`` /
+``REPRO_JOBS`` environment overrides.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from repro.harness.parallel import (
     resolve_jobs,
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
-from repro.harness.experiments import single_thread_comparison
+from repro.harness.experiments import multicore_comparison, single_thread_comparison
+from repro.telemetry.manifest import RunManifest
+from tests.test_figure_goldens import FIGURES, digest, figure_output, tiny_config
 
 BENCHMARKS = ("perlbench", "mcf")
 TECHNIQUE_KEYS = ("rrip",)
@@ -136,6 +140,46 @@ class TestParallelComparison:
         assert not comparison.is_partial
         assert comparison.failures == ()
         assert comparison.failure_report() == ""
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_at_one_job_equals_two_and_writes_a_manifest(
+    figure, tmp_path, monkeypatch
+):
+    # Every figure function runs its cells through the one driver, so
+    # REPRO_JOBS fans it out bit-identically and REPRO_EVENTS_FILE gives
+    # it a manifest that names each cell's replay kernel and, for the
+    # object kernel, why the array kernel was not taken.
+    digests = {}
+    for jobs in ("1", "2"):
+        events = tmp_path / f"jobs{jobs}.ndjson"
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        monkeypatch.setenv("REPRO_EVENTS_FILE", str(events))
+        digests[jobs] = digest(figure_output(figure, WorkloadCache(tiny_config(1))))
+        manifest = RunManifest.load(f"{events}.manifest.json")
+        assert manifest["status"] == "ok"
+        assert manifest["cells"]
+        for label, cell in manifest["cells"].items():
+            assert cell["status"] == "ok", label
+            assert cell["kernel"] in ("array", "object"), label
+            assert ("kernel_fallback" in cell) == (cell["kernel"] == "object"), label
+    assert digests["1"] == digests["2"]
+
+
+class TestUpFrontValidation:
+    # A misspelled technique must fail before any workload is generated
+    # or any cell runs, with a closest-match suggestion.
+    def test_multicore_comparison_prepares_no_mix(self):
+        cache = WorkloadCache(SMALL)
+        with pytest.raises(ValueError, match=r"unknown technique 'samplr'.*did you mean 'sampler'"):
+            multicore_comparison(cache, ["samplr"])
+        assert not cache._mixes
+
+    def test_single_thread_comparison_runs_no_baseline(self):
+        cache = WorkloadCache(SMALL)
+        with pytest.raises(ValueError, match=r"unknown technique 'samplr'.*did you mean 'sampler'"):
+            single_thread_comparison(cache, ["samplr"], BENCHMARKS)
+        assert not cache._filtered
 
 
 class TestWorkloadCacheClear:
