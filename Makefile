@@ -19,7 +19,7 @@ help:
 	@echo "test-service experiment-service tests only (hard per-test deadlines)"
 	@echo "test-fleet   worker-fleet tests only: leases, heartbeats, re-dispatch, chaos (hard per-test deadlines)"
 	@echo "test-workloads pattern-generator and trace-replay tests only (hard per-test deadlines)"
-	@echo "test-loadsim load-simulator tests only: engine, arrivals, determinism, golden percentiles (hard per-test deadlines)"
+	@echo "test-loadsim load-simulator tests only: arrivals, determinism, golden percentiles, output pins (hard per-test deadlines)"
 	@echo "lint         ruff check (skips with a notice when ruff is not installed)"
 	@echo "check        lint + test suite + bench-smoke + serve-smoke + fleet-smoke + loadsim-smoke (the default pre-commit gate)"
 	@echo "bench        kernel/store/pattern/loadsim throughput gates, full budget -> BENCH_THROUGHPUT.json"
@@ -64,8 +64,9 @@ test-fleet:
 test-workloads:
 	$(PYTHON) -m pytest tests/ -m workloads
 
-# Load-simulator tests: event-loop engine, arrival processes, the
-# byte-identical determinism property, and the golden percentile pins.
+# Load-simulator tests: arrival processes and scenario validation, the
+# byte-identical determinism property, and the golden percentile and
+# output pins.
 test-loadsim:
 	$(PYTHON) -m pytest tests/ -m loadsim
 

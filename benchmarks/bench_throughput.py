@@ -36,8 +36,8 @@ Measures the fast paths in isolation and writes one report
   yield identical streams, and the warm path must reach
   :data:`MIN_STORE_SPEEDUP`.
 * **patterns**: pattern-generation and trace import/replay throughput.
-* **loadsim**: event throughput of the discrete-event load simulator on
-  a fixed two-tenant scenario.  Its event-log digest must equal
+* **loadsim**: event-log throughput of the load simulator's run on a
+  fixed two-tenant scenario.  Its event-log digest must equal
   :data:`LOADSIM_DIGEST` on every run.
 
 Every floor is a ratio of two paths timed in the same process, so it
@@ -599,14 +599,18 @@ _LOADSIM_TRIALS = 3
 
 
 def _measure_loadsim() -> Dict:
-    """Event throughput of the discrete-event load simulator.
+    """Event-log throughput of the load simulator's run.
 
     Runs a FIXED small scenario (its own config, independent of the
     bench budget) so smoke and full runs are directly comparable: two
     tenants -- skewed Zipf under Poisson arrivals next to mcf under MMPP
     bursts -- through sampler-driven DBRB.  Every trial must produce the
     same event-log digest (the determinism contract); ``main`` checks
-    it against :data:`LOADSIM_DIGEST`.
+    it against :data:`LOADSIM_DIGEST`.  ``events`` counts the log (one
+    arrival and one completion per request); ``events_per_sec`` divides
+    it by the best trial's :meth:`~repro.loadsim.sim.PreparedScenario.run`
+    time, which excludes preparation (traces, request tables, the
+    arrival schedule).
     """
     from repro.loadsim import LoadScenario, TenantSpec, prepare_scenario
 

@@ -655,22 +655,19 @@ def loadsim_experiment(
     cache: WorkloadCache,
     scenario: "LoadScenario",
     technique_keys: Sequence[str] = ("sampler", "lru"),
-    record_events: bool = True,
 ) -> LoadSimComparison:
     """Simulate one load scenario under each technique (docs/loadsim.md).
 
     Tenant preparation (trace generation, L1/L2 filtering, request
-    tables) is shared across techniques through the workload cache; the
-    simulation itself is re-run per technique against a fresh LLC.  Pass
-    ``record_events=False`` to skip the per-event log (large scenarios)
-    -- digests then cover an empty log, but every metric is unchanged.
+    tables, the arrival schedule) is shared across techniques; the
+    simulation itself is re-run per technique against a fresh LLC.
     """
     from repro.loadsim.sim import prepare_scenario
 
     prepared = prepare_scenario(cache, scenario)
     results: Dict[str, "LoadSimResult"] = {}
     for key in technique_keys:
-        results[key] = prepared.run(key, record_events=record_events)
+        results[key] = prepared.run(key)
     return LoadSimComparison(
         scenario=scenario.describe(),
         technique_keys=tuple(technique_keys),

@@ -3,10 +3,10 @@
 The paper evaluates dead-block replacement-and-bypass by MPKI and
 weighted speedup on fixed multiprogrammed mixes; this subsystem drives
 the same shared LLC with *open-loop tenant traffic* (Poisson and MMPP
-bursts over the suite's workload specs) through a deterministic
-discrete-event engine, and reports what a service operator would ask
-for: p50/p95/p99 request latency, per-tenant MPKI, throughput, and
-Jain fairness -- with every run a pure function of
+bursts over the suite's workload specs), ordered once per scenario by
+a deterministic arrival schedule, and reports what a service operator
+would ask for: p50/p95/p99 request latency, per-tenant MPKI,
+throughput, and Jain fairness -- with every run a pure function of
 ``(tenants, arrivals, seed, technique)``.
 
 See ``docs/loadsim.md`` for the model and CLI walkthrough.
@@ -20,7 +20,6 @@ from repro.loadsim.arrivals import (
     UniformArrivals,
     parse_arrival_spec,
 )
-from repro.loadsim.engine import EventLoop
 from repro.loadsim.sim import (
     DEFAULT_ARRIVAL,
     DEFAULT_TENANT_WORKLOADS,
@@ -48,7 +47,6 @@ __all__ = [
     "DEFAULT_ARRIVAL",
     "DEFAULT_OPS",
     "DEFAULT_TENANT_WORKLOADS",
-    "EventLoop",
     "LoadScenario",
     "LoadSimResult",
     "PoissonArrivals",

@@ -194,6 +194,13 @@ def parse_arrival_spec(spec: str) -> ArrivalProcess:
                     f"arrival spec {spec!r}: {key} must be a number, "
                     f"got {raw.strip()!r}"
                 ) from None
+            # inf would schedule endless zero gaps; nan compares false
+            # against every bound and silently truncates the run.
+            if not math.isfinite(values[key]):
+                raise ArrivalSpecError(
+                    f"arrival spec {spec!r}: {key} must be finite, "
+                    f"got {raw.strip()!r}"
+                )
     process = factory(**values)
     rendered = ",".join(
         f"{name}={_format_value(values[name])}" for name, _ in params

@@ -24,12 +24,15 @@ is the queueing delay at the shared LLC/memory station, modeled as a
 single FIFO server (busy from a request's service start to its end, in
 global arrival order).
 
-Determinism: the event engine breaks ties by scheduling order, every
-tenant owns a seeded RNG, and arrivals are open-loop, so the LLC access
-interleaving is a pure function of ``(tenants, arrival specs, seed)``
-and **identical across techniques** -- the same contention pattern hits
-LRU and DBRB, which makes latency deltas attributable to the policy.
-Completion times feed back into nothing.
+Determinism: every tenant owns a seeded RNG and arrivals are open-loop,
+so the LLC access interleaving is a pure function of ``(tenants,
+arrival specs, seed)`` and **identical across techniques** -- the same
+contention pattern hits LRU and DBRB, which makes latency deltas
+attributable to the policy.  Completion times feed back into nothing,
+so :func:`arrival_schedule` orders every request once per scenario
+(ties broken by a fixed rule), and a run is one pass over that
+schedule: replay each request's LLC span, then serve it at the FIFO
+station.
 
 Metrics: p50/p95/p99 request latency (nearest-rank,
 :func:`repro.sim.metrics.percentiles`), per-tenant MPKI, throughput in
@@ -44,7 +47,9 @@ from __future__ import annotations
 import csv
 import gc
 import hashlib
+import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -52,7 +57,6 @@ from repro.cache.cache import Cache
 from repro.cache.stats import CacheStats
 from repro.harness.techniques import resolve_technique
 from repro.loadsim.arrivals import parse_arrival_spec
-from repro.loadsim.engine import EventLoop
 from repro.loadsim.tenants import (
     DEFAULT_OPS,
     TENANT_ADDRESS_SHIFT,
@@ -63,6 +67,7 @@ from repro.loadsim.tenants import (
 from repro.sim.hierarchy import prepare_stream
 from repro.sim.metrics import jain_fairness_index, percentiles
 from repro.telemetry.probe import IntervalRecorder
+from repro.utils.rng import XorShift64
 
 __all__ = [
     "DEFAULT_ARRIVAL",
@@ -71,6 +76,7 @@ __all__ = [
     "LoadSimResult",
     "PreparedScenario",
     "TenantReport",
+    "arrival_schedule",
     "prepare_scenario",
     "resolve_tenant_specs",
     "write_csv",
@@ -110,8 +116,19 @@ class LoadScenario:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ValueError("a load scenario needs at least one tenant")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        count = len(self.tenants)
+        if count & (count - 1):
+            raise ValueError(
+                f"{count} tenants: the shared LLC is the per-core LLC times "
+                "the tenant count, and its set count must be a power of "
+                "two, so the tenant count must be one too"
+            )
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
+        if self.ops < 1:
+            raise ValueError(f"ops per request must be positive, got {self.ops}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -248,12 +265,56 @@ class LoadSimResult:
         }
 
 
+#: ``(time, tie key, tenant index, req_id)`` of one request.
+Arrival = Tuple[float, int, int, int]
+
+
+def arrival_schedule(scenario: LoadScenario) -> List[Arrival]:
+    """Every request of a scenario, in the order it reaches the LLC.
+
+    Each tenant draws its gaps from its own :class:`XorShift64`, seeded
+    from the scenario seed folded with the tenant index, and from a
+    freshly parsed arrival process (MMPP burst state starts cold).  A
+    heap holds each tenant's next arrival; requests leave it in
+    ``(time, tie key)`` order.  The tie key is the order a scheduler
+    would have queued the events in: the tenants' first arrivals in
+    tenant order (negative keys), then, for the request at position
+    ``k``, its completion (``2k``) followed by its tenant's next arrival
+    (``2k + 1``).  Epoch boundaries tie before everything.  Completion
+    times never feed back, so the schedule is technique-independent.
+    """
+    duration = scenario.duration
+    count = len(scenario.tenants)
+    rngs = [
+        XorShift64((scenario.seed << 8) ^ (index + 1) ^ 0x5DEECE66D)
+        for index in range(count)
+    ]
+    processes = [parse_arrival_spec(t.arrival) for t in scenario.tenants]
+    pending = []
+    for index in range(count):
+        first = processes[index].next_gap(rngs[index])
+        if first < duration:
+            pending.append((first, index - count, index))
+    heapq.heapify(pending)
+    issued = [0] * count
+    schedule: List[Arrival] = []
+    while pending:
+        time, key, index = heapq.heappop(pending)
+        position = len(schedule)
+        schedule.append((time, key, index, issued[index]))
+        issued[index] += 1
+        following = time + processes[index].next_gap(rngs[index])
+        if following < duration:
+            heapq.heappush(pending, (following, 2 * position + 1, index))
+    return schedule
+
+
 class PreparedScenario:
     """A scenario with its tenants prepared against one machine.
 
     Preparation (trace generation, L1/L2 filtering, request tables,
-    relocated LLC streams) is paid once; :meth:`run` replays the same
-    scenario under any technique.
+    relocated LLC streams, the arrival schedule) is paid once;
+    :meth:`run` replays the same scenario under any technique.
     """
 
     def __init__(self, scenario: LoadScenario, machine, tenants: List[PreparedTenant],
@@ -262,10 +323,10 @@ class PreparedScenario:
         self.machine = machine
         self.tenants = tenants
         self.geometry = geometry
+        self.schedule = arrival_schedule(scenario)
 
     # ------------------------------------------------------------------
-    def run(self, technique_key: str = "sampler",
-            record_events: bool = True) -> LoadSimResult:
+    def run(self, technique_key: str = "sampler") -> LoadSimResult:
         """Simulate the scenario under one LLC technique."""
         technique = resolve_technique(technique_key)
         if technique_key == "optimal":
@@ -274,100 +335,93 @@ class PreparedScenario:
                 "a live load simulation cannot provide one"
             )
         scenario = self.scenario
-        for tenant in self.tenants:
-            tenant.reset(scenario.seed)
+        schedule = self.schedule
+        tenants = self.tenants
         # A finished run's LLC is cyclic garbage (cache and policy refer
         # to each other), freed only by a full collection; collect it
         # now so two runs' frame arrays never coexist.
         gc.collect()
-        policy = technique.build(self.geometry, None, num_cores=len(self.tenants))
+        policy = technique.build(self.geometry, None, num_cores=len(tenants))
         cache = Cache(self.geometry, policy, name="loadsim-LLC")
         recorder = IntervalRecorder(epochs=scenario.epochs)
         recorder.set_context(
-            workload="+".join(t.spec.workload for t in self.tenants),
+            workload="+".join(t.spec.workload for t in tenants),
             technique=technique_key,
-            tenants=len(self.tenants),
+            tenants=len(tenants),
             duration=scenario.duration,
             seed=scenario.seed,
         )
         recorder.begin_run(cache, 0)
 
-        loop = EventLoop()
         duration = scenario.duration
+        epoch_length = duration / scenario.epochs
+        boundaries = [b * epoch_length for b in range(scenario.epochs, 0, -1)]
         llc_latency = self.machine.llc_latency
         memory_latency = self.machine.memory_latency
-        events: List[Tuple] = []
-        latency_series: List[float] = []
-        # ``llc_count`` is also the next LLC access's ``seq``.
-        state = {"station_free": 0.0, "llc_count": 0, "completed_in_window": 0}
         cache_access = cache.access
-
-        def complete(time: float, tenant: PreparedTenant, req_id: int,
-                     latency: float) -> None:
-            tenant.completed += 1
-            tenant.latencies.append(latency)
-            latency_series.append(latency)
-            if time <= duration:
-                tenant.completed_in_window += 1
-                state["completed_in_window"] += 1
-            if record_events:
-                events.append(("fin", time, tenant.index, req_id, latency))
-
-        def arrive(time: float, tenant: PreparedTenant) -> None:
-            if time >= duration:
-                return
-            req_id, instructions, private, llc_lo, llc_hi = tenant.next_request()
-            tenant.arrived += 1
-            tenant.instructions += instructions
-            if record_events:
-                events.append(("arr", time, tenant.index, req_id))
+        instructions = [0] * len(tenants)
+        llc_accesses = [0] * len(tenants)
+        llc_misses = [0] * len(tenants)
+        completions: List[float] = []  # per schedule position
+        station_free = 0.0
+        llc_count = 0  # also the next LLC access's ``seq``
+        for time, _, index, req_id in schedule:
+            while boundaries and boundaries[-1] <= time:
+                boundaries.pop()
+                recorder.on_epoch(cache, llc_count)
+            tenant = tenants[index]
+            table = tenant.requests
+            request_instructions, private, llc_lo, llc_hi = table[req_id % len(table)]
+            instructions[index] += request_instructions
             if llc_hi > llc_lo:
-                first = state["llc_count"]
                 hits = 0
                 for seq, access in enumerate(
-                    tenant.stream.accesses[llc_lo:llc_hi], first
+                    tenant.stream.accesses[llc_lo:llc_hi], llc_count
                 ):
                     access.seq = seq
                     hits += cache_access(access)
                 count = llc_hi - llc_lo
                 misses = count - hits
-                state["llc_count"] = first + count
-                tenant.llc_accesses += count
-                tenant.llc_misses += misses
+                llc_count += count
+                llc_accesses[index] += count
+                llc_misses[index] += misses
                 # Latencies are whole cycles, so this is exactly the
                 # per-access sum.
                 service = hits * llc_latency + misses * memory_latency
-                start = max(time + private, state["station_free"])
-                completion = start + service
-                state["station_free"] = completion
+                # The FIFO station serves requests in arrival order.
+                station_free = max(time + private, station_free) + service
+                completion = station_free
             else:
                 completion = time + private
-            latency = completion - time
-            loop.schedule_at(
-                completion,
-                lambda now, t=tenant, r=req_id, lat=latency: complete(now, t, r, lat),
-            )
-            gap = tenant.next_gap()
-            if time + gap < duration:
-                loop.schedule_at(
-                    time + gap, lambda now, t=tenant: arrive(now, t)
-                )
+            completions.append(completion)
+        for _ in boundaries:
+            recorder.on_epoch(cache, llc_count)
+        recorder.end_run(cache, llc_count)
 
-        # Epoch boundaries slice the arrival window by simulated time;
-        # they are scheduled up-front so their tie-breaking order never
-        # depends on the traffic.
-        epoch_length = duration / scenario.epochs
-        for boundary in range(1, scenario.epochs + 1):
-            loop.schedule_at(
-                boundary * epoch_length,
-                lambda now: recorder.on_epoch(cache, state["llc_count"]),
-            )
-        for tenant in self.tenants:
-            first = tenant.next_gap()
-            if first < duration:
-                loop.schedule_at(first, lambda now, t=tenant: arrive(now, t))
-        loop.run()
-        recorder.end_run(cache, state["llc_count"])
+        # Completion order, ties in schedule order (the sort is stable,
+        # and request k's completion key 2k grows with k); the float
+        # sums below depend on it.
+        order = sorted(range(len(completions)), key=completions.__getitem__)
+        latency_series: List[float] = []
+        latencies: List[List[float]] = [[] for _ in tenants]
+        in_window = [0] * len(tenants)
+        for k in order:
+            time, _, index, _ = schedule[k]
+            latency = completions[k] - time
+            latency_series.append(latency)
+            latencies[index].append(latency)
+            if completions[k] <= duration:
+                in_window[index] += 1
+        arrivals = (
+            (time, key, ("arr", time, index, req_id))
+            for time, key, index, req_id in schedule
+        )
+        finishes = (
+            (completions[k], 2 * k,
+             ("fin", completions[k], schedule[k][2], schedule[k][3], latency))
+            for k, latency in zip(order, latency_series)
+        )
+        events = [event for _, _, event in heapq.merge(arrivals, finishes)]
 
         if latency_series:
             latency_percentiles = percentiles(latency_series, LATENCY_POINTS)
@@ -375,26 +429,30 @@ class PreparedScenario:
         else:
             latency_percentiles = {point: 0.0 for point in LATENCY_POINTS}
             mean_latency = 0.0
-        active = [t.mean_latency for t in self.tenants if t.completed]
+        means = [sum(series) / len(series) if series else 0.0 for series in latencies]
+        active = [mean for mean, series in zip(means, latencies) if series]
         fairness = jain_fairness_index(active) if active else 1.0
         reports = tuple(
             TenantReport(
-                workload=t.spec.workload,
-                arrival=t.arrival.spec,
-                arrived=t.arrived,
-                completed=t.completed,
-                completed_in_window=t.completed_in_window,
-                instructions=t.instructions,
-                llc_accesses=t.llc_accesses,
-                llc_misses=t.llc_misses,
-                mpki=t.mpki,
-                mean_latency=t.mean_latency,
-                p99_latency=(
-                    percentiles(t.latencies, (99.0,))[99.0] if t.latencies else 0.0
+                workload=tenant.spec.workload,
+                arrival=tenant.arrival,
+                arrived=len(latencies[i]),
+                completed=len(latencies[i]),
+                completed_in_window=in_window[i],
+                instructions=instructions[i],
+                llc_accesses=llc_accesses[i],
+                llc_misses=llc_misses[i],
+                mpki=(
+                    llc_misses[i] * 1000.0 / instructions[i]
+                    if instructions[i] else 0.0
                 ),
-                throughput=t.completed_in_window / (duration / 1000.0),
+                mean_latency=means[i],
+                p99_latency=(
+                    percentiles(latencies[i], (99.0,))[99.0] if latencies[i] else 0.0
+                ),
+                throughput=in_window[i] / (duration / 1000.0),
             )
-            for t in self.tenants
+            for i, tenant in enumerate(tenants)
         )
         return LoadSimResult(
             technique=technique_key,
@@ -405,7 +463,7 @@ class PreparedScenario:
             latency_series=latency_series,
             latency_percentiles=latency_percentiles,
             mean_latency=mean_latency,
-            throughput=state["completed_in_window"] / (duration / 1000.0),
+            throughput=sum(in_window) / (duration / 1000.0),
             fairness=fairness,
             llc_stats=cache.stats,
             recorder=recorder,

@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.loadsim.arrivals import ArrivalProcess, parse_arrival_spec
+from repro.loadsim.arrivals import parse_arrival_spec
 from repro.sim.hierarchy import L1_HIT, L2_HIT, FilteredTrace, PreparedStream
-from repro.utils.rng import XorShift64
 
 __all__ = ["PreparedTenant", "TenantSpec", "split_specs"]
 
@@ -80,13 +79,12 @@ class TenantSpec:
 
 
 class PreparedTenant:
-    """A tenant's precomputed request table plus its live run state.
+    """A tenant's precomputed request table.
 
-    The request table (instructions / private cycles / LLC span per
-    request) is a pure function of the filtered trace and ``ops``; the
-    run state (RNG, cyclic request cursor, per-tenant counters) is reset
-    per simulation via :meth:`reset` so one prepared tenant serves every
-    technique of a comparison identically.
+    The table (instructions / private cycles / LLC span per request) is
+    a pure function of the filtered trace and ``ops``, so one prepared
+    tenant serves every technique of a comparison identically.  Request
+    ``req_id`` is entry ``req_id % len(requests)``.
     """
 
     def __init__(
@@ -99,25 +97,14 @@ class PreparedTenant:
         l2_latency: int,
         ops: int = DEFAULT_OPS,
     ) -> None:
-        if ops < 1:
-            raise ValueError(f"ops per request must be positive, got {ops}")
         self.index = index
         self.spec = spec
-        self.arrival: ArrivalProcess = parse_arrival_spec(spec.arrival)
+        #: The canonical arrival spec (family defaults filled in).
+        self.arrival = parse_arrival_spec(spec.arrival).spec
         self.stream = stream
         self.ops = ops
         self.requests: List[Tuple[int, float, int, int]] = []  # (instr, private, llc_lo, llc_hi)
         self._build_table(filtered, l1_latency, l2_latency)
-        # ---- per-run state (reset() before every simulation) ----
-        self.rng = XorShift64()
-        self.cursor = 0
-        self.arrived = 0
-        self.completed = 0
-        self.completed_in_window = 0
-        self.instructions = 0
-        self.llc_accesses = 0
-        self.llc_misses = 0
-        self.latencies: List[float] = []
 
     # ------------------------------------------------------------------
     def _build_table(self, filtered: FilteredTrace,
@@ -145,49 +132,3 @@ class PreparedTenant:
             raise ValueError(
                 f"tenant workload {self.spec.workload!r} produced an empty trace"
             )
-
-    # ------------------------------------------------------------------
-    def reset(self, seed: int) -> None:
-        """Rewind the tenant for a fresh simulation run.
-
-        The RNG seed folds the scenario seed with the tenant index, so
-        tenants draw independent arrival streams while the whole
-        scenario stays a pure function of one seed.  The arrival process
-        is re-parsed so stateful processes (MMPP burst state) restart
-        cold.
-        """
-        self.rng = XorShift64((seed << 8) ^ (self.index + 1) ^ 0x5DEECE66D)
-        self.arrival = parse_arrival_spec(self.spec.arrival)
-        self.cursor = 0
-        self.arrived = 0
-        self.completed = 0
-        self.completed_in_window = 0
-        self.instructions = 0
-        self.llc_accesses = 0
-        self.llc_misses = 0
-        self.latencies = []
-
-    def next_request(self) -> Tuple[int, int, float, int, int]:
-        """The next request (cyclic): ``(req_id, instr, private, lo, hi)``."""
-        req_id = self.cursor
-        table = self.requests
-        entry = table[req_id % len(table)]
-        self.cursor = req_id + 1
-        return (req_id,) + entry
-
-    def next_gap(self) -> float:
-        return self.arrival.next_gap(self.rng)
-
-    # ------------------------------------------------------------------
-    @property
-    def mpki(self) -> float:
-        """Shared-LLC misses per kilo-instruction of *arrived* work."""
-        if not self.instructions:
-            return 0.0
-        return self.llc_misses * 1000.0 / self.instructions
-
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)

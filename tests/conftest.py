@@ -12,7 +12,7 @@ lease-based dispatch with real worker processes, workload tests
 (``@pytest.mark.workloads``, run via ``make test-workloads``) exercise
 pattern generators and trace replay, and load-simulator tests
 (``@pytest.mark.loadsim``, run via ``make test-loadsim``) exercise the
-discrete-event engine and arrival processes; a regression in any can
+arrival schedule and the simulation pass; a regression in any can
 *wedge* rather than fail, so every marked test runs under a hard SIGALRM
 deadline (default 120s, override with
 ``@pytest.mark.faults(timeout=N)`` / ``@pytest.mark.service(timeout=N)``)
