@@ -4,23 +4,26 @@ Measures the fast paths in isolation and writes one report
 (``"schema": "repro-bench/2"``, ``BENCH_THROUGHPUT.json`` by default):
 
 * **array_kernel**: the simple-policy technique cells replayed through
-  the object kernel (:func:`repro.sim.replay._replay_fast`) and through
+  the reference loop ``[cache.access(a) for a in stream.accesses]`` --
+  the "object" side, what :func:`~repro.sim.replay.replay` runs when
+  the array kernels decline -- and through
   :func:`~repro.sim.replay.replay`, which takes the array kernels
   (:mod:`repro.sim.replay_array`), interleaved best-of-N per cell with
-  the shared :class:`~repro.cache.soa.ReplayIndex` prebuilt.  Both
-  kernels must produce identical hit vectors and statistics; cells the
-  substrate declines (e.g. ``small-stream``) are recorded as skipped,
-  and :data:`FALLBACK_PROBE_TECHNIQUE` is probed to prove the automatic
+  the stream's access objects and the shared
+  :class:`~repro.cache.soa.ReplayIndex` prebuilt.  Both sides must
+  produce identical hit vectors and statistics; cells the substrate
+  declines (e.g. ``small-stream``) are recorded as skipped, and
+  :data:`FALLBACK_PROBE_TECHNIQUE` is probed to prove the automatic
   fallback.  The aggregate must reach :data:`MIN_ARRAY_SPEEDUP`.
 * **sampler_kernel**: the paper's headline cells -- DBRB over the
   sampling predictor on the LRU and random defaults -- replayed
-  object-vs-array the same interleaved best-of-N way.  These cells are
-  *required* to run array-native (a decline aborts the run), and the
-  aggregate must reach :data:`MIN_SAMPLER_SPEEDUP`.
+  reference-loop-vs-array the same interleaved best-of-N way.  These
+  cells are *required* to run array-native (a decline aborts the run),
+  and the aggregate must reach :data:`MIN_SAMPLER_SPEEDUP`.
 * **fig4_cell_kernel**: the rest of Figure 4 -- TDBP and CDBP (DBRB
   over the reftrace and counting predictors, LRU default) and optimal
-  (MIN plus bypass) -- replayed object-vs-array the same way, also
-  *required* to run array-native, with the aggregate gated at
+  (MIN plus bypass) -- replayed reference-loop-vs-array the same way,
+  also *required* to run array-native, with the aggregate gated at
   :data:`MIN_FIG4_OBJECT_CELL_SPEEDUP`.
 * **timing**: the core timing model over those cells' hit vectors,
   the record-by-record reference (:meth:`CoreModel.run_reference`)
@@ -72,7 +75,7 @@ from repro.cache.cache import Cache  # noqa: E402
 from repro.harness.runner import ExperimentConfig, WorkloadCache  # noqa: E402
 from repro.harness.techniques import TECHNIQUES  # noqa: E402
 from repro.sim.cpu import CoreModel  # noqa: E402
-from repro.sim.replay import _replay_fast, replay  # noqa: E402
+from repro.sim.replay import replay  # noqa: E402
 from repro.sim.streamstore import (  # noqa: E402
     SharedStreamExport,
     StreamStore,
@@ -81,18 +84,18 @@ from repro.sim.streamstore import (  # noqa: E402
 from repro.telemetry import IntervalRecorder  # noqa: E402
 from repro.workloads import SINGLE_THREAD_SUBSET  # noqa: E402
 
-#: Minimum aggregate speedup of the array kernels over the object
-#: kernel on the eligible cells.
+#: Minimum aggregate speedup of the array kernels over the reference
+#: loop on the eligible cells.
 MIN_ARRAY_SPEEDUP = 1.3
 
-#: Minimum aggregate speedup of the batched DBRB kernel over the object
-#: kernel on the sampler cells.  Higher than the generic floor: the
-#: kernel replaces the predictor simulation wholesale, so a thin win
+#: Minimum aggregate speedup of the batched DBRB kernel over the
+#: reference loop on the sampler cells.  Higher than the generic floor:
+#: the kernel replaces the predictor simulation wholesale, so a thin win
 #: means the plane precompute leaked into the replay.
 MIN_SAMPLER_SPEEDUP = 1.5
 
 #: Minimum aggregate speedup of the TDBP/CDBP/optimal array kernels over
-#: the object kernel on their Figure-4 cells (measured ~2.4-2.9x).
+#: the reference loop on their Figure-4 cells.
 MIN_FIG4_OBJECT_CELL_SPEEDUP = 1.5
 
 #: Minimum aggregate speedup of the plan-based core model over the
@@ -117,9 +120,9 @@ ARRAY_TECHNIQUES = ("lru", "dip", "rrip", "random")
 #: *requires* the batched DBRB kernel to take them.
 SAMPLER_TECHNIQUES = ("sampler", "random_sampler")
 
-#: Figure 4's remaining cells, which replayed on the object kernel
-#: before their array kernels existed; the fig4_cell_kernel section
-#: *requires* the array path for them.
+#: Figure 4's remaining cells (DBRB over the trained predictors, and
+#: optimal); the fig4_cell_kernel section *requires* the array path for
+#: them.
 FIG4_OBJECT_CELL_TECHNIQUES = ("tdbp", "cdbp", "optimal")
 
 #: Interleaved trials per array-kernel cell; the best of each side is
@@ -127,7 +130,7 @@ FIG4_OBJECT_CELL_TECHNIQUES = ("tdbp", "cdbp", "optimal")
 _ARRAY_TRIALS = 5
 
 #: A technique with no array kernel (``policy:SHiPPolicy``): the probe
-#: cell proving the replay declines to the object kernel on its own.
+#: cell proving the replay declines to the reference loop on its own.
 FALLBACK_PROBE_TECHNIQUE = "ship"
 
 _SMOKE_BENCHMARKS = ("perlbench", "mcf")
@@ -138,20 +141,23 @@ def _measure_kernel_cells(
     workload_cache, technique_keys, benchmarks,
     probe_key: Optional[str] = None, require_array: bool = False,
 ) -> Dict:
-    """Time the given cells through both replay kernels.
+    """Time the given cells through the reference loop and the array
+    kernels.
 
     Per cell: ``_ARRAY_TRIALS`` interleaved (object, array) runs over
-    the same prepared stream, best of each side kept.  The shared
-    :class:`~repro.cache.soa.ReplayIndex` (and, for DBRB cells, the
-    :class:`~repro.cache.soa.PredictionPlane`) is prebuilt outside the
-    clocks -- both are amortized across every technique of a sweep, the
-    same contract as the precomputed ``(set_index, tag)`` decomposition
-    the object kernel already enjoys.  Hit vectors and statistics must
-    match between kernels; a cell the substrate declines (e.g. a stream
-    too small to amortize the frame planes) is recorded as skipped with
-    its fallback reason -- unless ``require_array``, where any decline
-    but the size/state heuristics aborts the run (the sampler and
-    Figure-4 cells must replay array-native).
+    the same prepared stream, best of each side kept; the object side
+    is the reference loop ``[cache.access(a) for a in
+    stream.accesses]``, the array side :func:`replay`.  The stream's
+    access objects (the reference loop's input), the shared
+    :class:`~repro.cache.soa.ReplayIndex` and, for DBRB cells, the
+    :class:`~repro.cache.soa.PredictionPlane` are prebuilt outside the
+    clocks -- all are amortized across every technique of a sweep.  Hit
+    vectors and statistics must match between the two sides; a cell the
+    substrate declines (e.g. a stream too small to amortize the frame
+    planes) is recorded as skipped with its fallback reason -- unless
+    ``require_array``, where any decline but the size/state heuristics
+    aborts the run (the sampler and Figure-4 cells must replay
+    array-native).
     """
     geometry = workload_cache.machine.llc
     per_technique: Dict[str, Dict] = {
@@ -163,7 +169,7 @@ def _measure_kernel_cells(
     for benchmark in benchmarks:
         filtered = workload_cache.filtered(benchmark)
         stream = filtered.llc_stream(geometry)
-        # The object kernel's input, built before any clock starts.
+        # The reference loop's input, built before any clock starts.
         stream.accesses
         stream.replay_index(geometry.num_sets)
         if require_array:
@@ -181,7 +187,7 @@ def _measure_kernel_cells(
                 gc_was_enabled = gc.isenabled()
                 gc.disable()
                 start = time.perf_counter()
-                object_hits = _replay_fast(cache, stream)
+                object_hits = [cache.access(a) for a in stream.accesses]
                 elapsed = time.perf_counter() - start
                 if gc_was_enabled:
                     gc.enable()
@@ -230,7 +236,7 @@ def _measure_kernel_cells(
 
         if fallback_probe is None and measured_any and probe_key in TECHNIQUES:
             # One technique with no array kernel: the replay must
-            # decline to the object kernel on its own.
+            # decline to the reference loop on its own.
             technique = TECHNIQUES[probe_key]
             cache = Cache(geometry, technique.build(geometry, stream))
             replay(cache, stream)
@@ -276,8 +282,9 @@ def _measure_kernel_cells(
 
 
 def _measure_array_kernel(workload_cache, technique_keys, benchmarks) -> Dict:
-    """The Figure 4-8 baseline families, object vs array kernels, with
-    the fallback probe on a technique that has no array kernel."""
+    """The Figure 4-8 baseline families, reference loop vs array
+    kernels, with the fallback probe on a technique that has no array
+    kernel."""
     return _measure_kernel_cells(
         workload_cache, technique_keys, benchmarks,
         probe_key=FALLBACK_PROBE_TECHNIQUE,
@@ -285,7 +292,7 @@ def _measure_array_kernel(workload_cache, technique_keys, benchmarks) -> Dict:
 
 
 def _measure_sampler_kernel(workload_cache, benchmarks) -> Dict:
-    """The DBRB sampler cells, object vs batched prediction kernel.
+    """The DBRB sampler cells, reference loop vs batched prediction kernel.
 
     ``require_array`` makes a decline fatal: every cell of this section
     doubles as the probe that sampler replays report ``kernel: "array"``
@@ -297,8 +304,8 @@ def _measure_sampler_kernel(workload_cache, benchmarks) -> Dict:
 
 
 def _measure_fig4_cell_kernel(workload_cache, benchmarks) -> Dict:
-    """TDBP, CDBP and optimal, object vs their array kernels; a decline
-    is fatal, as for the sampler cells."""
+    """TDBP, CDBP and optimal, reference loop vs their array kernels; a
+    decline is fatal, as for the sampler cells."""
     return _measure_kernel_cells(
         workload_cache, FIG4_OBJECT_CELL_TECHNIQUES, benchmarks,
         require_array=True,

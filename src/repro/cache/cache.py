@@ -50,7 +50,7 @@ def _env_flag(name: str) -> bool:
 
 
 class ParanoidViolation(AssertionError):
-    """A paranoid-mode invariant check failed: the cache's fast-path
+    """A paranoid-mode invariant check failed: the cache's derived
     bookkeeping (tag index, policy metadata, statistics) disagrees with
     the ground-truth frame array.  Always a simulator bug, never a
     property of the workload."""
@@ -170,11 +170,13 @@ class Cache:
         self._index_bits = geometry.index_bits
         self._index_mask = geometry.num_sets - 1
         self._observers: List[CacheObserver] = []
-        #: Which replay kernel last drove this cache ("array" / "object";
-        #: None until the first replay) and, for the object kernel, why
-        #: the array path declined.  Strictly observational -- set by
-        #: :func:`repro.sim.replay.replay`, read by run manifests and the
-        #: service's /stats aggregation; never consulted by the model.
+        #: Which replay substrate last drove this cache ("array" for the
+        #: array kernels, "object" for the ``Cache.access`` reference
+        #: loop; None until the first replay) and, for "object", why the
+        #: array path declined.  Strictly observational -- set by
+        #: :func:`repro.sim.replay_array.maybe_replay_array`, read by run
+        #: manifests and the service's /stats aggregation; never
+        #: consulted by the model.
         self.last_replay_kernel: Optional[str] = None
         self.last_replay_fallback: Optional[str] = None
         policy.bind(self)
@@ -188,8 +190,8 @@ class Cache:
 
     @property
     def has_observers(self) -> bool:
-        """True when at least one observer is attached (replay consults
-        this to pick the zero-observer fast path)."""
+        """True when at least one observer is attached (the replay
+        declines the array kernels then: fallback ``observers``)."""
         return bool(self._observers)
 
     # ------------------------------------------------------------------
@@ -279,7 +281,7 @@ class Cache:
         """Machine-check the cache's coherence invariants.
 
         With ``set_index`` given, validates that set's structures only
-        (the per-access fast-path check); with ``None``, validates every
+        (the per-access check); with ``None``, validates every
         set plus the statistics counters.  Raises
         :class:`ParanoidViolation` on the first inconsistency.
         """

@@ -13,7 +13,7 @@ materialize object state once, at the end of the replay:
   ``tag -> way`` dicts.  Recency state (LRU stacks, RRIP counters) is
   *policy* state, already array-shaped inside each policy;
   the kernels mutate it directly (or rebuild it from their own compact
-  encodings) and leave it exactly as the object kernel would.
+  encodings) and leave it exactly as the reference loop would.
 * :class:`ReplayIndex` is the per-stream side: the stream's positions
   grouped by set (so order-independent policies replay one set at a
   time in a tight loop), per ``(set, tag)`` the sorted list of stream
@@ -216,7 +216,7 @@ class PredictionPlane:
     def install(self, predictor) -> None:
         """Copy the final sampler/table state into a fresh predictor.
 
-        Leaves the predictor exactly as an object-kernel replay of the
+        Leaves the predictor exactly as a reference-loop replay of the
         same stream would: table counters, sampler entries (way order),
         LRU stacks, and event counters.  Never-filled sampler ways stay
         at their fresh defaults, which is what the object path leaves
@@ -336,7 +336,7 @@ class SoACache:
         :class:`~repro.cache.block.CacheBlock` fields -- including the
         recovered ``access_count`` / ``last_access_seq`` -- plus the
         per-set ``tag -> way`` index.  Leaves the cache exactly as the
-        object kernel would have; statistics and policy state are
+        reference loop would have; statistics and policy state are
         committed by the replay driver and the kernel respectively.
 
         The predicted-dead plane follows the per-way bits the DBRB

@@ -47,7 +47,7 @@ def pc_signature(pc: int, pc_bits: int) -> int:
     """Fold a PC to its table-index signature (process-wide memo).
 
     The fold is pure and the distinct-PC set of a workload is small, so
-    one memo shared by the object-kernel sampler/predictor and the array
+    one memo shared by the sampler/predictor objects and the array
     path's prediction-plane precompute serves every technique of a sweep.
     """
     return fold_xor(pc, pc_bits)
@@ -56,7 +56,7 @@ def pc_signature(pc: int, pc_bits: int) -> int:
 def partial_tag(tag: int, tag_bits: int) -> int:
     """Lower-order bits of a full tag (paper Section III-A).
 
-    Shared by the object-kernel sampler and the plane precompute; a
+    Shared by the sampler object and the plane precompute; a
     single AND, so unlike :func:`pc_signature` a memo would cost more
     than the computation.
     """

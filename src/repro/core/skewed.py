@@ -33,7 +33,7 @@ def skewed_indices(signature: int, num_tables: int, index_bits: int) -> Tuple[in
     """Per-bank skewed table indices for ``signature``.
 
     A pure function of its arguments (the skew salts are fixed), shared
-    process-wide: the object-kernel tables and the array path's
+    process-wide: the predictor objects' tables and the array path's
     prediction-plane precompute (:mod:`repro.cache.soa`) index through
     the same memo, so a sweep pays for each signature's three hashes
     once, not once per technique.  The signature space is 15 bits and

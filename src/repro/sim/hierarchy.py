@@ -301,7 +301,7 @@ class PreparedStream:
         so one plane serves both ``sampler`` and ``random_sampler`` (and
         any other default-shape DBRB technique) of a sweep.  Only the
         paper-default predictor shape is precomputed; ablation shapes
-        replay on the object kernel and never ask for a plane.
+        run the reference loop and never ask for a plane.
         """
         plane = self._prediction_plane
         if plane is None or plane.num_llc_sets != num_sets:

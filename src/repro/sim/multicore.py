@@ -76,8 +76,9 @@ class MulticoreResult:
     single_ipcs: List[float]
     llc_stats: CacheStats
     instructions: int
-    #: Replay kernel of the shared-LLC stream and, for the object kernel,
-    #: why the array path was not taken (as on ``RunResult``).
+    #: Replay substrate of the shared-LLC stream and, for "object" (the
+    #: reference loop), why the array path was not taken (as on
+    #: ``RunResult``).
     kernel: Optional[str] = None
     kernel_fallback: Optional[str] = None
 

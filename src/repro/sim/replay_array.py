@@ -1,23 +1,23 @@
 """Array-native batched replay kernels.
 
-The inlined object kernel (:func:`repro.sim.replay._replay_fast`) still
-pays ~15 interpreted operations and up to three bound-method calls per
-access: per-hit :class:`~repro.cache.block.CacheBlock` attribute writes,
-per-fill seven-field block updates, and policy callbacks.  The kernels
-here simulate on the structure-of-arrays substrate
-(:mod:`repro.cache.soa`) instead: residency dicts over precomputed
-block keys, compact recency encodings, and flat frame planes, with
-every policy decision inlined into the loop.  Per-block bookkeeping the
-figures never read during the replay -- ``access_count``,
-``last_access_seq``, and the dirty bit -- is dropped from the hot loop
-entirely and recovered at eviction/commit time from the shared
-:class:`~repro.cache.soa.ReplayIndex` (see that module's docstring for
-why the recovery is exact).
+The reference loop (``[cache.access(a) for a in stream.accesses]``,
+what :func:`repro.sim.replay.replay` runs when these kernels decline)
+pays a :meth:`~repro.cache.cache.Cache.access` call per access: address
+decomposition, per-hit :class:`~repro.cache.block.CacheBlock` attribute
+writes, per-fill block updates, per-access statistics increments, and
+up to five policy callbacks.  The kernels here simulate on the
+structure-of-arrays substrate (:mod:`repro.cache.soa`) instead:
+residency dicts over precomputed block keys, compact recency encodings,
+and flat frame planes, with every policy decision inlined into the
+loop.  Per-block bookkeeping the figures never read during the replay
+-- ``access_count``, ``last_access_seq``, and the dirty bit -- is
+dropped from the hot loop entirely and recovered at eviction/commit
+time from the shared :class:`~repro.cache.soa.ReplayIndex` (see that
+module's docstring for why the recovery is exact).
 
-Result transparency is the same contract the object kernel keeps: the
-same hit vector, the same :class:`~repro.cache.stats.CacheStats`, the
-same final block contents and policy state as the reference loop
-``[cache.access(a) for a in stream.accesses]``.  The differential
+Result transparency is the contract: the same hit vector, the same
+:class:`~repro.cache.stats.CacheStats`, the same final block contents
+and policy state as the reference loop.  The differential
 harness ``tests/test_replay_differential.py`` checks every kernel
 against that loop; a new kernel gets coverage from one registry entry
 there.
@@ -78,8 +78,8 @@ which is a :class:`~repro.sim.hierarchy.PreparedStream` like any other.
 Everything else --
 SHiP, TADIP, the policies no technique builds (tree PLRU, SRRIP, BIP,
 BRRIP), the VVC cache subclass, observer-attached or probe-enabled or
-paranoid replays, and warm caches -- falls through to the object
-kernel.  A kernel narrows its type's eligibility with an optional
+paranoid replays, and warm caches -- falls through to the reference
+loop.  A kernel narrows its type's eligibility with an optional
 ``supports(cache, policy, stream)`` hook, checked before the stream's
 :class:`~repro.cache.soa.ReplayIndex` is fetched:
 
@@ -95,7 +95,7 @@ kernel.  A kernel narrows its type's eligibility with an optional
   ``IndexError`` contract.
 
 Of Figure 10's techniques, TADIP (``policy:TADIPPolicy``), thread-aware
-DRRIP and ``random_cdbp`` keep the object kernel with those reasons.
+DRRIP and ``random_cdbp`` run the reference loop with those reasons.
 The chosen kernel and any fallback reason are recorded on the cache
 (``last_replay_kernel`` / ``last_replay_fallback``) for run manifests
 and the service's ``/stats``.
@@ -106,6 +106,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, Optional
 
+from repro.cache.cache import Cache
 from repro.cache.soa import SoACache
 from repro.core.policy import DBRBPolicy
 from repro.core.predictor import SamplingDeadBlockPredictor
@@ -129,31 +130,46 @@ def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
     """Replay ``stream`` on the array substrate when eligible; else
     return None.
 
-    The caller (:func:`repro.sim.replay.replay`) has already routed
-    subclassed caches, observers, and enabled probes to the reference /
-    object paths; this checks everything else the array path requires.
-    On success the cache is left bit-identical to an object-kernel
-    replay (blocks, tag index, statistics, policy state) and
-    ``cache.last_replay_kernel`` is ``"array"``; on decline the fallback
-    reason is recorded and the caller runs the object kernel.
+    This is the one place the replay substrate is chosen: the first
+    circumstance that applies, in the order below, is the fallback
+    reason.  On success the cache is left bit-identical to a
+    reference-loop replay (blocks, tag index, statistics, policy state)
+    and ``cache.last_replay_kernel`` is ``"array"``; on decline the
+    reason is recorded, ``last_replay_kernel`` is ``"object"``, and the
+    caller (:func:`repro.sim.replay.replay`) runs the reference loop.
     """
     reason = None
     geometry = cache.geometry
     policy = cache.policy
     kernel = _KERNELS.get(type(policy))
-    if cache.paranoid:
+    if type(cache) is not Cache:
+        # Subclasses such as the victim-relocation cache override
+        # ``access`` and must keep their virtual dispatch.
+        reason = "cache-subclass"
+    elif cache.has_observers:
+        # Observer notifications happen inside ``Cache.access``.
+        reason = "observers"
+    elif cache.probe.enabled:
+        # The kernels commit statistics (and policy/block state) only
+        # once at the end of a whole-stream run, so epoch boundaries
+        # would observe nothing.
+        reason = "probe"
+    elif cache.paranoid:
         reason = "paranoid"
     elif cache.stats.accesses or any(cache._tag_index):
         # Kernels assume a cold cache: fills allocate ways densely from
         # zero and the policy's recency state is the freshly bound one.
         # A cache that has replayed before -- even one flushed since,
-        # whose policy state is still warm -- replays on the object
-        # substrate.
+        # whose policy state is still warm -- runs the reference loop.
         reason = "warm-cache"
     elif len(stream) < geometry.num_sets * geometry.associativity:
         # The array path pays O(frames) for plane setup and commit-time
-        # materialization; a stream shorter than the frame count cannot
-        # amortize it (measured slower than the object kernel).
+        # materialization, which a short stream cannot amortize.  On
+        # perlbench over 4,096 LRU frames (index prebuilt, best of 31)
+        # the reference loop wins at 200 accesses (0.23 vs 0.52 ms) and
+        # 800 (0.9-1.0 vs 1.1 ms); the array kernel wins from ~1,600
+        # (1.9 vs 1.7 ms) and at 4,096 (4.5 vs 3.0 ms).  The frame count
+        # sits above that crossover and scales with the setup cost.
         reason = "small-stream"
     elif kernel is None:
         reason = f"policy:{type(policy).__name__}"
@@ -512,7 +528,7 @@ class _DRRIPKernel:
     """Single-core DRRIP set dueling in stream order over a flat RRPV
     plane.  The thread-aware variant consults per-access core ids
     against per-core PSELs; ``supports`` declines it so multicore runs
-    keep the object kernel."""
+    run the reference loop."""
 
     def supports(self, cache, policy, stream) -> Optional[str]:
         if policy.num_cores > 1:
@@ -688,7 +704,7 @@ class _DBRBKernel:
             or any(map(any, tables.tables))
         ):
             # The plane simulates from a cold predictor; a pre-trained
-            # one (warmup experiments) replays on the object kernel.
+            # one (warmup experiments) runs the reference loop.
             return "dbrb-warm-predictor"
         return None
 
@@ -1108,7 +1124,7 @@ def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
 # hard-codes its policy's insertion/promotion/victim logic, so a subclass
 # (TADIPPolicy over LRUPolicy, SHiPPolicy over SRRIPPolicy) must not
 # inherit its parent's kernel.  These are the policy types Table V's
-# techniques build; every other policy replays on the object kernel with
+# techniques build; every other policy runs the reference loop with
 # fallback reason ``policy:<Name>``.  A kernel's ``supports`` hook
 # narrows eligibility further (thread-aware DRRIP, DBRB ablation shapes,
 # optimal over another stream's annotation).

@@ -56,8 +56,9 @@ class RunResult:
     llc_hits: List[bool]
     cache: Optional[Cache] = None
     observers: Sequence[CacheObserver] = ()
-    #: Replay kernel used for the LLC stream ("array" or "object") and,
-    #: for the object kernel, why the array path was not taken.  Strictly
+    #: Replay substrate used for the LLC stream ("array" for the array
+    #: kernels, "object" for the ``Cache.access`` reference loop) and,
+    #: for "object", why the array path was not taken.  Strictly
     #: observational (manifests, /stats) -- never part of exported figure
     #: data, which stays bit-identical across kernels.
     kernel: Optional[str] = None

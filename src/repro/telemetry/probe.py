@@ -14,9 +14,11 @@ Design constraints, in priority order:
    (``tests/test_replay_differential.py``) replays every policy with an
    :class:`IntervalRecorder` attached against the reference loop.
 2. **Probes-off is free**: the default :data:`NULL_PROBE` is checked once
-   per *replay*, not once per access -- the fast path of
-   :func:`repro.sim.replay.replay` is byte-for-byte the code that runs
-   without telemetry (perfbench's replay layer times it).
+   per *replay*, not once per access.  An enabled probe sends
+   :func:`repro.sim.replay.replay` to the ``Cache.access`` reference
+   loop (fallback ``probe``), run one epoch slice at a time -- the same
+   loop every declined replay runs without telemetry (perfbench's
+   replay layer times it as ``replay.object_*``).
 3. **Pull, not push**: instead of per-event callbacks, the
    :class:`IntervalRecorder` reads cumulative counters
    (:class:`~repro.cache.stats.CacheStats`, the accuracy observer, and
@@ -84,8 +86,8 @@ class TelemetryProbe:
     enabled, the replay engine calls :meth:`begin_run` before the first
     access, :meth:`on_epoch` at every epoch boundary (the final boundary
     always lands on the end of the stream), and :meth:`end_run` after
-    the last -- on both the inlined fast path and the observer/subclass
-    reference path.
+    the last, around each epoch slice of the ``Cache.access`` reference
+    loop.
     """
 
     enabled = False

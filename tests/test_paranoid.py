@@ -126,10 +126,10 @@ class TestTransparency:
         assert drive(plain, blocks) == drive(checked, blocks)
         assert plain.stats.snapshot() == checked.stats.snapshot()
 
-    def test_replay_fast_path_checked_and_identical(self):
-        # sim.replay keeps its inlined fast path under paranoid mode --
-        # that inlining is precisely the code under suspicion -- and the
-        # hit vector and stats must not move.
+    def test_replay_checked_and_identical(self):
+        # Paranoid mode sends sim.replay to the Cache.access reference
+        # loop, which checks the touched set and the statistics after
+        # every access; the hit vector and stats must not move.
         rng = random.Random(11)
         geometry = tiny_geometry(sets=8, assoc=4)
         accesses = [
@@ -142,7 +142,7 @@ class TestTransparency:
         assert replay(plain, stream) == replay(checked, stream)
         assert plain.stats.snapshot() == checked.stats.snapshot()
 
-    def test_replay_fast_path_detects_planted_corruption(self):
+    def test_replay_detects_planted_corruption(self):
         geometry = tiny_geometry(sets=8, assoc=4)
         accesses = [
             make_access(number, geometry, seq=seq)

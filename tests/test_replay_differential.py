@@ -335,7 +335,8 @@ PROPERTY_MODES = (
 
 def expected_kernel(subject, cache, stream, mode, warm):
     """``(last_replay_kernel, last_replay_fallback)`` a replay must report,
-    in the order :func:`replay` checks its circumstances."""
+    in the order :func:`repro.sim.replay_array.maybe_replay_array`
+    checks its circumstances."""
     geometry = cache.geometry
     reason = MODES[mode]
     if reason is None:
@@ -541,6 +542,10 @@ FRAMES = GEOMETRY.num_sets * GEOMETRY.associativity
 #: policy-shape reasons are the ``kernel`` column of :data:`SUBJECTS`.
 FALLBACKS = {
     "paranoid": ("paranoid", "lru", "paranoid", STREAMS["mixed"], None),
+    # A paranoid or probe-enabled replay into a warm cache reports its
+    # mode, which the decline chain checks before the cache's warmth.
+    "paranoid-warm": ("paranoid", "lru", "paranoid", STREAMS["mixed"], STREAMS["mixed"]),
+    "probe-warm": ("probe", "lru", "probe", STREAMS["mixed"], STREAMS["mixed"]),
     "observers": ("observers", "sampler", "observer", STREAMS["mixed"], None),
     "probe": ("probe", "lru", "probe", STREAMS["mixed"], None),
     "subclass": ("cache-subclass", "lru", "subclass", STREAMS["mixed"], None),
