@@ -32,7 +32,9 @@ Measures the fast paths in isolation and writes one report
   reported on its own).  Cycle counts must be identical to the last
   bit, and the aggregate must reach :data:`MIN_TIMING_SPEEDUP`.
 * **telemetry**: the sampler cell with and without an interval
-  recorder; both runs must produce identical statistics.
+  recorder, both on the ``Cache.access`` reference loop (a probe
+  declines the array kernel); both runs must produce identical
+  statistics.
 * **store**: replay-ready workload preparation three ways -- cold
   compile (build_trace + L1/L2 filter + store write), warm load off the
   compiled workload store, and shared-memory attach.  All three must
@@ -395,8 +397,13 @@ def _measure_timing(workload_cache, benchmarks) -> Dict:
 def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
     """Time the sampler cell probes-off vs with an IntervalRecorder.
 
-    Both columns are informational (telemetry is opt-in; the cost of
-    the probes-off path shows in perfbench's replay layer); both runs
+    An enabled probe declines the array kernel (fallback ``probe``) and
+    runs the ``Cache.access`` reference loop in epoch slices, so the
+    probes-off column times that same loop, with the access objects
+    built before the clock starts: the overhead is the recorder's, not
+    the gap between the array kernel and the reference loop.  Both
+    columns are informational (telemetry is opt-in; the cost of the
+    probes-off array path shows in perfbench's replay layer); both runs
     must produce identical stats (docs/observability.md).
     """
     geometry = workload_cache.machine.llc
@@ -407,8 +414,10 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
         stream = filtered.llc_stream(geometry)
 
         off_cache = Cache(geometry, technique.build(geometry, stream))
+        off_access = off_cache.access
+        accesses = stream.accesses
         start = time.perf_counter()
-        replay(off_cache, stream)
+        [off_access(access) for access in accesses]
         totals["off_seconds"] += time.perf_counter() - start
 
         recorder = IntervalRecorder(epochs=32)
@@ -418,6 +427,12 @@ def _measure_telemetry_overhead(workload_cache, benchmarks) -> Dict:
         start = time.perf_counter()
         replay(on_cache, stream)
         totals["on_seconds"] += time.perf_counter() - start
+        if on_cache.last_replay_fallback != "probe":
+            raise SystemExit(
+                f"TELEMETRY SUBSTRATE MISMATCH on ({benchmark}, sampler): "
+                f"probe-on replay fell back for {on_cache.last_replay_fallback!r}, "
+                "not 'probe', so probes-off does not time the same loop"
+            )
 
         if off_cache.stats.snapshot() != on_cache.stats.snapshot():
             raise SystemExit(

@@ -47,13 +47,13 @@ import copy
 import hashlib
 import os
 import pickle
-import threading
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.harness.runner import ExperimentConfig
 from repro.sim.multicore import MulticoreResult
 from repro.sim.system import RunResult
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "CheckpointStore",
@@ -187,18 +187,11 @@ class CheckpointStore:
             {"key": key, "result": _stripped(result)},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        # The tmp name must be unique per *writer*, not just per process:
-        # the experiment service stores cells from a dispatcher thread
-        # while sweep code may store from the main thread, and two
-        # writers sharing one tmp path could publish a torn file.  With
-        # distinct tmp files, concurrent same-key writers each replace
-        # atomically and last-rename-wins with complete bytes.
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-        return path
+        # The experiment service stores cells from a dispatcher thread
+        # while sweep code may store from the main thread; atomic_write's
+        # per-writer temp files let concurrent same-key writers each
+        # replace atomically, last rename wins, with complete bytes.
+        return atomic_write(path, payload)
 
     def load(
         self,

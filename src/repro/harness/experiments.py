@@ -542,12 +542,14 @@ def timeseries_experiment(
         accuracy: attach an
             :class:`~repro.analysis.accuracy.AccuracyObserver` so the
             series includes per-epoch prediction coverage and
-            false-positive rate (forces the reference replay path --
-            slower, but the ground truth needs per-event observation).
+            false-positive rate (the ground truth needs per-event
+            observation).
 
+    The recorder is an enabled probe, so the replay always declines the
+    array kernel (fallback ``probe``) and runs the ``Cache.access``
+    reference loop one epoch at a time, with or without ``accuracy``.
     The miss-rate/MPKI/bypass and component-gauge series need no
-    observer and are recorded on the fast replay path when ``accuracy``
-    is off.
+    observer; ``accuracy`` only adds the observer's per-event cost.
     """
     if technique_key not in TECHNIQUES:
         raise ValueError(

@@ -20,8 +20,9 @@ around it.  This module supplies the pieces
   partial result or :class:`SweepAborted`.  Without a pool it runs every
   cell in-process under the same taxonomy, so ``allow_partial`` means
   the same thing at every job count;
-* a deterministic fault-injection hook (``REPRO_FAULT_INJECT``) used by
-  the tests to kill, stall, or fault workers on demand.
+* one deterministic fault-injection harness (``REPRO_CHAOS``,
+  :class:`ChaosSpec`) that kills, stalls, or faults sweep-pool workers
+  and fleet workers on demand.
 
 Per-cell timeouts are enforced *inside* the worker with ``SIGALRM``
 (each worker is a separate process, so its main thread can take the
@@ -32,25 +33,28 @@ uninterrupted serial run because cells are pure functions of
 ``(config, seed, benchmark, technique)`` -- supervision decides only
 *whether* a cell's result was obtained, never *what* it is.
 
-Fault injection syntax: ``REPRO_FAULT_INJECT=crash:0.1,hang:0.05``.
-Modes: ``crash`` (the worker calls ``os._exit``), ``hang`` (the worker
-sleeps until its deadline), ``raise`` (the worker raises a transient
-exception).  Whether a given (cell, attempt) pair faults is a pure hash
-of the mode, cell identity, and attempt number, so injected failure
-patterns are reproducible and retries can deterministically succeed.
+Fault injection syntax: ``REPRO_CHAOS=kill:1@1,raise:0.5,heartbeat:0.5``.
+Each entry is ``mode[:probability][@max_attempt]``; the probability
+defaults to 1.0, and ``@N`` limits a mode to attempts ``1..N`` of a
+cell.  Whether a mode fires for a given (identity, attempt) pair is a
+pure sha256 draw, so injected failure patterns are reproducible and
+retries deterministically redraw.  Attempts count from 1 under both
+executors, so one rule means the same (cell, attempt) in a sweep pool
+and in a fleet.  Each executor reads its own modes:
 
-The fleet dispatch path (docs/service.md) has its own chaos harness,
-``REPRO_CHAOS``, extending the same deterministic-draw idea across the
-service: ``REPRO_CHAOS=kill:1@1,heartbeat:0.5,slow:0.2,blob:1``.
-Modes: ``kill`` (a fleet worker ``os._exit``\\ s before executing a
-leased cell), ``heartbeat`` (the worker silently skips heartbeat
-sends), ``slow`` (the worker stalls past its lease TTL before a cell,
-forcing expiry and split-brain re-dispatch while still computing), and
-``blob`` (the *server* truncates a stream-blob transfer so the client
-exercises torn-transfer detection).  Each mode takes an optional
-``@N`` attempt cap: ``kill:1@1`` fires only on a cell's first dispatch
-attempt, so the re-dispatch deterministically survives.  See
-:class:`ChaosSpec`.
+* the sweep pool hook (:func:`maybe_inject_fault`) reads ``kill`` (the
+  worker calls ``os._exit(KILL_EXIT_CODE)`` before the cell), ``hang``
+  (the worker sleeps until its deadline) and ``raise`` (the worker
+  raises a transient exception);
+* the fleet (docs/service.md) reads ``kill`` (same exit, before a
+  leased cell), ``heartbeat`` (the worker silently skips heartbeat
+  sends), ``slow`` (the worker stalls past its lease TTL before a cell,
+  forcing expiry and split-brain re-dispatch while still computing) and
+  ``blob`` (the *server* truncates a stream-blob transfer so the client
+  exercises torn-transfer detection).
+
+``kill:1@1`` kills a cell's first attempt, so the retry or re-dispatch
+deterministically survives.
 """
 
 from __future__ import annotations
@@ -71,12 +75,12 @@ __all__ = [
     "ChaosRule",
     "ChaosSpec",
     "FaultPolicy",
+    "KILL_EXIT_CODE",
     "SweepAborted",
     "cell_label",
     "drain_cleanup_hooks",
     "maybe_inject_fault",
     "parse_chaos_spec",
-    "parse_fault_spec",
     "run_cells_supervised",
 ]
 
@@ -243,84 +247,13 @@ class FaultPolicy:
 
 
 # ----------------------------------------------------------------------
-# deterministic fault injection (test hook)
+# deterministic fault injection (REPRO_CHAOS)
 # ----------------------------------------------------------------------
-_FAULT_MODES = ("crash", "hang", "raise")
+_CHAOS_MODES = ("kill", "hang", "raise", "slow", "heartbeat", "blob")
 
-
-def parse_fault_spec(text: Optional[str]) -> Dict[str, float]:
-    """Parse ``"crash:0.1,hang:0.05"`` into ``{mode: probability}``.
-
-    Raises ValueError on unknown modes or probabilities outside [0, 1].
-    """
-    spec: Dict[str, float] = {}
-    if not text or not text.strip():
-        return spec
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        mode, _, prob_text = part.partition(":")
-        mode = mode.strip()
-        if mode not in _FAULT_MODES:
-            raise ValueError(
-                f"unknown fault mode {mode!r} "
-                f"(valid: {', '.join(_FAULT_MODES)})"
-            )
-        try:
-            probability = float(prob_text) if prob_text.strip() else 1.0
-        except ValueError:
-            raise ValueError(
-                f"bad fault probability {prob_text!r} for mode {mode!r}"
-            ) from None
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(
-                f"fault probability must be in [0, 1], got {probability}"
-            )
-        spec[mode] = probability
-    return spec
-
-
-def _fault_roll(mode: str, benchmark: str, technique_key: Optional[str], attempt: int) -> float:
-    """Deterministic pseudo-uniform draw in [0, 1) for one (cell, attempt)."""
-    text = f"{mode}|{benchmark}|{technique_key}|{attempt}"
-    digest = hashlib.sha256(text.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
-def maybe_inject_fault(
-    benchmark: str,
-    technique_key: Optional[str],
-    attempt: int,
-    spec: Optional[Dict[str, float]] = None,
-) -> None:
-    """Test hook: fault this worker according to ``REPRO_FAULT_INJECT``.
-
-    Called only from the *parallel worker* wrapper, never from serial or
-    degraded in-process execution, so ``crash`` cannot take down the
-    parent.  Whether a fault fires is a pure function of (mode, cell,
-    attempt): re-running the same attempt reproduces the fault, while a
-    retry (higher attempt number) redraws.
-    """
-    if spec is None:
-        spec = parse_fault_spec(os.environ.get("REPRO_FAULT_INJECT"))
-    if not spec:
-        return
-    if _fault_roll("crash", benchmark, technique_key, attempt) < spec.get("crash", 0.0):
-        os._exit(66)  # simulate an OOM kill: no exception, no cleanup
-    if _fault_roll("hang", benchmark, technique_key, attempt) < spec.get("hang", 0.0):
-        time.sleep(3600.0)  # wedge until the cell deadline / watchdog fires
-    if _fault_roll("raise", benchmark, technique_key, attempt) < spec.get("raise", 0.0):
-        raise RuntimeError(
-            f"injected transient fault ({cell_label((benchmark, technique_key))}, "
-            f"attempt {attempt})"
-        )
-
-
-# ----------------------------------------------------------------------
-# fleet chaos harness (REPRO_CHAOS)
-# ----------------------------------------------------------------------
-_CHAOS_MODES = ("kill", "heartbeat", "slow", "blob")
+#: Exit status of a worker the ``kill`` mode ends: ``os._exit`` before
+#: the cell, with no exception and no cleanup, as an OOM kill would.
+KILL_EXIT_CODE = 67
 
 
 @dataclass(frozen=True)
@@ -328,9 +261,9 @@ class ChaosRule:
     """One chaos mode's firing rule.
 
     ``probability`` is the per-draw chance; ``max_attempt`` (when set)
-    limits firing to dispatch attempts ``<= max_attempt``, which is how
-    ``kill:1@1`` kills a worker on a cell's first dispatch while the
-    re-dispatched attempt deterministically survives.
+    limits firing to attempts ``<= max_attempt``, which is how
+    ``kill:1@1`` kills a worker on a cell's first attempt while the
+    retried or re-dispatched attempt deterministically survives.
     """
 
     probability: float
@@ -389,11 +322,11 @@ def parse_chaos_spec(text: Optional[str]) -> Dict[str, ChaosRule]:
 class ChaosSpec:
     """The parsed ``REPRO_CHAOS`` harness for one process.
 
-    Firing is a pure function of ``(mode, identity, attempt)`` -- the
-    same sha256 draw scheme as ``REPRO_FAULT_INJECT`` -- so a chaos run
-    is exactly reproducible: the same worker processing the same cell
-    on the same dispatch attempt always makes the same draw, while a
-    re-dispatch (higher attempt) redraws.
+    Firing is a pure sha256 function of ``(mode, identity, attempt)``,
+    so a chaos run is exactly reproducible: the same cell on the same
+    attempt always makes the same draw, in a sweep pool or a fleet
+    worker alike, while a retry or re-dispatch (higher attempt)
+    redraws.
     """
 
     rules: Tuple[Tuple[str, ChaosRule], ...] = ()
@@ -423,6 +356,31 @@ class ChaosSpec:
         digest = hashlib.sha256(text.encode("utf-8")).digest()
         draw = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return draw < rule.probability
+
+
+def maybe_inject_fault(
+    cell: Cell, attempt: int, spec: Optional[ChaosSpec] = None
+) -> None:
+    """Sweep-pool hook: fault this worker by ``REPRO_CHAOS``'s ``kill``,
+    ``hang`` and ``raise`` rules.
+
+    Called only from the *parallel worker* wrapper, never from serial or
+    degraded in-process execution, so ``kill`` cannot take down the
+    parent.  ``attempt`` counts from 1.  Each mode draws through
+    :meth:`ChaosSpec.fires` on the cell's label, the identity fleet
+    workers draw on too.
+    """
+    if spec is None:
+        spec = ChaosSpec.from_env()
+    if not spec:
+        return
+    label = cell_label(cell)
+    if spec.fires("kill", label, attempt):
+        os._exit(KILL_EXIT_CODE)  # simulate an OOM kill: no exception, no cleanup
+    if spec.fires("hang", label, attempt):
+        time.sleep(3600.0)  # wedge until the cell deadline / watchdog fires
+    if spec.fires("raise", label, attempt):
+        raise RuntimeError(f"injected transient fault ({label}, attempt {attempt})")
 
 
 # ----------------------------------------------------------------------
@@ -532,8 +490,9 @@ def run_cells_supervised(
             reused).  ``None`` skips the parallel rounds: every cell
             runs through ``in_process`` instead.
         worker: picklable task function taking
-            ``(benchmark, technique_key, attempt, cell_timeout)`` and
-            returning a :data:`WireResult`.  It must convert its own
+            ``(benchmark, technique_key, attempt, cell_timeout)``, with
+            ``attempt`` counted from 1, and returning a
+            :data:`WireResult`.  It must convert its own
             exceptions and deadline overruns into non-"ok" statuses;
             only a hard worker death leaves a cell unreported.
         cells: the work list, in deterministic order.
@@ -602,19 +561,19 @@ def _run_cells_supervised(
         emit("finished", cell, status="ok", timing=timing)
 
     rounds = policy.max_retries + 1 if make_pool is not None else 0
-    for attempt in range(rounds):
+    for attempt in range(1, rounds + 1):
         if not pending:
             break
-        if attempt:
+        if attempt > 1:
             for cell in pending:
                 prior = failures.get(cell)
                 emit(
                     "retried", cell,
                     reason=prior.detail if prior is not None else "",
-                    attempt=attempt + 1,
+                    attempt=attempt,
                 )
             if policy.backoff > 0:
-                time.sleep(policy.backoff * 2.0 ** (attempt - 1))
+                time.sleep(policy.backoff * 2.0 ** (attempt - 2))
         tasks = [
             (benchmark, key, attempt, policy.cell_timeout)
             for benchmark, key in pending
@@ -641,7 +600,7 @@ def _run_cells_supervised(
                     succeed(cell, payload, timing)
                 elif status == "timeout":
                     failures[cell] = CellTimeout(
-                        benchmark, key, attempts=attempt + 1, detail=str(payload)
+                        benchmark, key, attempts=attempt, detail=str(payload)
                     )
                     emit(
                         "timed_out", cell,
@@ -649,7 +608,7 @@ def _run_cells_supervised(
                     )
                 else:
                     failures[cell] = CellCrashed(
-                        benchmark, key, attempts=attempt + 1, detail=str(payload)
+                        benchmark, key, attempts=attempt, detail=str(payload)
                     )
         finally:
             # terminate(), not close(): a wedged round must not block the
@@ -660,9 +619,9 @@ def _run_cells_supervised(
         # a cell that reported a failure this round keeps that record.
         for cell in pending:
             existing = failures.get(cell)
-            if existing is None or existing.attempts <= attempt:
+            if existing is None or existing.attempts < attempt:
                 failures[cell] = CellCrashed(
-                    cell[0], cell[1], attempts=attempt + 1,
+                    cell[0], cell[1], attempts=attempt,
                     detail="worker died without reporting",
                 )
 

@@ -315,7 +315,7 @@ def _run_cell_supervised(
     start = _cell_clock(_WORKER_CACHE)
     try:
         with cell_deadline(timeout):
-            maybe_inject_fault(benchmark, technique_key, attempt)
+            maybe_inject_fault((benchmark, technique_key), attempt)
             _, _, result = _run_cell((benchmark, technique_key))
         timing = _cell_timing(_WORKER_CACHE, start, result)
         return benchmark, technique_key, "ok", result, timing

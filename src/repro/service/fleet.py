@@ -55,6 +55,7 @@ from repro.harness.checkpoint import result_from_wire
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import StreamStore
 from repro.service.jobs import cell_key, config_from_dict, config_to_dict
+from repro.utils.atomic import atomic_write
 
 __all__ = ["FleetCoordinator", "Lease", "WorkerInfo"]
 
@@ -491,11 +492,7 @@ class FleetCoordinator:
         payload = json.dumps(
             {"version": 1, "leases": records}, sort_keys=True, indent=1
         )
-        tmp = self.journal_path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}"
-        )
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, self.journal_path)
+        atomic_write(self.journal_path, payload.encode("utf-8"))
 
     def _recover_journal(self) -> None:
         """Restore in-flight leases from a previous server life.

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.checkpoint import CheckpointStore
 from repro.harness.runner import ExperimentConfig
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "Job",
@@ -307,10 +308,7 @@ class JobStore:
         """Persist one job atomically (old record or new, never torn)."""
         path = self.path(job.id)
         payload = json.dumps(job.to_dict(progress), sort_keys=True, indent=1)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return atomic_write(path, payload.encode("utf-8"))
 
     def load(self, job_id: str) -> Optional[Job]:
         """One job by id; missing, torn, or malformed records read as None."""

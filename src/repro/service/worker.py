@@ -34,10 +34,13 @@ Resilience, per docs/robustness.md's fleet failure taxonomy:
   the cell in progress, deregisters -- which requeues the rest of the
   lease server-side without waiting for the TTL -- and exits.
 
-Chaos (``REPRO_CHAOS``, :class:`repro.harness.faults.ChaosSpec`)
-deterministically injects ``kill`` (exit before a cell), ``slow``
+Chaos (``REPRO_CHAOS``, :class:`repro.harness.faults.ChaosSpec`, the
+one fault harness sweep-pool workers read too) deterministically
+injects ``kill`` (exit with ``KILL_EXIT_CODE`` before a cell), ``slow``
 (stall past the lease TTL, forcing split-brain re-dispatch), and
 ``heartbeat`` (skip renewals) at the exact points a real fleet fails.
+Draws use the cell's label and its dispatch attempt, counted from 1,
+so a rule fires on the same (cell, attempt) as in a sweep pool.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import threading
 from typing import Dict, Optional, Set, Union
 
 from repro.harness.checkpoint import result_to_wire
-from repro.harness.faults import ChaosSpec, cell_label
+from repro.harness.faults import KILL_EXIT_CODE, ChaosSpec, cell_label
 from repro.harness.parallel import _run_cell_timed
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import CompiledWorkload, StreamStore
@@ -57,8 +60,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import config_from_dict
 
 __all__ = ["FleetWorker"]
-
-_KILL_EXIT_CODE = 67  # distinct from REPRO_FAULT_INJECT's 66
 
 
 class FleetWorker:
@@ -315,7 +316,7 @@ class FleetWorker:
             # completion lands late or duplicate.
             self._sleep(self.lease_ttl * 1.5)
         if self.chaos.fires("kill", label, attempt):
-            os._exit(_KILL_EXIT_CODE)  # simulated OOM kill: no cleanup
+            os._exit(KILL_EXIT_CODE)  # simulated OOM kill: no cleanup
         try:
             result, timing = _run_cell_timed(cache, (benchmark, technique))
         except Exception as exc:

@@ -94,6 +94,7 @@ from repro.sim.hierarchy import (
     prepare_stream,
 )
 from repro.sim.trace import Trace
+from repro.utils.atomic import atomic_write
 
 __all__ = [
     "CompiledWorkload",
@@ -581,14 +582,7 @@ class StreamStore:
                 f"blob key digest mismatch: decoded key {compiled.key!r} "
                 f"does not hash to {digest!r} (torn or mislabeled transfer)"
             )
-        path = self.path_for_key(compiled.key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_bytes(bytes(blob))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_write(self.path_for_key(compiled.key), bytes(blob))
         return compiled
 
     # ------------------------------------------------------------------
@@ -601,15 +595,7 @@ class StreamStore:
         a crashed serializer -- unlinks the temporary file, so the store
         never accumulates half-written blobs.
         """
-        path = self.path_for_key(compiled.key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            tmp.write_bytes(compiled.to_bytes())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return path
+        return atomic_write(self.path_for_key(compiled.key), compiled.to_bytes())
 
     def load(self, key: str) -> Optional[CompiledWorkload]:
         """The stored blob for a key, or None.

@@ -46,6 +46,7 @@ from typing import Dict, Iterator, List, Sequence
 
 import repro
 from repro.harness.export import to_dict
+from repro.harness.faults import KILL_EXIT_CODE
 from repro.harness.parallel import parallel_single_thread_comparison
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.loadsim.sim import LoadScenario, prepare_scenario
@@ -66,7 +67,6 @@ FLEET_TECHNIQUES = ("sampler", "rrip")
 FLEET_CONFIG = ExperimentConfig(scale=16, instructions=30_000, seed=1)
 LEASE_TTL = 3.0
 HEARTBEAT_SECONDS = 0.5
-KILL_EXIT_CODE = 67
 
 LOADSIM_CONFIG = ExperimentConfig(scale=32, instructions=20_000, seed=1, num_cores=2)
 LOADSIM_SCENARIO = LoadScenario(

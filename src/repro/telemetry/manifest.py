@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.utils.atomic import atomic_write
+
 __all__ = ["RunManifest", "collect_environment", "git_revision"]
 
 MANIFEST_VERSION = 1
@@ -183,11 +185,8 @@ class RunManifest:
         """Atomically serialize to ``path`` (temp file + ``os.replace``)."""
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
+        text = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        atomic_write(path, text.encode("utf-8"))
         return path
 
     @classmethod

@@ -12,6 +12,8 @@ This subpackage deliberately contains only dependency-free helpers:
 * :mod:`repro.utils.rng` -- a tiny deterministic xorshift generator so that
   random replacement and synthetic workloads are reproducible without
   depending on global :mod:`random` state.
+* :mod:`repro.utils.atomic` -- the temp-file-plus-``os.replace`` write
+  every on-disk store publishes its files through.
 """
 
 from repro.utils.bits import (

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -45,6 +46,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.sim.trace import Trace
 from repro.sim.traceio import load_trace, trace_lines
+from repro.utils.atomic import atomic_write
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.patterns import (
     WorkloadSpecError,
@@ -121,11 +123,8 @@ class TraceLibrary:
 
     def _write_index(self, index: Dict[str, Dict[str, object]]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self._index_path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(index, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-        os.replace(tmp, self._index_path)
+        text = json.dumps(index, indent=2, sort_keys=True) + "\n"
+        atomic_write(self._index_path, text.encode("utf-8"))
 
     def blob_path(self, digest: str) -> Path:
         return self._blob_dir / f"{digest}.trace.gz"
@@ -154,12 +153,13 @@ class TraceLibrary:
         self._blob_dir.mkdir(parents=True, exist_ok=True)
         blob = self.blob_path(digest)
         if not blob.exists():
-            tmp = blob.with_suffix(f".tmp.{os.getpid()}")
-            # mtime=0 keeps the gzip bytes deterministic for a given trace.
-            with gzip.GzipFile(tmp, "wb", mtime=0) as stream:
+            # No file name in the gzip header and mtime=0: the blob bytes
+            # are a pure function of the trace, whichever process wrote it.
+            buffer = io.BytesIO()
+            with gzip.GzipFile(filename="", mode="wb", fileobj=buffer, mtime=0) as stream:
                 for line in trace_lines(trace):
                     stream.write(line.encode("ascii"))
-            os.replace(tmp, blob)
+            atomic_write(blob, buffer.getvalue())
         index = self.entries()
         index[entry_name] = {
             "digest": digest,

@@ -1,10 +1,11 @@
 """The fault-tolerant sweep harness.
 
-These tests inject deterministic worker faults (``REPRO_FAULT_INJECT``)
-into real spawn-context pools and pin the load-bearing promises of
-:mod:`repro.harness.faults` / :mod:`repro.harness.checkpoint`:
+These tests inject deterministic worker faults (``REPRO_CHAOS``'s
+``kill``, ``hang`` and ``raise`` modes) into real spawn-context pools
+and pin the load-bearing promises of :mod:`repro.harness.faults` /
+:mod:`repro.harness.checkpoint`:
 
-* crashes, hangs, and transient exceptions are retried / timed out /
+* kills, hangs, and transient exceptions are retried / timed out /
   degraded to serial without losing completed cells;
 * a sweep killed mid-run resumes from its checkpoint and the final
   comparison is **bit-identical** to an uninterrupted serial run;
@@ -12,12 +13,17 @@ into real spawn-context pools and pin the load-bearing promises of
   (:class:`CellTimeout` / :class:`CellCrashed` / :class:`SweepAborted`)
   naming the failing cell, or as a partial result when allowed.
 
-Everything here is ``@pytest.mark.faults`` (``make test-faults``): the
+``TestFaultSpec`` pins the sweep-pool side of the one ``REPRO_CHAOS``
+grammar; the full mode table and the fleet-side draws are pinned in
+``tests/test_fleet.py`` (``TestChaosSpec``).  Everything else here is
+``@pytest.mark.faults`` (``make test-faults``): those
 tests spawn pools and stall workers on purpose, so each runs under the
 hard per-test deadline armed in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -26,12 +32,14 @@ from repro.harness.experiments import single_thread_comparison
 from repro.harness.faults import (
     CellCrashed,
     CellTimeout,
+    ChaosRule,
+    ChaosSpec,
     FaultPolicy,
     SweepAborted,
     cell_label,
     drain_cleanup_hooks,
     maybe_inject_fault,
-    parse_fault_spec,
+    parse_chaos_spec,
     run_cells_supervised,
 )
 from repro.harness.parallel import parallel_single_thread_comparison
@@ -67,30 +75,61 @@ def assert_bit_identical(reference, comparison):
 
 
 class TestFaultSpec:
+    """The ``kill``/``hang``/``raise`` rules a sweep-pool worker reads."""
+
     def test_parse_modes_and_probabilities(self):
-        assert parse_fault_spec("crash:0.1,hang:0.05") == {
-            "crash": 0.1, "hang": 0.05,
+        assert parse_chaos_spec("kill:0.1,hang:0.05,raise:0.2") == {
+            "kill": ChaosRule(0.1), "hang": ChaosRule(0.05), "raise": ChaosRule(0.2),
         }
 
     def test_bare_mode_means_always(self):
-        assert parse_fault_spec("crash") == {"crash": 1.0}
+        assert parse_chaos_spec("kill") == {"kill": ChaosRule(1.0)}
+        assert ChaosSpec.from_env("kill").fires("kill", "mcf/rrip", attempt=7)
 
     def test_empty_and_none_disable(self):
-        assert parse_fault_spec(None) == {}
-        assert parse_fault_spec("  ") == {}
+        assert parse_chaos_spec(None) == {}
+        assert parse_chaos_spec("  ") == {}
+        assert not ChaosSpec.from_env("")
 
+    # ``crash`` folded into ``kill`` and is now an unknown mode; the
+    # probability checks these cases pinned still hold for ``kill``.
     @pytest.mark.parametrize("bad", ["explode:0.5", "crash:nan-ish", "crash:1.5"])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_fault_spec(bad)
+            parse_chaos_spec(bad)
+        with pytest.raises(ValueError):
+            parse_chaos_spec(bad.replace("crash", "kill"))
 
     def test_injection_is_deterministic_per_attempt(self):
         # With probability 1.0 the 'raise' mode must fire on every
         # attempt, and the exception names the cell and attempt.
         with pytest.raises(RuntimeError, match="mcf/rrip.*attempt 3"):
-            maybe_inject_fault("mcf", "rrip", 3, spec={"raise": 1.0})
-        # Probability 0.0 never fires.
-        maybe_inject_fault("mcf", "rrip", 3, spec={"raise": 0.0})
+            maybe_inject_fault(("mcf", "rrip"), 3, spec=ChaosSpec.from_env("raise"))
+        # Probability 0.0 never fires, and the hook ignores the
+        # fleet-only modes.
+        maybe_inject_fault(("mcf", "rrip"), 3, spec=ChaosSpec.from_env("raise:0"))
+        maybe_inject_fault(
+            ("mcf", "rrip"), 1, spec=ChaosSpec.from_env("heartbeat,slow,blob")
+        )
+        # At 0.5 the hook fires exactly when the shared draw on the
+        # cell's label does, so a (cell, attempt) always faults alike.
+        spec = ChaosSpec.from_env("raise:0.5")
+
+        def fired(cell, attempt):
+            try:
+                maybe_inject_fault(cell, attempt, spec=spec)
+            except RuntimeError:
+                return True
+            return False
+
+        draws = [((f"bench{i}", "rrip"), attempt)
+                 for i in range(20) for attempt in (1, 2, 3)]
+        outcomes = [fired(cell, attempt) for cell, attempt in draws]
+        assert outcomes == [
+            spec.fires("raise", cell_label(cell), attempt) for cell, attempt in draws
+        ]
+        assert outcomes == [fired(cell, attempt) for cell, attempt in draws]
+        assert 0 < sum(outcomes) < len(outcomes)
 
     def test_cell_label_names_baseline(self):
         assert cell_label(("mcf", None)) == "mcf/lru(baseline)"
@@ -234,7 +273,7 @@ class TestCrashRecovery:
     def test_transient_faults_are_retried_bit_identically(self, monkeypatch):
         # Half the (cell, attempt) draws raise; retries redraw and the
         # sweep completes with results identical to the serial run.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(max_retries=5, **FAST),
@@ -242,11 +281,35 @@ class TestCrashRecovery:
         assert not comparison.is_partial
         assert_bit_identical(serial_reference(), comparison)
 
+    def test_first_attempt_kill_is_retried_bit_identically(
+        self, monkeypatch, tmp_path
+    ):
+        # ``kill:1@1`` kills every cell's first attempt, counted from 1
+        # as in a fleet; the one retry round (attempt 2) survives, so the
+        # sweep completes in the pool, with no serial degradation, and
+        # equals the serial run.
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1@1")
+        events_path = tmp_path / "events.ndjson"
+        comparison = parallel_single_thread_comparison(
+            SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
+            fault_policy=FaultPolicy(
+                max_retries=1, watchdog=4.0, backoff=0.0,
+                degrade_serially=False,
+            ),
+            events_file=str(events_path),
+        )
+        assert not comparison.is_partial
+        assert_bit_identical(serial_reference(), comparison)
+        events = [json.loads(line) for line in events_path.read_text().splitlines()]
+        retried = [e for e in events if e["event"] == "cell_retried"]
+        assert retried and all(e["attempt"] == 2 for e in retried)
+        assert not any(e["event"] == "sweep_degraded" for e in events)
+
     def test_hard_crashes_degrade_to_serial(self, monkeypatch, tmp_path):
         # Every parallel attempt dies via os._exit; graceful degradation
         # re-runs the cells in-process (where injection never applies)
         # and the sweep still completes bit-identically.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         manifest_path = tmp_path / "manifest.json"
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
@@ -265,7 +328,7 @@ class TestCrashRecovery:
             assert "store_hits" in entry and "store_misses" in entry
 
     def test_unrecoverable_crash_aborts_with_taxonomy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
@@ -283,7 +346,7 @@ class TestCrashRecovery:
         # Every worker attempt crashes, degradation is off, but partial
         # results are allowed: the sweep returns with every cell named
         # in the failure report instead of raising.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             fault_policy=FaultPolicy(
@@ -344,7 +407,7 @@ class TestInProcessFailures:
 @pytest.mark.faults
 class TestTimeouts:
     def test_hung_workers_time_out_and_degrade(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "hang:1.0")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=2,
             fault_policy=FaultPolicy(
@@ -361,7 +424,7 @@ class TestTimeouts:
         )
 
     def test_timeout_failures_carry_cell_identity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "hang:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "hang:1.0")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, ("perlbench",), jobs=2,
@@ -388,9 +451,10 @@ class TestCheckpointResume:
         # Phase 1: half the (cell, attempt) draws raise and there are no
         # retries, so the sweep dies mid-run with some cells completed
         # and checkpointed, others not -- the "killed mid-run" half of
-        # the acceptance scenario.  The injection hash is deterministic,
-        # so the phase-1 outcome is pinned, not flaky.
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        # the acceptance scenario.  ``ChaosSpec.fires`` draws a sha256 of
+        # (mode, cell label, attempt 1), so the phase-1 outcome is
+        # pinned, not flaky.
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         with pytest.raises(SweepAborted) as excinfo:
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
@@ -407,7 +471,7 @@ class TestCheckpointResume:
         assert 0 < completed_before < total_cells
 
         # Phase 2: faults off, resume from the checkpoint.
-        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
         resumed = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             checkpoint=store, resume=True,
@@ -430,7 +494,7 @@ class TestCheckpointResume:
         # Transient faults + retries: every completed cell lands in the
         # store even though some attempts failed along the way.
         store = CheckpointStore(tmp_path / "ckpt")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "raise:0.5")
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             checkpoint=store,

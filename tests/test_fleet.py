@@ -71,19 +71,31 @@ def fleet_scheduler(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# chaos spec
+# chaos spec: the one fault grammar, for sweep pools and fleets alike
 # ----------------------------------------------------------------------
 class TestChaosSpec:
     def test_parse_defaults_and_fields(self):
-        spec = parse_chaos_spec("kill:1@1,heartbeat:0.5,blob")
+        spec = parse_chaos_spec(
+            "kill:1@1,hang:0.05,raise:0.1,heartbeat:0.5,slow@2,blob"
+        )
         assert spec["kill"] == ChaosRule(1.0, 1)
+        assert spec["hang"] == ChaosRule(0.05, None)
+        assert spec["raise"] == ChaosRule(0.1, None)
         assert spec["heartbeat"] == ChaosRule(0.5, None)
+        # A bare mode means probability 1.0.
+        assert spec["slow"] == ChaosRule(1.0, 2)
         assert spec["blob"] == ChaosRule(1.0, None)
+        # Empty text and None disable injection.
         assert parse_chaos_spec("") == {}
+        assert parse_chaos_spec("  ") == {}
         assert parse_chaos_spec(None) == {}
 
-    @pytest.mark.parametrize("bad", ["explode", "kill:1.5", "kill:-0.1",
-                                     "kill:x", "kill@0", "kill@x"])
+    # Unknown modes (``crash`` folded into ``kill``), non-numbers and
+    # out-of-range probabilities or caps are rejected.
+    @pytest.mark.parametrize("bad", ["explode", "explode:0.5", "crash:0.5",
+                                     "kill:1.5", "kill:-0.1", "kill:x",
+                                     "raise:nan-ish", "hang:1.5",
+                                     "kill@0", "kill@x"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_chaos_spec(bad)

@@ -149,7 +149,7 @@ def test_figure_at_one_job_equals_two_and_writes_a_manifest(
     # Every figure function runs its cells through the one driver, so
     # REPRO_JOBS fans it out bit-identically and REPRO_EVENTS_FILE gives
     # it a manifest that names each cell's replay kernel and, for the
-    # object kernel, why the array kernel was not taken.
+    # reference loop, why the array kernel was not taken.
     digests = {}
     for jobs in ("1", "2"):
         events = tmp_path / f"jobs{jobs}.ndjson"

@@ -4,8 +4,8 @@ Named cases over the differential harness
 (:mod:`tests.test_replay_differential`): each replays a registry subject
 through :func:`repro.sim.replay.replay` and through the reference loop
 and compares the full state.  ``*_matches_object_kernel`` cases replay
-once on the array kernel and once with the kernel table emptied, so both
-kernels equal the reference, and so each other.  This suite's own shapes
+once on the array kernel and once with the kernel table emptied (the
+reference loop), so both equal the reference, and so each other.  This suite's own shapes
 are a 16-set, 4-way cache, the ``mixed`` stream with and without writes,
 and random streams on 8 sets.
 """
@@ -36,7 +36,7 @@ OBJECT_SUBJECTS = ("plru", "srrip", "bip", "brrip")
 
 
 def both_kernels(name, geometry, stream):
-    """Replay subject ``name`` on its kernel and on the object kernel,
+    """Replay subject ``name`` on its kernel and on the reference loop,
     each against the reference loop; return the first replayed cache."""
     cache = differential(name, geometry, stream)
     differential(name, geometry, stream, "kernels-off")
@@ -115,7 +115,7 @@ def test_optimal_equivalence_property(seed, length, write_frac, bypass, assoc):
 @pytest.mark.parametrize("write_frac", [0.0, 0.3])
 @pytest.mark.parametrize("name", OBJECT_SUBJECTS)
 def test_fallback_policy_no_technique_builds(name, write_frac):
-    """Policies outside the kernel table replay on the object kernel,
+    """Policies outside the kernel table replay on the reference loop,
     named by exact type (``policy:<type>``)."""
     differential(name, GEOMETRY, make_stream(GEOMETRY, write_frac=write_frac))
 

@@ -3,9 +3,9 @@
 The paper replays one filtered LLC stream per technique (Section VI-B),
 so every figure rests on :func:`repro.sim.replay.replay` leaving a cache
 exactly as the reference loop ``[cache.access(a) for a in
-stream.accesses]`` does -- whichever kernel it takes (an array kernel of
-:mod:`repro.sim.replay_array`, the object kernel, or the reference path
-itself) and whatever rides along (a telemetry probe, an observer,
+stream.accesses]`` does -- whichever path it takes (an array kernel of
+:mod:`repro.sim.replay_array` or the reference loop itself) and
+whatever rides along (a telemetry probe, an observer,
 paranoid checks).  The harness has one oracle, that loop, and:
 
 * one registry, :data:`SUBJECTS`: a name maps to a
@@ -46,6 +46,7 @@ from repro.analysis.accuracy import AccuracyObserver
 from repro.cache.cache import Cache, CacheAccess
 from repro.cache.geometry import CacheGeometry
 from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
+from repro.harness.faults import KILL_EXIT_CODE
 from repro.harness.techniques import (
     MULTICORE_LRU_TECHNIQUES,
     MULTICORE_RANDOM_TECHNIQUES,
@@ -432,8 +433,8 @@ def test_replay_matches_reference_property(
 ):
     """Random streams, geometries (direct-mapped and caches smaller than
     the 32-set sampler included) and modes: never a divergence.  The
-    pinned examples keep the probe on the object kernel and on the
-    reference path covered on every run."""
+    pinned examples keep the probe and the observer on the reference
+    loop covered on every run."""
     geometry = CacheGeometry(size_bytes=sets * assoc * 64, associativity=assoc)
     stream = make_stream(geometry, shape, length, seed | 1, write_frac)
     differential(name, geometry, stream, mode)
@@ -578,7 +579,7 @@ REASONS = {
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_fallback_table(case):
-    """Each circumstance is reported by name, and the object kernel it
+    """Each circumstance is reported by name, and the reference loop it
     falls back to still equals the reference in full state."""
     reason, name, mode, stream, warmup = FALLBACKS[case]
     cache = differential(name, GEOMETRY, stream, mode, warmup)
@@ -642,7 +643,7 @@ def run_sweep(techniques, **kwargs):
 
 def object_sweep(techniques, **kwargs):
     """The same sweep in this process with the kernel table emptied, so
-    every cell replays on the object kernel."""
+    every cell replays on the reference loop."""
     with mock.patch.object(replay_array, "_KERNELS", {}):
         return run_sweep(techniques, **kwargs)
 
@@ -656,14 +657,11 @@ def test_sweep_bit_identity_serial(sweep):
 @pytest.mark.parametrize("sweep", sorted(SWEEPS))
 def test_sweep_bit_identity_parallel_shm(sweep):
     """Array kernels inside spawn workers with shared-memory streams must
-    match the in-process object-kernel sweep bit for bit.  (Spawned
+    match the in-process reference-loop sweep bit for bit.  (Spawned
     workers import a fresh kernel table, so they always take the array
     path.)"""
     parallel = run_sweep(SWEEPS[sweep], jobs=2, shared_memory=True)
     assert parallel == object_sweep(SWEEPS[sweep], jobs=1)
-
-
-_KILL_EXIT_CODE = 67
 
 
 def _spawn_worker(url, name, root, extra_env):
@@ -688,7 +686,7 @@ def _spawn_worker(url, name, root, extra_env):
 def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path):
     """End to end: sampler cells replayed on the array kernel inside real
     fleet workers -- one chaos-killed mid-lease, its cells re-dispatched
-    -- produce the same bytes as an object-kernel serial sweep in this
+    -- produce the same bytes as a reference-loop serial sweep in this
     process (kernel table emptied)."""
     from repro.harness.export import to_dict
     from repro.harness.parallel import parallel_single_thread_comparison
@@ -740,7 +738,7 @@ def test_fleet_sampler_bit_identity_across_chaos_kill(tmp_path):
             time.sleep(0.1)
         else:
             pytest.fail("victim worker never leased a cell")
-        assert victim.wait(timeout=60.0) == _KILL_EXIT_CODE
+        assert victim.wait(timeout=60.0) == KILL_EXIT_CODE
 
         survivor = _spawn_worker(url, "survivor", tmp_path, {})
         workers.append(survivor)

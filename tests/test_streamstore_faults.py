@@ -68,7 +68,7 @@ class TestFaultLeaks:
     @pytest.mark.parametrize(
         "spec,policy_kwargs",
         [
-            ("crash:1.0", dict(max_retries=0, watchdog=2.0, backoff=0.0)),
+            ("kill:1.0", dict(max_retries=0, watchdog=2.0, backoff=0.0)),
             (
                 "hang:1.0",
                 dict(cell_timeout=0.5, max_retries=0, watchdog=4.0, backoff=0.0),
@@ -82,7 +82,7 @@ class TestFaultLeaks:
         # Every parallel attempt dies; the sweep degrades to serial and
         # still completes -- and the export it fanned out is gone.
         store = StreamStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
+        monkeypatch.setenv("REPRO_CHAOS", spec)
         comparison = parallel_single_thread_comparison(
             SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,
             stream_cache=store, shared_memory=True,
@@ -99,7 +99,7 @@ class TestFaultLeaks:
         # Degradation off: the sweep aborts with the failure taxonomy --
         # the cleanup path must still run on the way out.
         store = StreamStore(tmp_path / "store")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:1.0")
+        monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")
         with pytest.raises(SweepAborted):
             parallel_single_thread_comparison(
                 SMALL, TECHNIQUE_KEYS, BENCHMARKS, jobs=2,

@@ -3,8 +3,8 @@
 The contract (docs/observability.md): replaying a stream with an
 :class:`~repro.telemetry.probe.IntervalRecorder` attached leaves the
 hit vector, statistics, block contents and policy state of the
-reference loop -- on the object kernel the probe selects, and on the
-reference path observers select.  Named cases over the differential
+reference loop -- which is also the path a probe or an observer
+selects.  Named cases over the differential
 harness (:mod:`tests.test_replay_differential`), whose probe modes
 record seven epochs and check that they tile the stream.
 """

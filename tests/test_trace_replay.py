@@ -61,6 +61,22 @@ class TestRoundTrip:
         # Content addressing: both names point at a single blob.
         assert library.blob_path(str(first["digest"])).exists()
 
+    def test_blob_bytes_do_not_depend_on_the_importing_process(
+        self, tmp_path, monkeypatch
+    ):
+        # Two processes importing one trace must write identical blobs:
+        # the temporary file name (which carries the pid) must not leak
+        # into the gzip header.
+        trace = make_trace()
+        save_trace(trace, tmp_path / "sample.trace")
+        blobs = []
+        for pid in (1111, 2222):
+            monkeypatch.setattr("os.getpid", lambda pid=pid: pid)
+            library = TraceLibrary(tmp_path / f"lib-{pid}")
+            entry = library.import_file(tmp_path / "sample.trace", name="sample")
+            blobs.append(library.blob_path(str(entry["digest"])).read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_replay_spec_round_trips_through_the_suite(self, tmp_path):
         from repro.workloads import parse_workload_spec, resolve_workload
 
