@@ -57,7 +57,6 @@ from repro.replacement import (
     RandomPolicy,
     ReplacementPolicy,
     SRRIPPolicy,
-    TADIPPolicy,
     TreePLRUPolicy,
     annotate_next_use,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "SamplingDeadBlockPredictor",
     "SingleCoreSystem",
     "SkewedCounterTable",
-    "TADIPPolicy",
     "TimeBasedPredictor",
     "Trace",
     "TraceRecord",

@@ -24,7 +24,6 @@ from repro.replacement import (
     OptimalPolicy,
     RandomPolicy,
     SHiPPolicy,
-    TADIPPolicy,
     annotate_next_use,
 )
 from repro.replacement.base import ReplacementPolicy
@@ -105,7 +104,7 @@ def _dip(geometry, stream, num_cores):
 
 
 def _tadip(geometry, stream, num_cores):
-    return TADIPPolicy(num_cores=num_cores)
+    return DIPPolicy(num_cores=num_cores)
 
 
 def _rrip(geometry, stream, num_cores):

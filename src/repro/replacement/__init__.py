@@ -6,10 +6,12 @@ management proposals of its era; all of them live here:
 * :class:`LRUPolicy` -- the baseline every figure normalizes to.
 * :class:`RandomPolicy` -- the cheap default policy of Section V-A/VII-B.
 * :class:`TreePLRUPolicy` -- the practical LRU approximation (extension).
-* :class:`DIPPolicy` -- dynamic insertion with set dueling (Qureshi et al.).
-* :class:`TADIPPolicy` -- thread-aware DIP for shared caches (Jaleel et al.).
+* :class:`DIPPolicy` -- dynamic insertion with set dueling (Qureshi et al.),
+  including thread-aware DIP (TADIP) for shared caches (Jaleel et al.).
 * :class:`SRRIPPolicy` / :class:`DRRIPPolicy` -- re-reference interval
   prediction (Jaleel et al.), including the thread-aware multi-core variant.
+* :mod:`repro.replacement.dueling` -- the set dueling and bimodal fill
+  throttle that DIP and DRRIP share.
 * :class:`OptimalPolicy` -- Belady's MIN enhanced with bypass, the paper's
   upper bound (Section VI-B).
 
@@ -25,7 +27,6 @@ from repro.replacement.plru import TreePLRUPolicy
 from repro.replacement.random_policy import RandomPolicy
 from repro.replacement.rrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 from repro.replacement.ship import SHiPPolicy
-from repro.replacement.tadip import TADIPPolicy
 
 __all__ = [
     "BIPPolicy",
@@ -38,7 +39,6 @@ __all__ = [
     "ReplacementPolicy",
     "SHiPPolicy",
     "SRRIPPolicy",
-    "TADIPPolicy",
     "TreePLRUPolicy",
     "annotate_next_use",
 ]

@@ -4,9 +4,17 @@ import pytest
 
 from repro.cache import Cache, CacheAccess, CacheGeometry, CacheStats
 from repro.harness.tables import format_value
-from repro.replacement import DIPPolicy, DRRIPPolicy, LRUPolicy, TADIPPolicy
+from repro.replacement import DIPPolicy, DRRIPPolicy, LRUPolicy
+from repro.replacement.dueling import FOLLOWER
 from repro.sim.cpu import CoreTiming
 from repro.sim.multicore import MulticoreResult
+
+
+def leader_counts(policy):
+    """(first-policy leaders, second-policy leaders) of a dueling policy."""
+    duel = policy.duel
+    leaders = [s for o, s in zip(duel.owner, duel.second) if o != FOLLOWER]
+    return leaders.count(False), leaders.count(True)
 
 
 class TestLeaderSetAutoScaling:
@@ -17,28 +25,25 @@ class TestLeaderSetAutoScaling:
         geometry = CacheGeometry(2 * 1024 * 1024, 16, 64)  # 2048 sets
         policy = DIPPolicy()
         Cache(geometry, policy)
-        lru_leaders = policy._set_role.count(DIPPolicy._LRU_LEADER)
-        bip_leaders = policy._set_role.count(DIPPolicy._BIP_LEADER)
-        assert lru_leaders == 32
-        assert bip_leaders == 32
+        assert leader_counts(policy) == (32, 32)  # MRU and BIP leaders
 
     def test_dip_scaled_cache_keeps_fraction(self):
         geometry = CacheGeometry(256 * 1024, 16, 64)  # 256 sets
         policy = DIPPolicy()
         Cache(geometry, policy)
-        assert policy._set_role.count(DIPPolicy._LRU_LEADER) == 4
+        assert leader_counts(policy)[0] == 4
 
     def test_explicit_leader_count_respected(self):
         geometry = CacheGeometry(256 * 1024, 16, 64)
         policy = DIPPolicy(leader_sets=8)
         Cache(geometry, policy)
-        assert policy._set_role.count(DIPPolicy._LRU_LEADER) == 8
+        assert leader_counts(policy)[0] == 8
 
     def test_tadip_auto_ratio(self):
         geometry = CacheGeometry(2 * 1024 * 1024, 16, 64)
-        policy = TADIPPolicy(num_cores=4)
+        policy = DIPPolicy(num_cores=4)
         Cache(geometry, policy)
-        owners = [o for o in policy._leader_owner if o != TADIPPolicy._FOLLOWER]
+        owners = [o for o in policy.duel.owner if o != FOLLOWER]
         # 32 per policy per core, two policies, four cores.
         assert len(owners) == 32 * 2 * 4
 
@@ -46,7 +51,7 @@ class TestLeaderSetAutoScaling:
         geometry = CacheGeometry(2 * 1024 * 1024, 16, 64)
         policy = DRRIPPolicy()
         Cache(geometry, policy)
-        owners = [o for o in policy._leader_owner if o != DRRIPPolicy._FOLLOWER]
+        owners = [o for o in policy.duel.owner if o != FOLLOWER]
         assert len(owners) == 64  # 32 SRRIP + 32 BRRIP leaders
 
 

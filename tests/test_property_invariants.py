@@ -26,7 +26,6 @@ from repro.replacement import (
     OptimalPolicy,
     RandomPolicy,
     SRRIPPolicy,
-    TADIPPolicy,
     TreePLRUPolicy,
     annotate_next_use,
 )
@@ -62,7 +61,7 @@ POLICY_FACTORIES = [
     ("plru", lambda g, a: TreePLRUPolicy()),
     ("bip", lambda g, a: BIPPolicy()),
     ("dip", lambda g, a: DIPPolicy(leader_sets=1)),
-    ("tadip", lambda g, a: TADIPPolicy(num_cores=2, leader_sets=1)),
+    ("tadip", lambda g, a: DIPPolicy(num_cores=2, leader_sets=1)),
     ("srrip", lambda g, a: SRRIPPolicy()),
     ("drrip", lambda g, a: DRRIPPolicy(leader_sets=1)),
     (

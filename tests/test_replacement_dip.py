@@ -1,9 +1,10 @@
-"""Tests for BIP, DIP, and TADIP insertion policies."""
+"""Tests for BIP, DIP, and thread-aware DIP (TADIP) insertion policies."""
 
 import pytest
 
 from repro.cache import Cache, CacheAccess
-from repro.replacement import BIPPolicy, DIPPolicy, LRUPolicy, TADIPPolicy
+from repro.replacement import BIPPolicy, DIPPolicy, LRUPolicy
+from repro.replacement.dueling import FOLLOWER, SetDuel
 
 from tests.conftest import replay, tiny_geometry
 
@@ -49,23 +50,28 @@ class TestBIP:
             BIPPolicy(epsilon_inverse=0)
 
 
+def leader_counts(duel):
+    """(first-policy leaders, second-policy leaders, followers)."""
+    leaders = [s for o, s in zip(duel.owner, duel.second) if o != FOLLOWER]
+    return leaders.count(False), leaders.count(True), duel.owner.count(FOLLOWER)
+
+
 class TestDIP:
     def test_leader_assignment_covers_both_policies(self):
-        roles = DIPPolicy._assign_roles(num_sets=64, leader_sets=4)
-        assert roles.count(DIPPolicy._LRU_LEADER) == 4
-        assert roles.count(DIPPolicy._BIP_LEADER) == 4
-        assert roles.count(DIPPolicy._FOLLOWER) == 56
+        duel = SetDuel(leader_sets=4)
+        duel.bind(64)
+        assert leader_counts(duel) == (4, 4, 56)
 
     def test_leader_assignment_clamps_for_tiny_cache(self):
-        roles = DIPPolicy._assign_roles(num_sets=4, leader_sets=32)
-        assert roles.count(DIPPolicy._LRU_LEADER) == 2
-        assert roles.count(DIPPolicy._BIP_LEADER) == 2
+        duel = SetDuel(leader_sets=32)
+        duel.bind(4)
+        assert leader_counts(duel) == (2, 2, 0)
 
     def test_psel_moves_toward_bip_under_thrash(self):
         geometry = tiny_geometry(sets=16, assoc=4)
         policy = DIPPolicy(leader_sets=4, psel_bits=8)
         cache = Cache(geometry, policy)
-        start = policy.psel
+        start = policy.duel.psels[0]
         # Thrash every set: blocks k, k+16, k+32, ... share set k.
         pattern = []
         for _ in range(30):
@@ -74,7 +80,7 @@ class TestDIP:
         replay(cache, pattern)
         # Both leader groups miss, but LRU leaders miss strictly more,
         # so PSEL must drift up (toward BIP).
-        assert policy.psel > start
+        assert policy.duel.psels[0] > start
 
     def test_dip_beats_lru_on_thrash(self):
         geometry = tiny_geometry(sets=4, assoc=4)
@@ -106,18 +112,18 @@ class TestDIP:
 class TestTADIP:
     def test_requires_positive_cores(self):
         with pytest.raises(ValueError):
-            TADIPPolicy(num_cores=0)
+            DIPPolicy(num_cores=0)
 
     def test_each_core_owns_leader_sets(self):
         geometry = tiny_geometry(sets=64, assoc=4)
-        policy = TADIPPolicy(num_cores=4, leader_sets=2)
+        policy = DIPPolicy(num_cores=4, leader_sets=2)
         Cache(geometry, policy)
-        owners = {owner for owner in policy._leader_owner if owner != TADIPPolicy._FOLLOWER}
+        owners = set(policy.duel.owner) - {FOLLOWER}
         assert owners == {0, 1, 2, 3}
 
     def test_thrashing_core_switches_to_bip_friendly_core_does_not(self):
         geometry = tiny_geometry(sets=32, assoc=4)
-        policy = TADIPPolicy(num_cores=2, leader_sets=4, psel_bits=6)
+        policy = DIPPolicy(num_cores=2, leader_sets=4, psel_bits=6)
         cache = Cache(geometry, policy)
         seq = 0
         # Core 0: streams over a huge footprint (thrash).  Core 1: reuses a
@@ -133,8 +139,9 @@ class TestTADIP:
                     CacheAccess(address=(1 << 20) + i * 64, pc=2, seq=seq, core=1)
                 )
                 seq += 1
-        assert policy._bip_wins(0)
-        assert not policy._bip_wins(1)
+        half = policy.duel.psel_max // 2
+        assert policy.duel.psels[0] > half  # BIP wins
+        assert policy.duel.psels[1] <= half
 
     def test_single_core_tadip_behaves_like_dip_shape(self):
         """With one core, TADIP should still solve the thrash case."""
@@ -143,5 +150,5 @@ class TestTADIP:
         for _ in range(60):
             pattern.extend(range(4 * 5))
         lru = Cache(tiny_geometry(sets=4, assoc=4), LRUPolicy())
-        tadip = Cache(geometry, TADIPPolicy(num_cores=1, leader_sets=1, psel_bits=6))
+        tadip = Cache(geometry, DIPPolicy(num_cores=1, leader_sets=1, psel_bits=6))
         assert sum(replay(tadip, pattern)) > sum(replay(lru, pattern))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import Cache, CacheAccess
 from repro.replacement import BRRIPPolicy, DRRIPPolicy, LRUPolicy, SRRIPPolicy
+from repro.replacement.dueling import FOLLOWER
 
 from tests.conftest import replay, tiny_geometry
 
@@ -90,19 +91,19 @@ class TestDRRIP:
         geometry = tiny_geometry(sets=64, assoc=4)
         policy = DRRIPPolicy(leader_sets=4)
         Cache(geometry, policy)
-        owners = [o for o in policy._leader_owner if o != DRRIPPolicy._FOLLOWER]
+        owners = [o for o in policy.duel.owner if o != FOLLOWER]
         assert len(owners) == 8  # 4 SRRIP + 4 BRRIP leaders
 
     def test_psel_drifts_to_brrip_under_thrash(self):
         geometry = tiny_geometry(sets=16, assoc=4)
         policy = DRRIPPolicy(leader_sets=4, psel_bits=8)
         cache = Cache(geometry, policy)
-        start = policy.psels[0]
+        start = policy.duel.psels[0]
         pattern = []
         for _ in range(40):
             pattern.extend(range(16 * 6))
         replay(cache, pattern)
-        assert policy.psels[0] > start
+        assert policy.duel.psels[0] > start
 
     def test_multicore_psels_are_independent(self):
         geometry = tiny_geometry(sets=64, assoc=4)
@@ -118,5 +119,6 @@ class TestDRRIP:
                     CacheAccess(address=(1 << 22) + i * 64, pc=2, seq=seq, core=1)
                 )
                 seq += 1
-        assert policy._brrip_wins(0)
-        assert not policy._brrip_wins(1)
+        half = policy.duel.psel_max // 2
+        assert policy.duel.psels[0] > half  # BRRIP wins
+        assert policy.duel.psels[1] <= half

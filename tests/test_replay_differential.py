@@ -157,13 +157,13 @@ SUBJECTS = {
     "tdbp": Subject(_technique("tdbp"), "array", None, True, True),
     "cdbp": Subject(_technique("cdbp"), "array", None, True, True),
     "optimal": Subject(_technique("optimal"), "array", None, True),
-    "tadip": Subject(_technique("tadip"), "policy:TADIPPolicy"),
+    "tadip": Subject(_technique("tadip"), "array"),
     "ship": Subject(_technique("ship"), "policy:SHiPPolicy"),
     "random_cdbp": Subject(
         _technique("random_cdbp"), "dbrb-default:RandomPolicy", None, True, True
     ),
     # Figure 10's thread-aware shapes.
-    "tadip-4core": Subject(_technique("tadip", 4), "policy:TADIPPolicy"),
+    "tadip-4core": Subject(_technique("tadip", 4), "thread-aware-dip"),
     "rrip-4core": Subject(_technique("rrip", 4), "thread-aware-drrip"),
     # Non-default parameters of the array-kernel policies.
     "random-seeded": Subject(_plain(RandomPolicy, seed=0xDEADBEEF), "array"),
@@ -567,11 +567,11 @@ FALLBACKS = {
 #: Every reason the replay path can report.
 REASONS = {
     "paranoid", "observers", "probe", "cache-subclass", "warm-cache",
-    "small-stream", "optimal-seq", "thread-aware-drrip", "dbrb-no-bypass",
-    "dbrb-no-replacement", "dbrb-no-sampler", "dbrb-single-table",
+    "small-stream", "optimal-seq", "thread-aware-dip", "thread-aware-drrip",
+    "dbrb-no-bypass", "dbrb-no-replacement", "dbrb-no-sampler", "dbrb-single-table",
     "dbrb-sampler-geometry", "dbrb-table-geometry", "dbrb-warm-predictor",
     "dbrb-predictor:AIPPredictor", "dbrb-default:RandomPolicy",
-    "dbrb-default:TreePLRUPolicy", "policy:DBRBPolicy", "policy:TADIPPolicy",
+    "dbrb-default:TreePLRUPolicy", "policy:DBRBPolicy",
     "policy:SHiPPolicy", "policy:TreePLRUPolicy", "policy:SRRIPPolicy",
     "policy:BIPPolicy", "policy:BRRIPPolicy",
 }
