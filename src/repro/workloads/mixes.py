@@ -17,6 +17,7 @@ import difflib
 from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.trace import Trace
+from repro.workloads.patterns import split_top_level
 from repro.workloads.suite import build_trace, validate_workloads
 
 __all__ = ["MIXES", "MIX_NAMES", "build_mix_traces", "mix_members"]
@@ -55,23 +56,6 @@ def build_mix_traces(
     ]
 
 
-def _split_plus(text: str) -> List[str]:
-    """Split an ad-hoc mix on ``+`` at parenthesis depth zero."""
-    pieces: List[str] = []
-    depth = 0
-    start = 0
-    for index, char in enumerate(text):
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth = max(depth - 1, 0)
-        elif char == "+" and depth == 0:
-            pieces.append(text[start:index].strip())
-            start = index + 1
-    pieces.append(text[start:].strip())
-    return pieces
-
-
 def mix_members(mix_name: str) -> Sequence[str]:
     """Resolve a mix name to its per-core workload names.
 
@@ -80,13 +64,14 @@ def mix_members(mix_name: str) -> Sequence[str]:
 
     Raises:
         KeyError: unknown Table IV mix, with a closest-match suggestion.
-        ValueError: an ad-hoc mix with an unresolvable member.
+        ValueError: an ad-hoc mix with an empty or unresolvable member,
+            or unbalanced parentheses.
     """
     names = MIXES.get(mix_name)
     if names is not None:
         return names
     if "+" in mix_name:
-        members = _split_plus(mix_name)
+        members = [member.strip() for member in split_top_level(mix_name, "+")]
         if any(not member for member in members):
             raise ValueError(f"ad-hoc mix {mix_name!r} has an empty member")
         bad = validate_workloads(members)

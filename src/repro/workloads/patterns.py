@@ -60,6 +60,7 @@ __all__ = [
     "compose",
     "parse_workload_spec",
     "register_pattern_family",
+    "split_top_level",
     "spec_digest",
 ]
 
@@ -565,8 +566,16 @@ def compose(
 # ----------------------------------------------------------------------
 # the spec parser
 # ----------------------------------------------------------------------
-def _split_top_level(text: str, separator: str) -> List[str]:
-    """Split on ``separator`` at parenthesis depth zero."""
+def split_top_level(text: str, separator: str) -> List[str]:
+    """Split on ``separator`` at parenthesis depth zero, keeping empty
+    and unstripped pieces for the caller to judge.
+
+    Specs nest (``zipf(a=1.2,seed=7)``, ``mcf+phased(seq,zipf)``), so a
+    plain ``str.split`` would shred them.
+
+    Raises:
+        WorkloadSpecError: unbalanced parentheses.
+    """
     pieces: List[str] = []
     depth = 0
     start = 0
@@ -658,7 +667,7 @@ def parse_workload_spec(text: str, seed: int = 1) -> WorkloadGenerator:
     params: Dict[str, object] = {}
     positional: List[object] = []
     if body.strip():
-        for piece in _split_top_level(body, ","):
+        for piece in split_top_level(body, ","):
             piece = piece.strip()
             if not piece:
                 raise WorkloadSpecError(f"empty argument in spec {text!r}")

@@ -33,6 +33,7 @@ from repro.loadsim import (
 )
 from repro.smoke import LOADSIM_SCENARIO
 from repro.utils.rng import XorShift64
+from repro.workloads.patterns import WorkloadSpecError
 
 pytestmark = pytest.mark.loadsim
 
@@ -124,6 +125,14 @@ class TestArrivals:
         ]
         assert split_specs("") == []
         assert split_specs("poisson(rate=1)") == ["poisson(rate=1)"]
+        assert split_specs("mcf,,zipf") == ["mcf", "zipf"]
+
+    @pytest.mark.parametrize("text", ["zipf(a=1.2,mcf", "mcf),zipf(a=1.2"])
+    def test_split_specs_rejects_unbalanced_parens(self, text):
+        with pytest.raises(WorkloadSpecError, match="unbalanced"):
+            split_specs(text)
+        with pytest.raises(ValueError):
+            resolve_tenant_specs(text)
 
     def test_resolve_tenant_specs(self):
         tenants = resolve_tenant_specs("3")

@@ -212,6 +212,18 @@ class TestErrorSuggestions:
             mix_members("mcf+zipg(a=1.4)")
         assert "zipf" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "mix,error",
+        [
+            ("mcf++lbm", "empty member"),
+            ("mcf+zipf(a=1.4", "unbalanced '\\('"),
+            ("mcf+zipf)a=1.4(", "unbalanced '\\)'"),
+        ],
+    )
+    def test_mix_members_rejects_malformed_mixes(self, mix, error):
+        with pytest.raises(ValueError, match=error):
+            mix_members(mix)
+
 
 class TestFamilyShapes:
     """Cheap sanity that each archetype produces its advertised shape."""
