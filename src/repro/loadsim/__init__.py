@@ -34,7 +34,6 @@ from repro.loadsim.sim import (
 )
 from repro.loadsim.tenants import (
     DEFAULT_OPS,
-    TENANT_ADDRESS_SHIFT,
     PreparedTenant,
     TenantSpec,
     split_specs,
@@ -52,7 +51,6 @@ __all__ = [
     "PoissonArrivals",
     "PreparedScenario",
     "PreparedTenant",
-    "TENANT_ADDRESS_SHIFT",
     "TenantReport",
     "TenantSpec",
     "UniformArrivals",

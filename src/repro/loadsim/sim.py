@@ -59,12 +59,12 @@ from repro.harness.techniques import resolve_technique
 from repro.loadsim.arrivals import parse_arrival_spec
 from repro.loadsim.tenants import (
     DEFAULT_OPS,
-    TENANT_ADDRESS_SHIFT,
     PreparedTenant,
     TenantSpec,
     split_specs,
 )
 from repro.sim.hierarchy import prepare_stream
+from repro.sim.multicore import CORE_ADDRESS_SHIFT
 from repro.sim.metrics import jain_fairness_index, percentiles
 from repro.telemetry.probe import IntervalRecorder
 from repro.utils.rng import XorShift64
@@ -492,7 +492,7 @@ def prepare_scenario(workload_cache, scenario: LoadScenario) -> PreparedScenario
         stream = prepare_stream(
             filtered.llc_arrays(),
             geometry,
-            address_offset=index << TENANT_ADDRESS_SHIFT,
+            address_offset=index << CORE_ADDRESS_SHIFT,
             core=index,
         )
         tenants.append(

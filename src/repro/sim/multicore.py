@@ -51,8 +51,9 @@ __all__ = ["MulticoreResult", "MulticoreSystem", "PreparedMix"]
 SharedPolicyFactory = Callable[[CacheGeometry, PreparedStream, int], ReplacementPolicy]
 
 #: Address bits reserved to keep per-core address spaces disjoint in the
-#: shared LLC (the mixes are multiprogrammed, not shared-memory).
-_CORE_ADDRESS_SHIFT = 44
+#: shared LLC (the mixes, and loadsim's tenants, are multiprogrammed, not
+#: shared-memory).
+CORE_ADDRESS_SHIFT = 44
 
 
 @dataclass
@@ -166,7 +167,7 @@ class MulticoreSystem:
         for seq, (_, core, cursor) in enumerate(heap_merge(*keyed)):
             core_pcs, core_addresses, core_writes = columns[core]
             pcs.append(core_pcs[cursor])
-            addresses.append(core_addresses[cursor] + (core << _CORE_ADDRESS_SHIFT))
+            addresses.append(core_addresses[cursor] + (core << CORE_ADDRESS_SHIFT))
             writes.append(core_writes[cursor])
             cores.append(core)
             positions[core].append(seq)

@@ -20,7 +20,7 @@ from repro.cache.cache import CacheAccess
 from repro.harness import experiments
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.harness.techniques import SINGLE_THREAD_TECHNIQUES
-from repro.loadsim import TENANT_ADDRESS_SHIFT
+from repro.sim.multicore import CORE_ADDRESS_SHIFT
 from repro.loadsim.sim import LoadScenario, TenantSpec, prepare_scenario
 from repro.sim.streamstore import StreamStore, compile_filtered, encode_filtered
 from repro.sim.trace import Trace, TraceRecord
@@ -224,7 +224,7 @@ def test_loadsim_tenant_stream_accesses_match_eager_construction():
     expected = eager_accesses(
         *cache.filtered("hotspot").llc_arrays(),
         core=1,
-        offset=1 << TENANT_ADDRESS_SHIFT,
+        offset=1 << CORE_ADDRESS_SHIFT,
     )
     assert access_fields(stream.accesses) == access_fields(expected)
     assert all(type(access.is_write) is bool for access in stream.accesses)
