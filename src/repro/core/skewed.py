@@ -121,17 +121,12 @@ class SkewedCounterTable:
         2-bit choice banks on decay via live training); the mean counter
         tracks overall confidence drift.
         """
-        counters = sum(len(table) for table in self.tables)
-        saturated = 0
-        total = 0
-        for table in self.tables:
-            for value in table:
-                total += value
-                if value == self.counter_max:
-                    saturated += 1
+        tables = self.tables
+        counters = sum(map(len, tables))
+        saturated = sum(table.count(self.counter_max) for table in tables)
         return {
             "table_saturation": saturated / counters,
-            "table_mean_counter": total / counters,
+            "table_mean_counter": sum(map(sum, tables)) / counters,
         }
 
     # ------------------------------------------------------------------

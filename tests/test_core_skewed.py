@@ -128,3 +128,21 @@ def test_confidence_always_in_range(signature, operations):
     for dead in operations:
         tables.train(signature, dead=dead)
         assert 0 <= tables.confidence(signature) <= 9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    trainings=st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.booleans()), max_size=200
+    )
+)
+def test_telemetry_gauges_match_a_counter_walk(trainings):
+    """The gauges equal a plain walk over every counter."""
+    tables = SkewedCounterTable(entries_per_table=64)
+    for signature, dead in trainings:
+        tables.train(signature, dead)
+    counters = [value for table in tables.tables for value in table]
+    assert tables.telemetry_snapshot() == {
+        "table_saturation": counters.count(tables.counter_max) / len(counters),
+        "table_mean_counter": sum(counters) / len(counters),
+    }
