@@ -25,6 +25,20 @@ hottest operation of every experiment.  The index is maintained through
 :meth:`_install_frame` / :meth:`_clear_frame`; subclasses that move blocks
 around directly (e.g. the victim-relocation cache) must use those helpers
 rather than calling ``block.fill`` / ``block.invalidate`` themselves.
+
+Deferred frames: a new cache builds no :class:`CacheBlock`.  Its ``sets``
+and ``_tag_index`` start as placeholders, and an array-kernel replay
+(:mod:`repro.sim.replay_array`) leaves its final state in array form
+(a committed :class:`~repro.cache.soa.SoACache`) instead of writing it
+into frames.  The first read of either attribute -- an :meth:`access`,
+a policy or predictor hook, :meth:`resident_blocks`, :meth:`find`,
+:meth:`check_invariants`, :meth:`flush` -- builds both real lists, writes
+any committed array state into them, and from then on they are plain
+lists.  A figure that reads only ``stats`` and the hit vector never
+builds them.  The placeholders are attribute *values*, not a
+``__getattr__`` or a descriptor: either of those, or a read of the
+instance ``__dict__``, takes :meth:`access` off CPython 3.11's fast
+attribute-load paths for good.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ from repro.cache.stats import CacheStats
 from repro.telemetry.probe import NULL_PROBE, TelemetryProbe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.cache.soa import SoACache
     from repro.replacement.base import ReplacementPolicy
 
 __all__ = ["Cache", "CacheAccess", "CacheObserver", "ParanoidViolation"]
@@ -117,6 +132,35 @@ class CacheObserver:
         """Called when a missing block is not placed in the cache."""
 
 
+class _UnbuiltFrames:
+    """Stands in for ``Cache.sets`` or ``Cache._tag_index`` until the
+    frames are built.  Any read builds both real lists (through
+    :meth:`Cache._build_frames`) and delegates to the one it stands for,
+    so a caller that kept a reference to the placeholder still sees the
+    live list."""
+
+    __slots__ = ("_cache", "_name")
+
+    def __init__(self, cache: "Cache", name: str) -> None:
+        self._cache = cache
+        self._name = name
+
+    def _built(self) -> list:
+        cache = self._cache
+        if getattr(cache, self._name) is self:
+            cache._build_frames()
+        return getattr(cache, self._name)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+
 class Cache:
     """A set-associative cache driven by a replacement policy.
 
@@ -152,18 +196,20 @@ class Cache:
         )
         self._stats_floor = CacheStats()
         self.stats = CacheStats()
-        self.sets: List[List[CacheBlock]] = [
-            [CacheBlock() for _ in range(geometry.associativity)]
-            for _ in range(geometry.num_sets)
-        ]
+        #: Per set, its block frames; built on first read (see the module
+        #: docstring).
+        self.sets: List[List[CacheBlock]] = _UnbuiltFrames(self, "sets")
         #: Per-set ``tag -> way`` index over *valid* frames; the invariant
         #: is that every valid frame's tag maps to its way (frames holding
         #: a sentinel tag that can collide, like the VVC's relocation
         #: marker, keep only the most recent mapping -- such tags are never
         #: produced by address decomposition, so demand lookups are exact).
-        self._tag_index: List[Dict[int, int]] = [
-            {} for _ in range(geometry.num_sets)
-        ]
+        #: Built with ``sets``.
+        self._tag_index: List[Dict[int, int]] = _UnbuiltFrames(self, "_tag_index")
+        #: The committed state of an array-kernel replay, written into the
+        #: frames when they are built; None once they are, or before any
+        #: array replay.
+        self._array_state: Optional["SoACache"] = None
         # Address arithmetic hoisted out of geometry method calls; these
         # mirror CacheGeometry.set_index/tag exactly.
         self._offset_bits = geometry.offset_bits
@@ -193,6 +239,31 @@ class Cache:
         """True when at least one observer is attached (the replay
         declines the array kernels then: fallback ``observers``)."""
         return bool(self._observers)
+
+    # ------------------------------------------------------------------
+    # deferred frames
+    # ------------------------------------------------------------------
+    def _build_frames(self) -> None:
+        """Replace the placeholders with real frames and tag index, and
+        write any committed array-replay state into them."""
+        geometry = self.geometry
+        self.sets = [
+            [CacheBlock() for _ in range(geometry.associativity)]
+            for _ in range(geometry.num_sets)
+        ]
+        self._tag_index = [{} for _ in range(geometry.num_sets)]
+        committed, self._array_state = self._array_state, None
+        if committed is not None:
+            committed.to_cache(self)
+
+    def has_resident_blocks(self) -> bool:
+        """True when some frame holds a block; answered from the
+        committed array state when the frames are not built, without
+        building them."""
+        if type(self._tag_index) is _UnbuiltFrames:
+            committed = self._array_state
+            return committed is not None and any(committed.tag_index)
+        return any(self._tag_index)
 
     # ------------------------------------------------------------------
     # lookup helpers

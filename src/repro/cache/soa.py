@@ -4,16 +4,20 @@ The object substrate (:class:`repro.cache.cache.Cache`) spends most of a
 replayed access on Python attribute traffic: every hit touches a
 :class:`~repro.cache.block.CacheBlock` three times and every fill writes
 seven fields.  The array kernels (:mod:`repro.sim.replay_array`) instead
-simulate on flat per-frame planes plus per-set locals, and only
-materialize object state once, at the end of the replay:
+simulate on flat per-frame planes plus per-set locals, and write
+object state only when something reads it:
 
-* :class:`SoACache` holds the frame planes -- ``array('q')`` tags and
-  fill positions, ``bytearray`` valid/dirty/predicted-dead -- indexed by
-  ``frame = set_index * associativity + way``, plus the per-set
-  ``tag -> way`` dicts.  Recency state (LRU stacks, RRIP counters) is
-  *policy* state, already array-shaped inside each policy;
-  the kernels mutate it directly (or rebuild it from their own compact
-  encodings) and leave it exactly as the reference loop would.
+* :class:`SoACache` is what a kernel commits at the end of a replay: per
+  touched set, the ``tag -> way`` dict, each way's final fill position
+  and, for the dead-block kernels, the per-way predicted-dead bits and
+  ``block.meta`` dicts.  The replay driver leaves it on the cache, and
+  the cache's first frame read (see :mod:`repro.cache.cache`) has
+  :meth:`SoACache.to_cache` write it into freshly built blocks; a figure
+  that reads only statistics and the hit vector never pays for that.
+  Recency state (LRU stacks, RRIP counters) is *policy* state, already
+  array-shaped inside each policy; the kernels mutate it directly (or
+  rebuild it from their own compact encodings) and leave it exactly as
+  the reference loop would.
 * :class:`ReplayIndex` is the per-stream side: the stream's positions
   grouped by set (so order-independent policies replay one set at a
   time in a tight loop), per ``(set, tag)`` the sorted list of stream
@@ -26,8 +30,8 @@ materialize object state once, at the end of the replay:
 The index is what lets the kernels drop per-access metadata maintenance
 from the hot loop entirely:
 
-* ``access_count`` / ``last_access_seq`` are recovered at
-  materialization *for resident frames only*.  Given a frame's final
+* ``access_count`` / ``last_access_seq`` are recovered when the frames
+  are built, *for resident frames only*.  Given a frame's final
   fill position ``f``, every later stream position touching that
   ``(set, tag)`` necessarily hit this incarnation of the block (had it
   been evicted after ``f``, a later touch would have re-filled it at a
@@ -47,7 +51,6 @@ from the hot loop entirely:
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -241,58 +244,32 @@ class PredictionPlane:
 
 
 class SoACache:
-    """Flat frame planes a kernel commits into, then materializes.
+    """The per-set state an array kernel commits, kept until something
+    reads the cache's frames.
 
     Only sets a kernel actually touched carry state (``tag_index[s]`` is
-    ``None`` for untouched sets); :meth:`to_cache` skips the rest, so a
-    sparse stream pays for its own footprint only.
+    ``None`` for untouched sets), so a sparse stream pays for its own
+    footprint only.  The replay driver leaves the committed instance on
+    the cache; the cache's first frame read calls :meth:`to_cache`.
     """
 
-    __slots__ = (
-        "num_sets",
-        "associativity",
-        "tags",
-        "valid",
-        "dirty",
-        "predicted_dead",
-        "fill_pos",
-        "tag_index",
-        "_fills",
-        "_dead",
-        "_meta",
-        "_next_write",
-        "_sentinel",
-    )
+    __slots__ = ("index", "tag_index", "_fills", "_dead", "_meta")
 
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        frames = num_sets * associativity
-        self.num_sets = num_sets
-        self.associativity = associativity
-        self.tags = array("q", bytes(8 * frames))
-        self.valid = bytearray(frames)
-        self.dirty = bytearray(frames)
-        self.predicted_dead = bytearray(frames)
-        self.fill_pos = array("q", bytes(8 * frames))
+    def __init__(self, index: ReplayIndex) -> None:
+        num_sets = index.num_sets
+        #: The stream's index: the commit-time recovery reads its
+        #: ``tag_positions`` and ``next_write``.
+        self.index = index
         #: Per-set ``tag -> way`` over valid frames; None = set untouched.
         self.tag_index: List[Optional[Dict[int, int]]] = [None] * num_sets
         #: Per-set ``way -> final fill position`` (parallel to tag_index).
         self._fills: List[Optional[List[int]]] = [None] * num_sets
         #: Per-set ``way -> predicted-dead bit``; None = no dead-block
-        #: kernel ran (the plane stays zero).
+        #: kernel ran (blocks keep their ``False``).
         self._dead: List[Optional[Sequence[int]]] = [None] * num_sets
         #: Per-set ``way -> block.meta`` dict; None = the predictor keeps
         #: no per-block metadata (blocks keep their empty dict).
         self._meta: List[Optional[Sequence[dict]]] = [None] * num_sets
-        self._next_write: Sequence[int] = ()
-        self._sentinel = 0
-
-    @classmethod
-    def for_run(cls, cache, index: ReplayIndex) -> "SoACache":
-        """A fresh plane set for one replay of ``index``'s stream."""
-        soa = cls(cache.geometry.num_sets, cache.geometry.associativity)
-        soa._next_write = index.next_write
-        soa._sentinel = len(index.next_write)
-        return soa
 
     # ------------------------------------------------------------------
     def commit_set(
@@ -310,15 +287,14 @@ class SoACache:
         invalidate a frame), so ``filled`` bounds the valid ways.  The
         handoff is O(1): the kernel transfers ownership of its per-set
         ``tag -> way`` mapping and ``way -> fill position`` list, and
-        :meth:`to_cache` writes the frame planes and the object blocks in
-        one fused pass.  The dirty plane is derived there from the fill
-        positions (see the module docstring) -- kernels never track it.
-        ``way_dead`` carries the DBRB kernel's per-way predicted-dead
-        bits; the simple policies never predict, so they omit it.
-        ``way_meta`` carries the per-way ``block.meta`` contents of the
-        predictors that keep per-block metadata (reftrace, counting),
-        one dict per way that becomes the block's ``meta``; only resident
-        ways are read.
+        :meth:`to_cache` writes the object blocks from them.  The dirty
+        bit is derived there from the fill positions (see the module
+        docstring) -- kernels never track it.  ``way_dead`` carries the
+        DBRB kernel's per-way predicted-dead bits; the simple policies
+        never predict, so they omit it.  ``way_meta`` carries the per-way
+        ``block.meta`` contents of the predictors that keep per-block
+        metadata (reftrace, counting), one dict per way that becomes the
+        block's ``meta``; only resident ways are read.
         """
         self.tag_index[set_index] = tag_to_way
         self._fills[set_index] = way_fill
@@ -328,67 +304,53 @@ class SoACache:
             self._meta[set_index] = way_meta
 
     # ------------------------------------------------------------------
-    def to_cache(self, cache, index: ReplayIndex) -> None:
-        """Materialize the committed sets: planes *and* object substrate.
+    def to_cache(self, cache) -> None:
+        """Write the committed sets into ``cache``'s freshly built frames.
 
-        One fused pass per resident frame writes the frame planes (tags,
-        valid, dirty, fill position) and the corresponding
+        One pass per resident frame writes the
         :class:`~repro.cache.block.CacheBlock` fields -- including the
         recovered ``access_count`` / ``last_access_seq`` -- plus the
         per-set ``tag -> way`` index.  Leaves the cache exactly as the
         reference loop would have; statistics and policy state are
         committed by the replay driver and the kernel respectively.
 
-        The predicted-dead plane follows the per-way bits the DBRB
-        kernel committed (``way_dead``); the simple policies never
-        predict, so their sets skip that branch and blocks keep their
-        ``False``; likewise ``block.meta`` is only replaced from a committed
+        ``predicted_dead`` follows the per-way bits the DBRB kernel
+        committed (``way_dead``); the simple policies never predict, so
+        their sets skip that branch and blocks keep their ``False``;
+        likewise ``block.meta`` is only replaced from a committed
         ``way_meta``.
 
         Sequence numbers are the stream positions: every
         :class:`~repro.sim.hierarchy.PreparedStream` numbers its accesses
         ``0..n-1``.
 
-        Relies on the array path's cold-start eligibility: every frame
-        starts invalid, and :meth:`~repro.cache.block.CacheBlock.invalidate`
-        resets ``dirty`` / ``predicted_dead`` / ``meta``, so those fields
-        only need a write when the replay turned them on.
+        Relies on being called on fresh frames: every frame starts
+        invalid, with ``dirty`` / ``predicted_dead`` off and an empty
+        ``meta``, so those fields only need a write when the replay
+        turned them on.
         """
         sets = cache.sets
         cache_index = cache._tag_index
-        tag_positions = index.tag_positions
-        associativity = self.associativity
-        tags_plane = self.tags
-        valid = self.valid
-        dirty = self.dirty
-        dead_plane = self.predicted_dead
-        fill_pos = self.fill_pos
+        tag_positions = self.index.tag_positions
+        next_write = self.index.next_write
+        sentinel = len(next_write)
         fills = self._fills
         dead_by_set = self._dead
         meta_by_set = self._meta
-        next_write = self._next_write
-        sentinel = self._sentinel
         for set_index, tag_to_way in enumerate(self.tag_index):
             if tag_to_way is None:
                 continue
-            target = cache_index[set_index]
-            target.clear()
-            target.update(tag_to_way)
+            cache_index[set_index].update(tag_to_way)
             way_fill = fills[set_index]
             way_dead = dead_by_set[set_index]
             way_meta = meta_by_set[set_index]
             per_tag = tag_positions[set_index]
             blocks = sets[set_index]
-            base = set_index * associativity
             for tag, way in tag_to_way.items():
-                frame = base + way
                 fill_position = way_fill[way]
-                tags_plane[frame] = tag
-                valid[frame] = 1
-                fill_pos[frame] = fill_position
+                block = blocks[way]
                 if way_dead is not None and way_dead[way]:
-                    dead_plane[frame] = 1
-                    blocks[way].predicted_dead = True
+                    block.predicted_dead = True
                 positions = per_tag[tag]
                 # Never-evicted blocks (the common case) were filled at
                 # their tag's first position: skip the bisect.
@@ -396,13 +358,11 @@ class SoACache:
                     first = 0
                 else:
                     first = bisect_left(positions, fill_position)
-                block = blocks[way]
                 block.valid = True
                 block.tag = tag
                 if way_meta is not None:
                     block.meta = way_meta[way]
                 if next_write[fill_position] < sentinel:
-                    dirty[frame] = 1
                     block.dirty = True
                 block.fill_seq = fill_position
                 block.last_access_seq = positions[-1]

@@ -294,6 +294,10 @@ def _run_cell(task: Cell) -> Tuple[str, object, CellResult]:
     workload, scheme = task
     result = _run_cell_on(_WORKER_CACHE, task)
     if isinstance(result, RunResult):
+        # The stripped cache is cyclic garbage (cache and policy refer to
+        # each other) that only a full collection frees; drop the array
+        # replay state it holds now rather than let it wait for one.
+        result.cache._array_state = None
         result.cache = None
         result.observers = ()
     return workload, scheme, result

@@ -62,7 +62,9 @@ class SetDuel:
         leader_sets: leader sets per policy per core.  ``None`` scales
             :data:`LEADER_RATIO` to the bound cache, so scaled-down
             simulation machines keep the paper's dedicated-set fraction.
-            Clamped so every core's leaders fit in a tiny cache.
+            Clamped so every core's leaders fit in a tiny cache; a cache
+            with fewer than ``2 * num_cores`` sets cannot seat one leader
+            of each policy per core, and :meth:`bind` refuses it.
         psel_bits: width of each policy selector counter (paper: 10).
     """
 
@@ -85,7 +87,17 @@ class SetDuel:
     def bind(self, num_sets: int) -> None:
         """Lay out the leaders: per core, ``leader_sets`` pairs of a
         first-policy and a second-policy leader, interleaved across cores
-        and spread evenly over the cache."""
+        and spread evenly over the cache.
+
+        Raises:
+            ValueError: ``num_sets < 2 * num_cores``; some core would own
+                no leader set and could never move its PSEL.
+        """
+        if num_sets < 2 * self.num_cores:
+            raise ValueError(
+                f"set dueling needs two leader sets per core: num_sets "
+                f"{num_sets} < 2 * num_cores {self.num_cores}"
+            )
         self.owner = [FOLLOWER] * num_sets
         self.second = [False] * num_sets
         target = self.leader_sets
@@ -97,9 +109,8 @@ class SetDuel:
         for _ in range(per_core):
             for core in range(self.num_cores):
                 for second in (False, True):
-                    set_index = position % num_sets
-                    self.owner[set_index] = core
-                    self.second[set_index] = second
+                    self.owner[position] = core
+                    self.second[position] = second
                     position += interval
 
 

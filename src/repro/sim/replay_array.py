@@ -11,13 +11,16 @@ residency dicts over precomputed block keys, compact recency encodings,
 and flat frame planes, with every policy decision inlined into the
 loop.  Per-block bookkeeping the figures never read during the replay
 -- ``access_count``, ``last_access_seq``, and the dirty bit -- is
-dropped from the hot loop entirely and recovered at eviction/commit
-time from the shared :class:`~repro.cache.soa.ReplayIndex` (see that
-module's docstring for why the recovery is exact).
+dropped from the hot loop entirely and recovered at eviction time, or
+when the frames are built, from the shared
+:class:`~repro.cache.soa.ReplayIndex` (see that module's docstring for
+why the recovery is exact).
 
 Result transparency is the contract: the same hit vector, the same
 :class:`~repro.cache.stats.CacheStats`, the same final block contents
-and policy state as the reference loop.  The differential
+and policy state as the reference loop.  The block contents stay in the
+committed :class:`~repro.cache.soa.SoACache` until something reads the
+cache's frames (see :mod:`repro.cache.cache`).  The differential
 harness ``tests/test_replay_differential.py`` checks every kernel
 against that loop; a new kernel gets coverage from one registry entry
 there.
@@ -134,11 +137,15 @@ def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
 
     This is the one place the replay substrate is chosen: the first
     circumstance that applies, in the order below, is the fallback
-    reason.  On success the cache is left bit-identical to a
-    reference-loop replay (blocks, tag index, statistics, policy state)
-    and ``cache.last_replay_kernel`` is ``"array"``; on decline the
-    reason is recorded, ``last_replay_kernel`` is ``"object"``, and the
-    caller (:func:`repro.sim.replay.replay`) runs the reference loop.
+    reason.  On success the cache's statistics and policy state are
+    those of a reference-loop replay, ``cache.last_replay_kernel`` is
+    ``"array"``, and the kernel's committed :class:`SoACache` (with the
+    stream's :class:`~repro.cache.soa.ReplayIndex`) is left on the cache
+    in place of block frames: the cache's first frame read builds them,
+    bit-identical to the reference loop's (see :mod:`repro.cache.cache`).
+    On decline the reason is recorded, ``last_replay_kernel`` is
+    ``"object"``, and the caller (:func:`repro.sim.replay.replay`) runs
+    the reference loop.
     """
     reason = None
     geometry = cache.geometry
@@ -158,21 +165,12 @@ def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
         reason = "probe"
     elif cache.paranoid:
         reason = "paranoid"
-    elif cache.stats.accesses or any(cache._tag_index):
+    elif cache.stats.accesses or cache.has_resident_blocks():
         # Kernels assume a cold cache: fills allocate ways densely from
         # zero and the policy's recency state is the freshly bound one.
         # A cache that has replayed before -- even one flushed since,
         # whose policy state is still warm -- runs the reference loop.
         reason = "warm-cache"
-    elif len(stream) < geometry.num_sets * geometry.associativity:
-        # The array path pays O(frames) for plane setup and commit-time
-        # materialization, which a short stream cannot amortize.  On
-        # perlbench over 4,096 LRU frames (index prebuilt, best of 31)
-        # the reference loop wins at 200 accesses (0.23 vs 0.52 ms) and
-        # 800 (0.9-1.0 vs 1.1 ms); the array kernel wins from ~1,600
-        # (1.9 vs 1.7 ms) and at 4,096 (4.5 vs 3.0 ms).  The frame count
-        # sits above that crossover and scales with the setup cost.
-        reason = "small-stream"
     elif kernel is None:
         reason = f"policy:{type(policy).__name__}"
     else:
@@ -184,9 +182,9 @@ def maybe_replay_array(cache, stream) -> Optional[List[bool]]:
         cache.last_replay_fallback = reason
         return None
     index = stream.replay_index(geometry.num_sets)
-    soa = SoACache.for_run(cache, index)
+    soa = SoACache(index)
     hits, counters = kernel.run(cache, policy, stream, index, soa)
-    soa.to_cache(cache, index)
+    cache._array_state = soa
     (
         hit_count,
         miss_count,

@@ -17,9 +17,9 @@ internal arrays, and hashed per policy over the whole grid:
   (``f``), and sets still on the second policy are ``c``'s second-policy
   leaders (``S``).
 
-A core that owns no second-policy leader (more cores than a tiny cache
-can seat) cannot move its PSEL, so its sets read ``S``; that is what it
-observes, and what the pin records.
+A cache with fewer than two sets per core cannot seat one leader of each
+policy per core; binding a policy to one raises ``ValueError``, and the
+grid points below that size are checked for the error instead of hashed.
 """
 
 import hashlib
@@ -95,26 +95,34 @@ def observed_layout(factory, num_sets, num_cores, leader_sets):
     return rows
 
 
+def seats_every_core(num_sets, num_cores):
+    return num_sets >= 2 * num_cores
+
+
 def layout_digest(factory, num_cores):
     digest = hashlib.sha256()
     for num_sets in SET_COUNTS:
+        if not seats_every_core(num_sets, num_cores):
+            continue
         for leader_sets in LEADER_SETS:
             rows = observed_layout(factory, num_sets, num_cores, leader_sets)
             digest.update(f"{num_sets}/{leader_sets}:{'|'.join(rows)};".encode())
     return digest.hexdigest()[:16]
 
 
-#: Recorded before DIP, thread-aware DIP and DRRIP shared one layout.
-#: Every row reads the same digest for its core count: single-core DIP
-#: already matched the thread-aware layout on this grid.
+#: Recorded before DIP, thread-aware DIP and DRRIP shared one layout,
+#: and re-recorded on that same layout code over the grid points that
+#: seat every core once smaller caches were refused.  Every row reads the
+#: same digest for its core count: single-core DIP already matched the
+#: thread-aware layout on this grid.
 PINS = {
-    ("dip", 1): "e6f4023f33858b0c",
-    ("tadip", 1): "e6f4023f33858b0c",
-    ("tadip", 2): "0eb49e4d923b8c80",
-    ("tadip", 4): "92e62927f1d98d90",
-    ("drrip", 1): "e6f4023f33858b0c",
-    ("drrip", 2): "0eb49e4d923b8c80",
-    ("drrip", 4): "92e62927f1d98d90",
+    ("dip", 1): "86fd85b63a9718ee",
+    ("tadip", 1): "86fd85b63a9718ee",
+    ("tadip", 2): "fc880f860271f2f0",
+    ("tadip", 4): "f7a6abdf96e94176",
+    ("drrip", 1): "86fd85b63a9718ee",
+    ("drrip", 2): "fc880f860271f2f0",
+    ("drrip", 4): "f7a6abdf96e94176",
 }
 
 FACTORIES = {"dip": _dip, "tadip": _tadip, "drrip": _drrip}
@@ -130,3 +138,16 @@ def test_each_core_leads_for_both_policies_when_the_cache_seats_it():
     for row in rows:
         assert row.count("F") == 1 and row.count("S") == 1
         assert row.count("f") == 62
+
+
+@pytest.mark.parametrize("name,num_cores", sorted(PINS))
+def test_a_cache_too_small_to_seat_every_core_is_refused(name, num_cores):
+    small = [n for n in SET_COUNTS if not seats_every_core(n, num_cores)]
+    assert small
+    for num_sets in small:
+        for leader_sets in LEADER_SETS:
+            with pytest.raises(
+                ValueError,
+                match=f"num_sets {num_sets} < 2 \\* num_cores {num_cores}",
+            ):
+                observed_layout(FACTORIES[name], num_sets, num_cores, leader_sets)

@@ -83,8 +83,8 @@ GEOMETRY = CacheGeometry(size_bytes=32 * 4 * 64, associativity=4)
 class Subject(NamedTuple):
     """One policy shape under test.
 
-    ``kernel`` is ``"array"`` or the fallback reason a plain replay of a
-    long enough stream reports.  ``prime`` prepares a freshly bound cache
+    ``kernel`` is ``"array"`` or the fallback reason a plain replay into
+    a cold cache reports.  ``prime`` prepares a freshly bound cache
     (both sides) before the replay.  ``bypasses`` / ``dead_victims``
     require the golden streams to make the policy bypass / evict a block
     predicted dead.
@@ -272,8 +272,12 @@ def full_state(cache):
     as the victim cache's counters -- and the policy's internals (recency
     stacks, RRPVs, PSELs, RNG positions, predictor tables, sampler
     entries), walked recursively through ``__slots__`` and ``__dict__``.
-    Back-references to the cache are skipped.
+    Back-references to the cache are skipped.  An array replay leaves
+    its state unbuilt until a frame read, so a public read
+    (:meth:`~repro.cache.cache.Cache.resident_blocks`) builds the frames
+    first and the walk covers them.
     """
+    list(cache.resident_blocks())
     return {
         name: _walk(value, cache)
         for name, value in vars(cache).items()
@@ -334,19 +338,16 @@ PROPERTY_MODES = (
 )
 
 
-def expected_kernel(subject, cache, stream, mode, warm):
+def expected_kernel(subject, cache, mode, warm):
     """``(last_replay_kernel, last_replay_fallback)`` a replay must report,
     in the order :func:`repro.sim.replay_array.maybe_replay_array`
     checks its circumstances."""
-    geometry = cache.geometry
     reason = MODES[mode]
     if reason is None:
         if cache.paranoid:  # REPRO_PARANOID=1 makes every cache paranoid
             reason = "paranoid"
         elif warm:
             reason = "warm-cache"
-        elif len(stream) < geometry.num_sets * geometry.associativity:
-            reason = "small-stream"
         elif mode == "kernels-off":
             reason = f"policy:{type(cache.policy).__name__}"
         else:
@@ -390,7 +391,7 @@ def differential(name, geometry, stream, mode="plain", warmup=None):
         assert replay(replayed, stream) == expected
     assert full_state(replayed) == full_state(reference)
     assert (replayed.last_replay_kernel, replayed.last_replay_fallback) == (
-        expected_kernel(subject, replayed, stream, mode, warmup is not None)
+        expected_kernel(subject, replayed, mode, warmup is not None)
     )
     assert [_walk(o, replayed) for o in replayed._observers] == [
         _walk(o, reference) for o in reference._observers
@@ -558,16 +559,13 @@ FALLBACKS = {
         "warm-cache", "lru", "flush",
         _revisit(range(GEOMETRY.num_sets), FRAMES, GEOMETRY), STREAMS["mixed"],
     ),
-    "small-stream": (
-        "small-stream", "lru", "plain", _revisit(range(64), FRAMES - 1, GEOMETRY), None
-    ),
     "kernels-off": ("policy:DBRBPolicy", "sampler", "kernels-off", STREAMS["mixed"], None),
 }
 
 #: Every reason the replay path can report.
 REASONS = {
     "paranoid", "observers", "probe", "cache-subclass", "warm-cache",
-    "small-stream", "optimal-seq", "thread-aware-dip", "thread-aware-drrip",
+    "optimal-seq", "thread-aware-dip", "thread-aware-drrip",
     "dbrb-no-bypass", "dbrb-no-replacement", "dbrb-no-sampler", "dbrb-single-table",
     "dbrb-sampler-geometry", "dbrb-table-geometry", "dbrb-warm-predictor",
     "dbrb-predictor:AIPPredictor", "dbrb-default:RandomPolicy",
