@@ -73,7 +73,6 @@ from repro.workloads import (
     ALL_BENCHMARKS,
     MIXES,
     SINGLE_THREAD_SUBSET,
-    build_mix_traces,
     build_trace,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "TraceRecord",
     "TreePLRUPolicy",
     "annotate_next_use",
-    "build_mix_traces",
     "build_trace",
     "__version__",
 ]

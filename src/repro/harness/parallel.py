@@ -46,9 +46,10 @@ holds because every source of randomness is seeded per *task*, not per
 process:
 
 * workload generation draws from ``ExperimentConfig.seed`` and the
-  workload name only (``build_trace(benchmark, ..., seed=config.seed)``,
-  ``build_mix_traces(mix, ..., seed=config.seed)``), so each worker
-  regenerates exactly the trace the serial run would use;
+  workload name only (``build_trace(benchmark, ..., seed=config.seed)``;
+  :func:`~repro.workloads.mixes.mix_cores` seeds a mix's core ``c`` at
+  ``config.seed + c``), so each worker regenerates exactly the trace the
+  serial run would use;
 * policy RNGs (e.g. the random-replacement XorShift) use fixed
   per-policy seeds and are constructed fresh inside each cell;
 * supervision (retry, resume, degradation) decides only *whether* a
@@ -65,16 +66,16 @@ Pythons, and spawn additionally guarantees workers import the package
 fresh (no inherited interpreter state can leak into a cell).  Worker
 processes each hold a private :class:`WorkloadCache`; without the
 compiled workload store, a workload's generation + L1/L2 filtering pass
-is repeated once per worker that draws a cell of that benchmark -- the
-price of process isolation (a Figure-10 mix is likewise prepared once
-per worker that draws one of its cells).  With the store enabled
-(``REPRO_STREAM_CACHE`` / ``stream_cache=``) the parent compiles or
-loads each workload exactly once and workers take the warm path: they
-load the compiled blob from disk, or -- with ``REPRO_SHM`` /
-``shared_memory=True`` -- attach zero-copy to shared-memory segments
-the parent exported (see :mod:`repro.sim.streamstore`).  The segments
-are torn down in the supervision loop's cleanup hook, so crashed,
-timed-out, and aborted sweeps cannot leak them.
+is repeated once per worker that draws a cell of that benchmark (or of
+a mix it is a member of) -- the price of process isolation.  With the
+store enabled (``REPRO_STREAM_CACHE`` / ``stream_cache=``) the parent
+compiles or loads each workload and mix member exactly once and workers
+take the warm path: they load the compiled blob from disk, or -- with
+``REPRO_SHM`` / ``shared_memory=True`` -- attach zero-copy to
+shared-memory segments the parent exported (see
+:mod:`repro.sim.streamstore`).  The segments are torn down in the
+supervision loop's cleanup hook, so crashed, timed-out, and aborted
+sweeps cannot leak them.
 
 The job count comes from, in priority order: the ``jobs`` argument, the
 ``REPRO_JOBS`` environment variable, default 1 (serial, in-process).
@@ -114,7 +115,7 @@ from repro.sim.streamstore import (
 from repro.sim.system import RunResult
 from repro.telemetry.events import EventLog, ProgressRenderer, SweepTelemetry
 from repro.telemetry.manifest import RunManifest
-from repro.workloads import MIX_NAMES, SINGLE_THREAD_SUBSET
+from repro.workloads import SINGLE_THREAD_SUBSET, mix_cores
 
 if TYPE_CHECKING:  # experiments builds on this module
     from repro.harness.experiments import SingleThreadComparison
@@ -206,11 +207,12 @@ _OBSERVERS = {"accuracy": (AccuracyObserver,), "efficiency": (EfficiencyObserver
 def _run_cell_on(cache: WorkloadCache, cell: Cell) -> CellResult:
     """Run one cell on the given workload cache.
 
-    The scheme ``None`` is the LRU baseline cell.  A Table-IV mix runs
-    on the shared LLC; any other workload runs single-core, with the
-    measure's observer attached, and the observer's numbers copied into
-    ``result.analysis`` -- after :meth:`EfficiencyObserver.finalize` for
-    efficiency -- so they outlive the observer.  This is the single
+    The scheme ``None`` is the LRU baseline cell.  A mix (a Table-IV or
+    ``+``-joined name) runs on the shared LLC; any other workload runs
+    single-core, with the measure's observer attached, and the observer's
+    numbers copied into ``result.analysis`` -- after
+    :meth:`EfficiencyObserver.finalize` for efficiency -- so they
+    outlive the observer.  This is the single
     execution path every mode shares -- worker processes, the serial
     in-process sweep, the graceful-degradation fallback and fleet
     workers -- which is what keeps them bit-identical.
@@ -222,7 +224,7 @@ def _run_cell_on(cache: WorkloadCache, cell: Cell) -> CellResult:
         key = "lru" if scheme is _BASELINE else scheme
         measure, build = "run", TECHNIQUES[key].build
     name = key if scheme is _BASELINE else str(scheme)
-    if workload in MIX_NAMES:
+    if mix_cores(workload, cache.config.seed) is not None:
         if measure != "run":
             raise ValueError(f"mix cell {cell_label(cell)}: only 'run' is measured")
         return cache.multicore.run(cache.prepared_mix(workload), build, name)
@@ -361,10 +363,10 @@ def run_cells(
     One worker (``min(jobs, len(cells))``) runs the cells in this
     process on ``cache``; more fan them over a supervised ``spawn``
     pool.  When ``cache`` has a workload store or ``shared_memory`` is
-    set, the pool starts warm: each single-core workload is compiled or
-    loaded once here, and workers load the store's blobs or attach
-    zero-copy to a shared-memory export that the cleanup hooks tear down
-    however supervision ends.
+    set, the pool starts warm: each single-core workload and mix member
+    is compiled or loaded once here, and workers load the store's blobs
+    or attach zero-copy to a shared-memory export that the cleanup hooks
+    tear down however supervision ends.
 
     Both modes run under :func:`~repro.harness.faults.run_cells_supervised`:
     a cell that raises in-process is a ``CellCrashed`` like a pooled
@@ -396,11 +398,14 @@ def run_cells(
         stream_manifest = None
         if streams is not None or shared_memory:
             compile_start = time.perf_counter()
-            compiled = {
-                workload: cache.compiled(workload)
+            seed = cache.config.seed
+            members = dict.fromkeys(
+                member
                 for workload in dict.fromkeys(w for w, _ in cells)
-                if workload not in MIX_NAMES
-            }
+                for member in mix_cores(workload, seed) or [(workload, seed)]
+            )
+            blobs = [cache.compiled(name, seed=member_seed) for name, member_seed in members]
+            compiled = {blob.key: blob for blob in blobs}
             if shared_memory:
                 export = SharedStreamExport.create(compiled)
                 cleanup.append(export.close)
@@ -409,7 +414,7 @@ def run_cells(
                 on_streams(summary(
                     shared_memory,
                     compile_seconds=time.perf_counter() - compile_start,
-                    workloads=sorted(compiled),
+                    workloads=sorted({benchmark for benchmark, _ in members}),
                 ))
         make_pool = make_cell_pool_factory(
             cache.config, workers, root, stream_manifest

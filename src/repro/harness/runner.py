@@ -6,7 +6,7 @@ holds the knobs, reads overrides from the environment, and builds the
 machine; :class:`WorkloadCache` memoizes generated traces and their
 L1/L2 filtering so the six techniques of Figure 4 (and the benchmark
 suite's many processes' worth of figures) share one filtering pass per
-workload.
+workload, a Figure-10 mix's members included.
 
 Environment overrides:
 
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.sim.hierarchy import FilteredTrace, MachineConfig
 from repro.sim.multicore import MulticoreSystem, PreparedMix
@@ -68,7 +68,7 @@ from repro.sim.streamstore import (
     stream_compile_required,
 )
 from repro.sim.system import SingleCoreSystem
-from repro.workloads import build_mix_traces, build_trace, workload_spec_digest
+from repro.workloads import build_trace, mix_cores, mix_members, workload_spec_digest
 
 __all__ = ["ExperimentConfig", "WorkloadCache"]
 
@@ -120,14 +120,14 @@ class ExperimentConfig:
 class WorkloadCache:
     """Memoizes generated traces, filtering passes, and prepared mixes.
 
-    When a compiled workload store and/or a map of already-compiled
-    workloads is attached, :meth:`filtered` serves workloads from them
-    instead of re-running ``build_trace`` + the L1/L2 filtering pass:
+    :meth:`filtered` and :meth:`compiled` serve a workload -- a
+    ``(benchmark, budget, seed)`` triple, the seed defaulting to
+    ``config.seed`` -- through one lookup chain:
 
     1. the in-memory memo (free; not counted);
     2. ``compiled_streams`` -- pre-compiled blobs handed over by the
-       parent process, typically views into shared-memory segments
-       (counted as a ``stream_hits``);
+       parent process, typically views into shared-memory segments,
+       re-keyed on their store keys (counted as a ``stream_hits``);
     3. ``stream_store`` -- the on-disk store (a hit);
     4. a cold build (a ``stream_misses``), written back to the store
        when one is attached so the next run starts warm.
@@ -148,88 +148,82 @@ class WorkloadCache:
         self.system = SingleCoreSystem(self.machine)
         self.multicore = MulticoreSystem(self.machine, num_cores=config.num_cores)
         self.stream_store = stream_store
-        self.compiled_streams = dict(compiled_streams or {})
+        self.compiled_streams = {
+            blob.key: blob for blob in (compiled_streams or {}).values()
+        }
         self.stream_hits = 0
         self.stream_misses = 0
-        self._filtered: Dict[Tuple[str, int], FilteredTrace] = {}
+        self._filtered: Dict[Tuple[str, int, int], FilteredTrace] = {}
         self._mixes: Dict[Tuple[str, int], PreparedMix] = {}
-        self._spec_digests: Dict[str, str] = {}
+        self._spec_digests: Dict[Tuple[str, int], str] = {}
 
-    def workload_key(self, benchmark: str, budget: int) -> str:
+    def workload_key(self, benchmark: str, budget: int, seed: Optional[int] = None) -> str:
         """The store key for one of this cache's workloads.
 
         Folds the workload's canonical spec digest into the key, so two
         parameterized patterns that *render* alike but differ in content
         (a re-imported trace, a changed family default) can never share
-        a blob.  Digests are memoized per benchmark name -- for trace
+        a blob.  Digests are memoized per benchmark and seed -- for trace
         workloads computing one means hashing the trace file.
         """
-        digest = self._spec_digests.get(benchmark)
+        seed = self.config.seed if seed is None else seed
+        digest = self._spec_digests.get((benchmark, seed))
         if digest is None:
-            digest = workload_spec_digest(benchmark, self.config.seed)
-            self._spec_digests[benchmark] = digest
+            digest = workload_spec_digest(benchmark, seed)
+            self._spec_digests[(benchmark, seed)] = digest
         return StreamStore.workload_key(
-            benchmark, budget, self.config.seed, self.machine, spec_digest=digest
+            benchmark, budget, seed, self.machine, spec_digest=digest
         )
 
-    def filtered(self, benchmark: str, instructions: int = 0) -> FilteredTrace:
+    def filtered(
+        self, benchmark: str, instructions: int = 0, *, seed: Optional[int] = None
+    ) -> FilteredTrace:
         """The L1/L2-filtered trace for a benchmark (cached)."""
-        budget = instructions or self.config.instructions
-        key = (benchmark, budget)
-        if key not in self._filtered:
-            self._filtered[key] = self._obtain(benchmark, budget)
-        return self._filtered[key]
+        return self._lookup(benchmark, instructions, seed, compiled=False)
 
-    def compiled(self, benchmark: str, instructions: int = 0) -> CompiledWorkload:
+    def compiled(
+        self, benchmark: str, instructions: int = 0, *, seed: Optional[int] = None
+    ) -> CompiledWorkload:
         """The compiled (flat-buffer) form of a workload.
 
-        Served from ``compiled_streams`` or the store when possible;
-        compiled fresh (and written back to an attached store)
-        otherwise.  Parents use this to build shared-memory exports.
+        Compiled fresh (and written back to an attached store) when no
+        blob is handed over or stored.  Parents use this to build
+        shared-memory exports.
         """
-        budget = instructions or self.config.instructions
-        store_key = self.workload_key(benchmark, budget)
-        existing = self.compiled_streams.get(benchmark)
-        if existing is not None and existing.key == store_key:
-            self.stream_hits += 1
-            return existing
-        if self.stream_store is not None:
-            loaded = self.stream_store.load(store_key)
-            if loaded is not None:
-                self.stream_hits += 1
-                self.compiled_streams[benchmark] = loaded
-                return loaded
-        base = self._filtered.get((benchmark, budget))
-        if base is None:
-            base = self._build(benchmark, budget)
-            self.stream_misses += 1
-            self._filtered[(benchmark, budget)] = base
-        compiled = compile_filtered(base, self.machine, store_key)
-        if self.stream_store is not None:
-            self.stream_store.store(compiled)
-        self.compiled_streams[benchmark] = compiled
-        return compiled
+        return self._lookup(benchmark, instructions, seed, compiled=True)
 
-    def _obtain(self, benchmark: str, budget: int) -> FilteredTrace:
-        store_key = self.workload_key(benchmark, budget)
-        compiled = self.compiled_streams.get(benchmark)
-        if compiled is not None and compiled.key == store_key:
+    def _lookup(
+        self, benchmark: str, instructions: int, seed: Optional[int], compiled: bool
+    ) -> Union[FilteredTrace, CompiledWorkload]:
+        """The one lookup chain (see the class doc) behind both forms."""
+        budget = instructions or self.config.instructions
+        seed = self.config.seed if seed is None else seed
+        key = (benchmark, budget, seed)
+        filtered = self._filtered.get(key)
+        if filtered is not None and not compiled:
+            return filtered
+        store_key = self.workload_key(benchmark, budget, seed)
+        blob = self.compiled_streams.get(store_key)
+        if blob is None and self.stream_store is not None:
+            blob = self.stream_store.load(store_key)
+        if blob is not None:
             self.stream_hits += 1
-            return compiled.filtered_trace()
-        if self.stream_store is not None:
-            loaded = self.stream_store.load(store_key)
-            if loaded is not None:
-                self.stream_hits += 1
-                return loaded.filtered_trace()
-        filtered = self._build(benchmark, budget)
-        self.stream_misses += 1
-        if self.stream_store is not None:
-            self.stream_store.store(
-                compile_filtered(filtered, self.machine, store_key)
-            )
+        else:
+            if filtered is None:
+                filtered = self._filtered[key] = self._build(*key)
+                self.stream_misses += 1
+            if compiled or self.stream_store is not None:
+                blob = compile_filtered(filtered, self.machine, store_key)
+                if self.stream_store is not None:
+                    self.stream_store.store(blob)
+        if compiled:
+            self.compiled_streams[store_key] = blob
+            return blob
+        if filtered is None:
+            filtered = self._filtered[key] = blob.filtered_trace()
         return filtered
 
-    def _build(self, benchmark: str, budget: int) -> FilteredTrace:
+    def _build(self, benchmark: str, budget: int, seed: int) -> FilteredTrace:
         """Cold path: generate the trace and run the filtering pass."""
         if stream_compile_required():
             raise RuntimeError(
@@ -237,20 +231,25 @@ class WorkloadCache:
                 f"(budget {budget}) is not in the compiled store -- a warm "
                 "path was expected and a cold compile was about to happen"
             )
-        trace = build_trace(
-            benchmark, budget, self.machine.llc.size_bytes, seed=self.config.seed
-        )
+        trace = build_trace(benchmark, budget, self.machine.llc.size_bytes, seed=seed)
         return self.system.prepare(trace)
 
     def prepared_mix(self, mix_name: str, instructions: int = 0) -> PreparedMix:
-        """The prepared quad-core mix (cached), including solo baselines."""
+        """The prepared multi-core mix (cached), including solo baselines.
+
+        Each core's member is :meth:`filtered` at the seed
+        :func:`~repro.workloads.mixes.mix_cores` gives it, sized against
+        the per-core LLC like a single-core run.  Raises KeyError when
+        ``mix_name`` is not a mix.
+        """
         budget = instructions or self.config.instructions
         key = (mix_name, budget)
         if key not in self._mixes:
-            traces = build_mix_traces(
-                mix_name, budget, self.machine.llc.size_bytes, seed=self.config.seed
-            )
-            self._mixes[key] = self.multicore.prepare(mix_name, traces)
+            cores = mix_cores(mix_name, self.config.seed)
+            if cores is None:
+                mix_members(mix_name)  # not a mix: raises the unknown-mix KeyError
+            members = [self.filtered(name, budget, seed=seed) for name, seed in cores]
+            self._mixes[key] = self.multicore.prepare(mix_name, members)
         return self._mixes[key]
 
     def clear(self) -> None:

@@ -368,8 +368,9 @@ class FleetWorker:
         if cache is None:
             cache = WorkloadCache(config, stream_store=self.stream_store)
             self._caches[config] = cache
+        held = {StreamStore.digest_for_key(key) for key in cache.compiled_streams}
         for benchmark, digest in blobs.items():
-            if benchmark in cache.compiled_streams:
+            if digest in held:
                 continue
             # Derive the key exactly as the coordinator did (v2 format,
             # canonical-spec digest folded in).  A spec that cannot
@@ -389,11 +390,11 @@ class FleetWorker:
                 local = self.stream_store.load(local_key)
                 if local is not None:
                     self.stats["blob_local_hits"] += 1
-                    cache.compiled_streams[benchmark] = local
+                    cache.compiled_streams[local.key] = local
                     continue
             fetched = self._fetch_blob(digest, benchmark)
             if fetched is not None:
-                cache.compiled_streams[benchmark] = fetched
+                cache.compiled_streams[fetched.key] = fetched
             else:
                 self.stats["blob_fallback_compiles"] += 1
         return cache

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import merge as heap_merge
 from itertools import accumulate
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.cache import Cache
 from repro.cache.geometry import CacheGeometry
@@ -35,14 +35,13 @@ from repro.replacement.lru import LRUPolicy
 from repro.sim.cpu import CoreModel
 from repro.sim.hierarchy import (
     FilteredTrace,
-    HierarchyFilter,
     MachineConfig,
     PreparedStream,
     decompose,
 )
 from repro.sim.metrics import weighted_speedup
 from repro.sim.replay import replay
-from repro.sim.trace import Trace
+from repro.sim.system import SingleCoreSystem
 
 __all__ = ["MulticoreResult", "MulticoreSystem", "PreparedMix"]
 
@@ -102,7 +101,7 @@ class MulticoreSystem:
             raise ValueError(f"num_cores must be >= 1, got {num_cores}")
         self.config = config
         self.num_cores = num_cores
-        self._filter = HierarchyFilter(config)
+        self._solo = SingleCoreSystem(config)
         self._core = CoreModel(config)
 
     # ------------------------------------------------------------------
@@ -110,13 +109,12 @@ class MulticoreSystem:
     def shared_geometry(self) -> CacheGeometry:
         return self.config.shared_llc(self.num_cores)
 
-    def prepare(self, name: str, traces: Sequence[Trace]) -> PreparedMix:
-        """Filter each core's trace, compute solo baselines, merge streams."""
-        if len(traces) != self.num_cores:
+    def prepare(self, name: str, filtered: List[FilteredTrace]) -> PreparedMix:
+        """Compute solo baselines of each core's filtered trace, merge streams."""
+        if len(filtered) != self.num_cores:
             raise ValueError(
-                f"mix has {len(traces)} traces for {self.num_cores} cores"
+                f"mix has {len(filtered)} traces for {self.num_cores} cores"
             )
-        filtered = [self._filter.filter(trace) for trace in traces]
         single_ipcs = [self._solo_ipc(ft) for ft in filtered]
         merged, positions = self._merge(filtered, single_ipcs)
         return PreparedMix(
@@ -129,11 +127,12 @@ class MulticoreSystem:
 
     def _solo_ipc(self, filtered: FilteredTrace) -> float:
         """IPC of one program alone with the full shared LLC under LRU."""
-        geometry = self.shared_geometry
-        stream = filtered.llc_stream(geometry)
-        cache = Cache(geometry, LRUPolicy(), name="LLC-solo")
-        hits = replay(cache, stream)
-        return self._core.run(filtered, hits).ipc
+        return self._solo.run(
+            filtered,
+            lambda geometry, stream: LRUPolicy(),
+            "solo-lru",
+            llc_geometry=self.shared_geometry,
+        ).ipc
 
     def _merge(
         self, filtered: List[FilteredTrace], single_ipcs: List[float]

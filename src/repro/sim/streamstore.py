@@ -766,9 +766,9 @@ def attach_shared_streams(
 ) -> Dict[str, CompiledWorkload]:
     """Worker-side attach: map each exported segment, zero-copy.
 
-    Returns ``{benchmark: CompiledWorkload}``; each workload retains its
-    segment handle so the mapping stays alive for the worker's lifetime.
-    Returns an empty dict for a None/empty manifest.
+    Returns ``{name: CompiledWorkload}`` under the exported names; each
+    workload retains its segment handle so the mapping stays alive for
+    the worker's lifetime.  Returns an empty dict for a None/empty manifest.
     """
     if manifest is None or not manifest.segments:
         return {}

@@ -28,7 +28,7 @@ from repro.workloads.generators import (
     ThrashGenerator,
     UnpredictableGenerator,
 )
-from repro.workloads.mixes import MIX_NAMES, MIXES, build_mix_traces, mix_members
+from repro.workloads.mixes import MIX_NAMES, MIXES, mix_cores, mix_members
 from repro.workloads.patterns import (
     PATTERN_FAMILIES,
     BurstyPattern,
@@ -89,11 +89,11 @@ __all__ = [
     "WorkloadGenerator",
     "WorkloadSpecError",
     "ZipfianPattern",
-    "build_mix_traces",
     "build_trace",
     "compose",
     "default_trace_library",
     "generator_for",
+    "mix_cores",
     "mix_members",
     "parse_workload_spec",
     "register_pattern_family",

@@ -7,20 +7,19 @@ what makes shared-LLC management interesting.
 
 Beyond Table IV, any ``+``-separated list of workload names is a valid
 ad-hoc mix -- ``mcf+hmmer+zipf(a=1.4)+seq(streams=8)`` -- one workload
-per core, resolved through :func:`repro.workloads.suite.build_trace` so
-suite benchmarks and pattern specs combine freely.
+per core, so suite benchmarks and pattern specs combine freely.  Each
+member is an ordinary workload, at the seed :func:`mix_cores` gives it.
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.trace import Trace
 from repro.workloads.patterns import split_top_level
-from repro.workloads.suite import build_trace, validate_workloads
+from repro.workloads.suite import validate_workloads
 
-__all__ = ["MIXES", "MIX_NAMES", "build_mix_traces", "mix_members"]
+__all__ = ["MIXES", "MIX_NAMES", "mix_cores", "mix_members"]
 
 #: Table IV, verbatim.
 MIXES: Dict[str, Tuple[str, str, str, str]] = {
@@ -39,21 +38,17 @@ MIXES: Dict[str, Tuple[str, str, str, str]] = {
 MIX_NAMES: Tuple[str, ...] = tuple(MIXES)
 
 
-def build_mix_traces(
-    mix_name: str, instructions_per_core: int, llc_bytes: int, seed: int = 1
-) -> List[Trace]:
-    """Generate the four traces of a mix.
+def mix_cores(workload: str, seed: int) -> Optional[List[Tuple[str, int]]]:
+    """Each core's ``(member, seed)`` if ``workload`` names a mix, else None.
 
-    ``llc_bytes`` should be the *per-core* LLC share (the paper sizes
-    workloads against a 2MB/core budget even though the quad-core LLC is
-    one shared 8MB array), so single-thread and multi-core runs use
-    identical traces for a given machine scale.
+    The one member rule: a Table-IV name or a ``+``-joined name resolves
+    through :func:`mix_members`, and core ``c`` runs its member at
+    ``seed + c``, so core 0 runs exactly the single-core workload of that
+    name.  Any other name is a single workload (None).
     """
-    names = mix_members(mix_name)
-    return [
-        build_trace(name, instructions_per_core, llc_bytes, seed=seed + core)
-        for core, name in enumerate(names)
-    ]
+    if workload not in MIXES and "+" not in workload:
+        return None
+    return [(name, seed + core) for core, name in enumerate(mix_members(workload))]
 
 
 def mix_members(mix_name: str) -> Sequence[str]:

@@ -18,6 +18,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.harness.experiments import multicore_comparison, single_thread_comparison
+from repro.harness.techniques import TECHNIQUES
 from repro.telemetry.manifest import RunManifest
 from tests.test_figure_goldens import FIGURES, digest, figure_output, tiny_config
 
@@ -164,6 +165,26 @@ def test_figure_at_one_job_equals_two_and_writes_a_manifest(
             assert cell["kernel"] in ("array", "object"), label
             assert ("kernel_fallback" in cell) == (cell["kernel"] == "object"), label
     assert digests["1"] == digests["2"]
+
+
+class TestAdHocMixCells:
+    """A ``+``-joined mix is a Figure-10 cell like a Table-IV name."""
+
+    MIX = "mcf+hmmer+lbm+milc"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_ad_hoc_mix_runs_as_cells(self, jobs, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        cache = WorkloadCache(tiny_config(1))
+        comparison = multicore_comparison(cache, ["sampler"], mixes=(self.MIX,))
+        prepared = cache.prepared_mix(self.MIX)
+        for got, key in (
+            (comparison.baseline[self.MIX], "lru"),
+            (comparison.results[self.MIX]["sampler"], "sampler"),
+        ):
+            want = cache.multicore.run(prepared, TECHNIQUES[key].build, key)
+            assert got.llc_stats.snapshot() == want.llc_stats.snapshot()
+            assert (got.ipcs, got.single_ipcs) == (want.ipcs, want.single_ipcs)
 
 
 class TestUpFrontValidation:

@@ -100,10 +100,12 @@ class TestMulticoreSystem:
 
     @pytest.fixture(scope="class")
     def prepared(self, system):
-        traces = [
-            simple_trace(name=f"core{i}", blocks=100 + 40 * i) for i in range(4)
+        single = SingleCoreSystem(small_machine())
+        filtered = [
+            single.prepare(simple_trace(name=f"core{i}", blocks=100 + 40 * i))
+            for i in range(4)
         ]
-        return system.prepare("testmix", traces)
+        return system.prepare("testmix", filtered)
 
     def test_rejects_bad_core_count(self):
         with pytest.raises(ValueError):
@@ -111,7 +113,7 @@ class TestMulticoreSystem:
 
     def test_prepare_rejects_wrong_trace_count(self, system):
         with pytest.raises(ValueError):
-            system.prepare("bad", [simple_trace()])
+            system.prepare("bad", [SingleCoreSystem(small_machine()).prepare(simple_trace())])
 
     def test_shared_geometry_is_four_times_private(self, system):
         assert system.shared_geometry.size_bytes == 4 * small_machine().llc.size_bytes
@@ -156,11 +158,12 @@ class TestMulticoreSystem:
     def test_sampler_not_worse_than_lru_on_real_mix(self):
         machine = MachineConfig().scaled(32)
         system = MulticoreSystem(machine, num_cores=4)
-        traces = [
-            build_trace(name, 30_000, machine.llc.size_bytes, seed=3)
+        single = SingleCoreSystem(machine)
+        filtered = [
+            single.prepare(build_trace(name, 30_000, machine.llc.size_bytes, seed=3))
             for name in ("hmmer", "libquantum", "soplex", "gamess")
         ]
-        prepared = system.prepare("mix", traces)
+        prepared = system.prepare("mix", filtered)
         lru = system.run(prepared, lambda g, a, n: LRUPolicy(), "lru")
         sampler = system.run(
             prepared,

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.experiments import single_thread_comparison
-from repro.harness.parallel import parallel_single_thread_comparison
+from repro.harness.experiments import comparison_cells, single_thread_comparison
+from repro.harness.parallel import parallel_single_thread_comparison, sweep
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import StreamStore
 from repro.telemetry.manifest import RunManifest
+from repro.workloads import MIXES
 
 TINY = ExperimentConfig(scale=32, instructions=20_000, seed=3)
 BENCHMARKS = ("perlbench", "mcf")
@@ -145,3 +146,25 @@ class TestParallelStorePath:
         assert summary["root"] is None
         assert summary["shared_memory"] is True
         assert cell_counter(manifest, "store_misses") == 0
+
+    def test_pooled_mix_cells_start_warm(self, tmp_path):
+        # A mix is its members: the parent compiles each member once and
+        # the workers attach them, so no mix cell builds a workload.
+        mixes = ("mix1", "mix5")
+        cells = comparison_cells(mixes, TECHNIQUE_KEYS)
+        serial, _ = sweep(WorkloadCache(TINY), cells, jobs=1)
+        manifest_path = str(tmp_path / "mix-manifest.json")
+        pooled, _ = sweep(
+            TINY, cells, jobs=2, shared_memory=True, manifest_path=manifest_path
+        )
+        manifest = RunManifest.load(manifest_path)
+        summary = manifest["stream_store"]
+        assert summary["shared_memory"] is True
+        assert summary["workloads"] == sorted({m for mix in mixes for m in MIXES[mix]})
+        assert len(manifest["cells"]) == len(cells)
+        for label, cell in manifest["cells"].items():
+            assert cell["store_misses"] == 0, label
+        for cell in cells:
+            mine, theirs = serial[cell], pooled[cell]
+            assert mine.llc_stats.snapshot() == theirs.llc_stats.snapshot()
+            assert (mine.ipcs, mine.single_ipcs) == (theirs.ipcs, theirs.single_ipcs)

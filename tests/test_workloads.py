@@ -6,7 +6,6 @@ from repro.workloads import (
     ALL_BENCHMARKS,
     MIXES,
     SINGLE_THREAD_SUBSET,
-    build_mix_traces,
     build_trace,
     generator_for,
 )
@@ -46,14 +45,22 @@ class TestSuiteStructure:
             for name in members:
                 assert name in ALL_BENCHMARKS
 
-    def test_build_mix_traces(self):
-        traces = build_mix_traces("mix1", 20_000, LLC_BYTES)
-        assert len(traces) == 4
-        assert [t.name for t in traces] == list(MIXES["mix1"])
+    def test_mix_core0_member_is_the_single_core_workload(self, fig10_workloads):
+        prepared = fig10_workloads.prepared_mix("mix1")
+        assert [ft.name for ft in prepared.filtered] == list(MIXES["mix1"])
+        assert prepared.filtered[0] is fig10_workloads.filtered("mcf")
 
-    def test_unknown_mix_rejected(self):
+    def test_mix_member_seed_follows_its_core(self, fig10_workloads):
+        cache, seed = fig10_workloads, fig10_workloads.config.seed
+        assert MIXES["mix5"][2] == "mcf"
+        member = cache.prepared_mix("mix5").filtered[2]
+        assert member is cache.filtered("mcf", seed=seed + 2)
+        budget = cache.config.instructions
+        assert cache.workload_key("mcf", budget, seed + 2) != cache.workload_key("mcf", budget)
+
+    def test_unknown_mix_rejected(self, fig10_workloads):
         with pytest.raises(KeyError):
-            build_mix_traces("mix99", 1000, LLC_BYTES)
+            fig10_workloads.prepared_mix("mix99")
 
 
 class TestTraceProperties:
