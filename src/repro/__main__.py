@@ -92,7 +92,7 @@ def _cmd_info(args) -> int:
           "-- parameterized specs like 'zipf(a=1.2,seed=7)' work "
           "anywhere a benchmark name does (docs/workloads.md)")
     print(f"multicore mixes: {', '.join(MIXES)} "
-          "(or ad-hoc: 'mcf+hmmer+zipf(a=1.4)+seq')")
+          f"(or ad-hoc: 'mcf+hmmer+zipf(a=1.4)+seq') -- {_RUN_MIXES}")
     print()
     print("techniques (Table V):")
     for technique in TECHNIQUES.values():
@@ -163,13 +163,32 @@ def _parse_techniques(names) -> list:
     return keys
 
 
+#: Where a multicore mix runs: the commands here take single workloads.
+_RUN_MIXES = (
+    "repro commands take single workloads; run mixes from Python with "
+    "multicore_comparison(..., mixes=[...]) or with the Figure-10 bench "
+    "(benchmarks/bench_fig10_multicore.py)"
+)
+
+
 def _check_workload(name: str) -> str:
     """Validate a workload name / pattern spec, exiting with the
-    registry and a closest-match suggestion when it does not resolve."""
-    from repro.workloads import validate_workloads
+    registry and a closest-match suggestion when it does not resolve,
+    or with where to run it when it names a multicore mix."""
+    from repro.workloads import mix_cores, validate_workloads
 
     bad = validate_workloads([name])
     if bad:
+        try:
+            # The seed only numbers the members; any value tells a mix.
+            cores = mix_cores(name, seed=0)
+        except ValueError as error:  # an ad-hoc mix with a bad member
+            raise SystemExit(str(error))
+        if cores is not None:
+            members = "+".join(member for member, _ in cores)
+            raise SystemExit(
+                f"{name!r} is a {len(cores)}-core mix ({members}); {_RUN_MIXES}"
+            )
         raise SystemExit("; ".join(bad))
     return name
 

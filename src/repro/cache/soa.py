@@ -9,23 +9,24 @@ object state only when something reads it:
 
 * :class:`SoACache` is what a kernel commits at the end of a replay: per
   touched set, the ``tag -> way`` dict, each way's final fill position
-  and, for the dead-block kernels, the per-way predicted-dead bits and
-  ``block.meta`` dicts.  The replay driver leaves it on the cache, and
-  the cache's first frame read (see :mod:`repro.cache.cache`) has
-  :meth:`SoACache.to_cache` write it into freshly built blocks; a figure
-  that reads only statistics and the hit vector never pays for that.
-  Recency state (LRU stacks, RRIP counters) is *policy* state, already
-  array-shaped inside each policy; the kernels mutate it directly (or
-  rebuild it from their own compact encodings) and leave it exactly as
-  the reference loop would.
+  and, for the dead-block kernels, the per-way predicted-dead bits; for
+  the predictors that keep per-block metadata (reftrace, counting), the
+  kernel's flat frame planes of that metadata, as they stand.  The
+  replay driver leaves it on the cache, and the cache's first frame read
+  (see :mod:`repro.cache.cache`) has :meth:`SoACache.to_cache` write it
+  into freshly built blocks, building each resident block's ``meta``
+  dict there; a figure that reads only statistics and the hit vector
+  never pays for that.  Recency state (LRU stacks, RRIP counters) is
+  *policy* state, already array-shaped inside each policy; the kernels
+  mutate it directly (or rebuild it from their own compact encodings)
+  and leave it exactly as the reference loop would.
 * :class:`ReplayIndex` is the per-stream side: the stream's positions
-  grouped by set (so order-independent policies replay one set at a
-  time in a tight loop), per ``(set, tag)`` the sorted list of stream
-  positions touching that tag, and the flat ``next_write`` array.  It is
-  built once per ``(workload, geometry)`` and cached on the
-  :class:`~repro.sim.hierarchy.PreparedStream`, so every technique of a
-  sweep shares it -- the same amortization contract as the precomputed
-  ``(set_index, tag)`` decomposition itself.
+  and tags grouped by set (so order-independent policies replay one set
+  at a time in a tight loop), each position's block key, and the flat
+  ``next_write`` array.  It is built once per ``(workload, geometry)``
+  and cached on the :class:`~repro.sim.hierarchy.PreparedStream`, so
+  every technique of a sweep shares it -- the same amortization contract
+  as the precomputed ``(set_index, tag)`` decomposition itself.
 
 The index is what lets the kernels drop per-access metadata maintenance
 from the hot loop entirely:
@@ -36,9 +37,9 @@ from the hot loop entirely:
   ``(set, tag)`` necessarily hit this incarnation of the block (had it
   been evicted after ``f``, a later touch would have re-filled it at a
   position ``> f``, and no touch after an eviction means the block
-  would not be resident).  So ``access_count`` is the count of indexed
-  positions ``>= f`` (one :func:`bisect.bisect_left`) and
-  ``last_access_seq`` is the last indexed position's ``seq``.
+  would not be resident).  So one walk over the set's positions and
+  tags gives ``access_count`` (the positions ``>= f`` with the block's
+  tag) and ``last_access_seq`` (the last of them).
 * ``dirty`` is a pure function of the fill position: a block incarnation
   filled at ``f`` is dirty iff some access at position ``>= f`` (the
   fill itself included) wrote to its ``(set, tag)`` before the block
@@ -51,7 +52,6 @@ from the hot loop entirely:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["PredictionPlane", "ReplayIndex", "SoACache"]
@@ -69,7 +69,6 @@ class ReplayIndex:
             set_index`` -- the block address.  One key identifies a
             block globally, so the stream-order kernels can keep a
             single residency dict instead of one per set.
-        tag_positions: per set, ``tag -> sorted stream positions``.
         next_write: per stream position ``p``, the first position
             ``>= p`` (``p`` itself included) that *writes* to the same
             ``(set, tag)``, or ``len(stream)`` when there is none.
@@ -81,7 +80,6 @@ class ReplayIndex:
         "set_positions",
         "set_tags",
         "block_keys",
-        "tag_positions",
         "next_write",
     )
 
@@ -91,7 +89,6 @@ class ReplayIndex:
         set_positions: List[List[int]],
         set_tags: List[List[int]],
         block_keys: List[int],
-        tag_positions: List[Dict[int, List[int]]],
         next_write: List[int],
     ) -> None:
         self.num_sets = num_sets
@@ -99,7 +96,6 @@ class ReplayIndex:
         self.set_positions = set_positions
         self.set_tags = set_tags
         self.block_keys = block_keys
-        self.tag_positions = tag_positions
         self.next_write = next_write
 
     @classmethod
@@ -110,9 +106,9 @@ class ReplayIndex:
         writes: Sequence[int],
         num_sets: int,
     ) -> "ReplayIndex":
-        """Group a decomposed stream's columns by set.  One pass over the
-        stream for the bucketing, one pass per set for the derived
-        arrays."""
+        """Group a decomposed stream's columns by set (one bucketing
+        pass), then fill ``next_write`` in one reverse pass over the
+        block keys, remembering each block's nearest later write."""
         total = len(set_indices)
         index_bits = num_sets.bit_length() - 1
         block_keys = [
@@ -123,30 +119,19 @@ class ReplayIndex:
         appends = [positions.append for positions in set_positions]
         for position, set_index in enumerate(set_indices):
             appends[set_index](position)
-        set_tags: List[List[int]] = []
-        tag_positions: List[Dict[int, List[int]]] = []
+        set_tags = [
+            [tags[position] for position in positions]
+            for positions in set_positions
+        ]
         next_write = [total] * total
-        for positions in set_positions:
-            local_tags = [tags[position] for position in positions]
-            set_tags.append(local_tags)
-            per_tag: Dict[int, List[int]] = {}
-            per_tag_get = per_tag.get
-            for position, tag in zip(positions, local_tags):
-                bucket = per_tag_get(tag)
-                if bucket is None:
-                    per_tag[tag] = [position]
-                else:
-                    bucket.append(position)
-            tag_positions.append(per_tag)
-            for bucket in per_tag.values():
-                nearest = total
-                for position in reversed(bucket):
-                    if writes[position]:
-                        nearest = position
-                    next_write[position] = nearest
-        return cls(
-            num_sets, set_positions, set_tags, block_keys, tag_positions, next_write
-        )
+        nearest: Dict[int, int] = {}
+        nearest_get = nearest.get
+        for position in range(total - 1, -1, -1):
+            key = block_keys[position]
+            if writes[position]:
+                nearest[key] = position
+            next_write[position] = nearest_get(key, total)
+        return cls(num_sets, set_positions, set_tags, block_keys, next_write)
 
 
 class PredictionPlane:
@@ -257,8 +242,8 @@ class SoACache:
 
     def __init__(self, index: ReplayIndex) -> None:
         num_sets = index.num_sets
-        #: The stream's index: the commit-time recovery reads its
-        #: ``tag_positions`` and ``next_write``.
+        #: The stream's index: the frame-build recovery reads its
+        #: ``set_positions``, ``set_tags`` and ``next_write``.
         self.index = index
         #: Per-set ``tag -> way`` over valid frames; None = set untouched.
         self.tag_index: List[Optional[Dict[int, int]]] = [None] * num_sets
@@ -267,9 +252,13 @@ class SoACache:
         #: Per-set ``way -> predicted-dead bit``; None = no dead-block
         #: kernel ran (blocks keep their ``False``).
         self._dead: List[Optional[Sequence[int]]] = [None] * num_sets
-        #: Per-set ``way -> block.meta`` dict; None = the predictor keeps
-        #: no per-block metadata (blocks keep their empty dict).
-        self._meta: List[Optional[Sequence[dict]]] = [None] * num_sets
+        #: ``(keys, planes)``: the ``block.meta`` keys and, per key, its
+        #: frame-indexed plane (frame = ``set * associativity + way``);
+        #: None = the predictor keeps no per-block metadata (blocks keep
+        #: their empty dict).
+        self._meta: Optional[
+            Tuple[Tuple[str, ...], Tuple[Sequence[int], ...]]
+        ] = None
 
     # ------------------------------------------------------------------
     def commit_set(
@@ -279,7 +268,6 @@ class SoACache:
         way_fill: List[int],
         filled: int,
         way_dead: Optional[Sequence[int]] = None,
-        way_meta: Optional[Sequence[dict]] = None,
     ) -> None:
         """Hand one set's kernel-local state over to the substrate.
 
@@ -291,34 +279,42 @@ class SoACache:
         bit is derived there from the fill positions (see the module
         docstring) -- kernels never track it.  ``way_dead`` carries the
         DBRB kernel's per-way predicted-dead bits; the simple policies
-        never predict, so they omit it.  ``way_meta`` carries the per-way
-        ``block.meta`` contents of the predictors that keep per-block
-        metadata (reftrace, counting), one dict per way that becomes the
-        block's ``meta``; only resident ways are read.
+        never predict, so they omit it.
         """
         self.tag_index[set_index] = tag_to_way
         self._fills[set_index] = way_fill
         if way_dead is not None:
             self._dead[set_index] = way_dead
-        if way_meta is not None:
-            self._meta[set_index] = way_meta
+
+    def commit_meta(
+        self, keys: Tuple[str, ...], planes: Tuple[Sequence[int], ...]
+    ) -> None:
+        """Hand over the per-block metadata of a predictor that keeps it
+        (reftrace, counting): ``planes[i][frame]`` is the value of
+        ``keys[i]`` in that frame's ``block.meta``.  The planes are the
+        kernel's own, frame-indexed over the whole cache; only resident
+        frames are read, and only when the frames are built.  ``keys``
+        is in the object path's insertion order, which the built dicts
+        keep."""
+        self._meta = (keys, planes)
 
     # ------------------------------------------------------------------
     def to_cache(self, cache) -> None:
         """Write the committed sets into ``cache``'s freshly built frames.
 
-        One pass per resident frame writes the
-        :class:`~repro.cache.block.CacheBlock` fields -- including the
-        recovered ``access_count`` / ``last_access_seq`` -- plus the
-        per-set ``tag -> way`` index.  Leaves the cache exactly as the
-        reference loop would have; statistics and policy state are
-        committed by the replay driver and the kernel respectively.
+        One walk over each touched set's indexed positions recovers its
+        resident blocks' ``access_count`` / ``last_access_seq`` (see the
+        module docstring), then one pass per resident frame writes the
+        :class:`~repro.cache.block.CacheBlock` fields plus the per-set
+        ``tag -> way`` index.  Leaves the cache exactly as the reference
+        loop would have; statistics and policy state are committed by
+        the replay driver and the kernel respectively.
 
         ``predicted_dead`` follows the per-way bits the DBRB kernel
         committed (``way_dead``); the simple policies never predict, so
         their sets skip that branch and blocks keep their ``False``;
-        likewise ``block.meta`` is only replaced from a committed
-        ``way_meta``.
+        likewise ``block.meta`` is only built from committed metadata
+        planes, a fresh dict per resident frame.
 
         Sequence numbers are the stream positions: every
         :class:`~repro.sim.hierarchy.PreparedStream` numbers its accesses
@@ -331,39 +327,45 @@ class SoACache:
         """
         sets = cache.sets
         cache_index = cache._tag_index
-        tag_positions = self.index.tag_positions
-        next_write = self.index.next_write
+        associativity = cache.geometry.associativity
+        index = self.index
+        set_positions = index.set_positions
+        set_tags = index.set_tags
+        next_write = index.next_write
         sentinel = len(next_write)
         fills = self._fills
         dead_by_set = self._dead
-        meta_by_set = self._meta
+        meta_keys, meta_planes = self._meta or ((), ())
         for set_index, tag_to_way in enumerate(self.tag_index):
             if tag_to_way is None:
                 continue
             cache_index[set_index].update(tag_to_way)
             way_fill = fills[set_index]
             way_dead = dead_by_set[set_index]
-            way_meta = meta_by_set[set_index]
-            per_tag = tag_positions[set_index]
+            access_count = [0] * associativity
+            last_access = [0] * associativity
+            tag_to_way_get = tag_to_way.get
+            for position, tag in zip(set_positions[set_index], set_tags[set_index]):
+                way = tag_to_way_get(tag)
+                if way is not None and position >= way_fill[way]:
+                    access_count[way] += 1
+                    last_access[way] = position
+            base = set_index * associativity
             blocks = sets[set_index]
             for tag, way in tag_to_way.items():
                 fill_position = way_fill[way]
                 block = blocks[way]
                 if way_dead is not None and way_dead[way]:
                     block.predicted_dead = True
-                positions = per_tag[tag]
-                # Never-evicted blocks (the common case) were filled at
-                # their tag's first position: skip the bisect.
-                if positions[0] == fill_position:
-                    first = 0
-                else:
-                    first = bisect_left(positions, fill_position)
                 block.valid = True
                 block.tag = tag
-                if way_meta is not None:
-                    block.meta = way_meta[way]
+                if meta_planes:
+                    frame = base + way
+                    block.meta = dict(
+                        zip(meta_keys, [plane[frame] for plane in meta_planes])
+                    )
                 if next_write[fill_position] < sentinel:
                     block.dirty = True
                 block.fill_seq = fill_position
-                block.last_access_seq = positions[-1]
-                block.access_count = len(positions) - first
+                block.last_access_seq = last_access[way]
+                block.access_count = access_count[way]

@@ -296,10 +296,14 @@ def _run_cell(task: Cell) -> Tuple[str, object, CellResult]:
     workload, scheme = task
     result = _run_cell_on(_WORKER_CACHE, task)
     if isinstance(result, RunResult):
-        # The stripped cache is cyclic garbage (cache and policy refer to
-        # each other) that only a full collection frees; drop the array
-        # replay state it holds now rather than let it wait for one.
+        # The stripped cache is cyclic garbage (its frame placeholders
+        # and its policy refer back to it) that only a full collection
+        # frees.  Drop what it holds now rather than let it wait: the
+        # array replay state, and the policy (recency stacks, next-use
+        # lists, predictor tables), which the cache's link was the last
+        # reference to.
         result.cache._array_state = None
+        result.cache.policy = None
         result.cache = None
         result.observers = ()
     return workload, scheme, result

@@ -969,11 +969,11 @@ class _DBRBKernel:
             way_fill[frame] = position
             signature[frame] = new
             pred[frame] = table[new] >= threshold  # install
-        metas = [{reftrace._META_KEY: value} for value in signature]
         filled_total = _commit_recency(
             soa, index, ods, way_fill, pred, filled_by_set, associativity,
-            policy.default._stacks, metas,
+            policy.default._stacks,
         )
+        soa.commit_meta((reftrace._META_KEY,), (signature,))
         return _finish(
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
         )
@@ -1076,20 +1076,26 @@ class _DBRBKernel:
             else:
                 dead_at[frame] = never
                 pred[frame] = 0
-        # The object path's install writes these keys in this order.
-        metas = [
-            {
-                counting._ROW_KEY: at >> addr_bits,
-                counting._COL_KEY: at & column_mask,
-                counting._COUNT_KEY: value,
-                counting._LIMIT_KEY: learned,
-                counting._CONF_KEY: confident,
-            }
-            for at, value, learned, confident in zip(entry, count, limit, confidence)
-        ]
         filled_total = _commit_recency(
             soa, index, ods, way_fill, pred, filled_by_set, associativity,
-            policy.default._stacks, metas,
+            policy.default._stacks,
+        )
+        # The object path's install writes these keys in this order.
+        soa.commit_meta(
+            (
+                counting._ROW_KEY,
+                counting._COL_KEY,
+                counting._COUNT_KEY,
+                counting._LIMIT_KEY,
+                counting._CONF_KEY,
+            ),
+            (
+                [at >> addr_bits for at in entry],
+                [at & column_mask for at in entry],
+                count,
+                limit,
+                confidence,
+            ),
         )
         return _finish(
             hits, filled_total, writeback_total, bypass_total, dead_victim_total
@@ -1097,13 +1103,13 @@ class _DBRBKernel:
 
 
 def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
-                    associativity, stacks, metas):
+                    associativity, stacks):
     """Commit the stream-order LRU-default DBRB kernels: per touched set,
     the ``tag -> way`` dict and the LRU stack come from the recency
     OrderedDict (``block key -> frame``, front = LRU; never-filled ways
     stay at the stack tail in order, as in :class:`_LRUKernel`), and the
-    fill, dead and ``block.meta`` planes (``metas``, one dict per frame)
-    are sliced."""
+    fill and dead planes are sliced.  The per-block metadata planes go
+    to :meth:`~repro.cache.soa.SoACache.commit_meta` whole."""
     index_bits = index.index_bits
     commit_set = soa.commit_set
     filled_total = 0
@@ -1128,7 +1134,6 @@ def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
             way_fill[base:top],
             filled,
             pred[base:top],
-            metas[base:top],
         )
     return filled_total
 

@@ -12,6 +12,7 @@ class TestCLI:
         assert "Sampling Dead Block Prediction" in out
         assert "sampler" in out
         assert "mix10" in out
+        assert "multicore_comparison(..., mixes=" in out
 
     def test_storage(self, capsys):
         assert main(["storage"]) == 0
@@ -46,6 +47,20 @@ class TestCLI:
     def test_run_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
             main(["run", "not_a_benchmark"])
+
+    @pytest.mark.parametrize("mix", ["mix1", "mcf+hmmer+lbm+milc"])
+    def test_run_names_a_mix_and_where_mixes_run(self, mix):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", mix, "sampler"])
+        message = str(excinfo.value.code)
+        assert repr(mix) in message and "4-core mix" in message
+        assert "unknown workload" not in message
+        assert "multicore_comparison(..., mixes=" in message
+        assert "bench_fig10_multicore.py" in message
+
+    def test_run_reports_an_ad_hoc_mix_member_that_does_not_resolve(self):
+        with pytest.raises(SystemExit, match="unresolvable members"):
+            main(["run", "mcf+nope", "sampler"])
 
     def test_run_rejects_unknown_technique(self):
         with pytest.raises(SystemExit):

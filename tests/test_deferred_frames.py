@@ -13,7 +13,13 @@ read of the frames builds them.  These tests pin:
   defines no ``__getattr__``/``__getattribute__``, and after one access
   a fresh cache holds plain lists;
 * the array path's warm-cache check does not build a fresh cache's
-  frames.
+  frames;
+* the committed state holds no per-frame Python object: the TDBP and
+  CDBP kernels commit their metadata planes as flat lists, and the
+  stream's ``ReplayIndex`` holds no per-block dict, so ``block.meta``
+  dicts and ``access_count`` / ``last_access_seq`` are made only when
+  the frames are built -- exactly, also for blocks evicted and filled
+  again.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ READS = {
 }
 
 
-@pytest.mark.parametrize("technique", ["lru", "sampler", "tdbp"])
+@pytest.mark.parametrize("technique", ["lru", "sampler", "tdbp", "cdbp"])
 @pytest.mark.parametrize("read", sorted(READS))
 def test_array_replay_builds_no_frames_until_a_read(built_blocks, read, technique):
     reference, expected = _reference(technique)
@@ -138,3 +144,68 @@ def test_warm_cache_check_does_not_build_a_fresh_cache(built_blocks):
     assert built_blocks == []
     assert cache.has_resident_blocks()
     assert built_blocks == []
+
+
+def _dicts_in(value):
+    """Every dict reachable from ``value`` through lists, tuples and dicts."""
+    if isinstance(value, dict):
+        yield value
+        items = value.values()
+    elif isinstance(value, (list, tuple)):
+        items = value
+    else:
+        return
+    for item in items:
+        yield from _dicts_in(item)
+
+
+@pytest.mark.parametrize("technique", ["lru", "sampler", "tdbp", "cdbp"])
+def test_array_replay_commits_no_per_frame_dict(built_blocks, technique):
+    cache = _cache(technique)
+    replay(cache, STREAM)
+    assert cache.last_replay_kernel == "array"
+    committed = cache._array_state
+    index = committed.index
+    assert not hasattr(index, "tag_positions")
+    assert [
+        found for name in index.__slots__ for found in _dicts_in(getattr(index, name))
+    ] == []
+    # The only dicts are the per-set ``tag -> way`` indexes.
+    tag_index_ids = {id(tag_to_way) for tag_to_way in committed.tag_index}
+    dicts = [
+        found
+        for name in committed.__slots__
+        if name != "index"
+        for found in _dicts_in(getattr(committed, name))
+    ]
+    assert dicts and all(id(found) in tag_index_ids for found in dicts)
+    assert built_blocks == []
+
+
+def _first_touch():
+    first = {}
+    for position, block in enumerate(zip(STREAM.set_indices, STREAM.tags)):
+        first.setdefault(block, position)
+    return first
+
+
+@pytest.mark.parametrize("technique", ["tdbp", "cdbp"])
+def test_refilled_blocks_recover_counts_and_meta(technique):
+    """A block evicted and filled again counts only the accesses of its
+    last incarnation, and its ``meta`` is that incarnation's, with the
+    object path's key order."""
+    reference, expected = _reference(technique)
+    cache = _cache(technique)
+    assert replay(cache, STREAM) == expected
+    first_touch = _first_touch()
+    refilled = [
+        (set_index, way)
+        for set_index, way, block in cache.resident_blocks()
+        if block.fill_seq != first_touch[(set_index, block.tag)]
+    ]
+    assert len(refilled) >= GEOMETRY.num_sets
+    assert _block_fields(cache) == _block_fields(reference)
+    for set_index, way in refilled:
+        ours = cache.sets[set_index][way].meta
+        theirs = reference.sets[set_index][way].meta
+        assert list(ours.items()) == list(theirs.items())

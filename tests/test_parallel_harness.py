@@ -10,8 +10,12 @@ technique validation, job-count resolution and the ``REPRO_CORES`` /
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.harness import parallel as harness_parallel
 from repro.harness.parallel import (
     parallel_single_thread_comparison,
     resolve_jobs,
@@ -223,3 +227,37 @@ class TestWorkloadCacheClear:
         cache.clear()
         cache.clear()
         assert cache.filtered(BENCHMARKS[0]).llc_indices
+
+
+class TestRunCellFreesPolicy:
+    """A pool worker's finished cell frees its policy by refcount: the
+    cache <-> policy cycle would otherwise keep recency stacks, the
+    optimal next-use list and predictor tables alive until a full
+    collection."""
+
+    @pytest.mark.parametrize(
+        "technique", ["lru", "tdbp", "cdbp", "dip", "rrip", "sampler", "optimal"]
+    )
+    def test_policy_is_dead_once_run_cell_returns(self, technique, monkeypatch):
+        monkeypatch.setattr(
+            harness_parallel, "_WORKER_CACHE",
+            WorkloadCache(ExperimentConfig(scale=32, instructions=20_000)),
+        )
+        run_cell_on = harness_parallel._run_cell_on
+        policies = []
+
+        def recording_run_cell_on(cache, cell):
+            result = run_cell_on(cache, cell)
+            policies.append(weakref.ref(result.cache.policy))
+            return result
+
+        monkeypatch.setattr(harness_parallel, "_run_cell_on", recording_run_cell_on)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _, _, result = harness_parallel._run_cell(("mcf", technique))
+            assert result.cache is None
+            assert len(policies) == 1 and policies[0]() is None
+        finally:
+            if was_enabled:
+                gc.enable()

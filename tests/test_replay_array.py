@@ -7,7 +7,8 @@ and compares the full state.  ``*_matches_object_kernel`` cases replay
 once on the array kernel and once with the kernel table emptied (the
 reference loop), so both equal the reference, and so each other.  This suite's own shapes
 are a 16-set, 4-way cache, the ``mixed`` stream with and without writes,
-and random streams on 8 sets.
+and random streams on 8 sets.  The stream's ``ReplayIndex``, which
+every kernel reads, is checked against its definition directly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.cache.soa import ReplayIndex
 from tests.conftest import make_stream
 from tests.test_replay_differential import differential
 
@@ -41,6 +43,38 @@ def both_kernels(name, geometry, stream):
     cache = differential(name, geometry, stream)
     differential(name, geometry, stream, "kernels-off")
     return cache
+
+
+@given(
+    columns=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans()),
+        max_size=120,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_replay_index_matches_its_definition(columns):
+    """``next_write[p]`` is the first position ``>= p`` that writes the
+    same block, else ``len(stream)``; the per-set grouping and the block
+    keys are the stream's columns regrouped."""
+    num_sets = 4
+    set_indices = [set_index for set_index, _, _ in columns]
+    tags = [tag for _, tag, _ in columns]
+    writes = [write for _, _, write in columns]
+    index = ReplayIndex.build(set_indices, tags, writes, num_sets)
+    total = len(columns)
+    blocks = list(zip(set_indices, tags))
+    assert index.next_write == [
+        next(
+            (q for q in range(p, total) if writes[q] and blocks[q] == blocks[p]),
+            total,
+        )
+        for p in range(total)
+    ]
+    assert index.block_keys == [tag << 2 | set_index for set_index, tag in blocks]
+    for set_index in range(num_sets):
+        positions = [p for p in range(total) if set_indices[p] == set_index]
+        assert index.set_positions[set_index] == positions
+        assert index.set_tags[set_index] == [tags[p] for p in positions]
 
 
 @pytest.mark.parametrize("write_frac", [0.0, 0.3])
