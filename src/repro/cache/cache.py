@@ -43,26 +43,20 @@ attribute-load paths for good.
 
 from __future__ import annotations
 
-import os
+import weakref
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cache.block import CacheBlock
 from repro.cache.geometry import CacheGeometry
 from repro.cache.stats import CacheStats
 from repro.telemetry.probe import NULL_PROBE, TelemetryProbe
+from repro.utils.env import env_flag
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.cache.soa import SoACache
     from repro.replacement.base import ReplacementPolicy
 
 __all__ = ["Cache", "CacheAccess", "CacheObserver", "ParanoidViolation"]
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
 
 class ParanoidViolation(AssertionError):
     """A paranoid-mode invariant check failed: the cache's derived
@@ -137,16 +131,18 @@ class _UnbuiltFrames:
     frames are built.  Any read builds both real lists (through
     :meth:`Cache._build_frames`) and delegates to the one it stands for,
     so a caller that kept a reference to the placeholder still sees the
-    live list."""
+    live list.  It holds its cache weakly: a strong link back would make
+    every cache with unbuilt frames cyclic garbage, freed only by the
+    cyclic collector instead of when its last reference goes."""
 
     __slots__ = ("_cache", "_name")
 
     def __init__(self, cache: "Cache", name: str) -> None:
-        self._cache = cache
+        self._cache = weakref.ref(cache)
         self._name = name
 
     def _built(self) -> list:
-        cache = self._cache
+        cache = self._cache()
         if getattr(cache, self._name) is self:
             cache._build_frames()
         return getattr(cache, self._name)
@@ -192,7 +188,7 @@ class Cache:
         self.name = name
         self.probe = probe if probe is not None else NULL_PROBE
         self.paranoid = (
-            _env_flag("REPRO_PARANOID") if paranoid is None else bool(paranoid)
+            env_flag("REPRO_PARANOID") if paranoid is None else bool(paranoid)
         )
         self._stats_floor = CacheStats()
         self.stats = CacheStats()

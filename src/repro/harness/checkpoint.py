@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import os
 import pickle
 from pathlib import Path
 from typing import Optional, Union
@@ -54,6 +53,7 @@ from repro.harness.runner import ExperimentConfig
 from repro.sim.multicore import MulticoreResult
 from repro.sim.system import RunResult
 from repro.utils.atomic import atomic_write
+from repro.utils.env import env_text
 
 __all__ = [
     "CheckpointStore",
@@ -118,10 +118,8 @@ def resolve_checkpoint_dir(
     else None (checkpointing disabled)."""
     if explicit is not None:
         return Path(explicit)
-    raw = os.environ.get("REPRO_CHECKPOINT_DIR")
-    if raw is None or not raw.strip():
-        return None
-    return Path(raw)
+    raw = env_text("REPRO_CHECKPOINT_DIR")
+    return Path(raw) if raw is not None else None
 
 
 class CheckpointStore:

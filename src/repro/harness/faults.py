@@ -65,8 +65,10 @@ import os
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.utils.env import env_number, env_text
 
 __all__ = [
     "CellCrashed",
@@ -163,36 +165,6 @@ class SweepAborted(Exception):
         )
 
 
-# ----------------------------------------------------------------------
-# policy knobs
-# ----------------------------------------------------------------------
-def _env_float(name: str, allow_zero: bool = False) -> Optional[float]:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value < 0 or (value == 0 and not allow_zero):
-        kind = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {kind}, got {value}")
-    return value
-
-
-def _env_int_nonneg(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class FaultPolicy:
     """Supervision knobs for one sweep.
@@ -227,14 +199,15 @@ class FaultPolicy:
     def from_env(cls) -> "FaultPolicy":
         """Build from ``REPRO_CELL_TIMEOUT`` / ``REPRO_CELL_RETRIES`` /
         ``REPRO_RETRY_BACKOFF`` (defaults where unset)."""
-        policy = cls(
-            cell_timeout=_env_float("REPRO_CELL_TIMEOUT"),
-            max_retries=_env_int_nonneg("REPRO_CELL_RETRIES", 2),
+        return cls(
+            cell_timeout=env_number("REPRO_CELL_TIMEOUT", cls.cell_timeout, float),
+            max_retries=env_number(
+                "REPRO_CELL_RETRIES", cls.max_retries, allow_zero=True
+            ),
+            backoff=env_number(
+                "REPRO_RETRY_BACKOFF", cls.backoff, float, allow_zero=True
+            ),
         )
-        backoff = _env_float("REPRO_RETRY_BACKOFF", allow_zero=True)
-        if backoff is not None:
-            policy = replace(policy, backoff=backoff)
-        return policy
 
     def effective_watchdog(self) -> float:
         """The parent's no-progress window (always finite: a sweep must
@@ -289,18 +262,18 @@ def parse_chaos_spec(text: Optional[str]) -> Dict[str, ChaosRule]:
         mode = mode.strip()
         if mode not in _CHAOS_MODES:
             raise ValueError(
-                f"unknown chaos mode {mode!r} "
+                f"unknown REPRO_CHAOS mode {mode!r} "
                 f"(valid: {', '.join(_CHAOS_MODES)})"
             )
         try:
             probability = float(prob_text) if prob_text.strip() else 1.0
         except ValueError:
             raise ValueError(
-                f"bad chaos probability {prob_text!r} for mode {mode!r}"
+                f"bad REPRO_CHAOS probability {prob_text!r} for mode {mode!r}"
             ) from None
         if not 0.0 <= probability <= 1.0:
             raise ValueError(
-                f"chaos probability must be in [0, 1], got {probability}"
+                f"REPRO_CHAOS probability must be in [0, 1], got {probability}"
             )
         max_attempt: Optional[int] = None
         if cap_text.strip():
@@ -308,11 +281,11 @@ def parse_chaos_spec(text: Optional[str]) -> Dict[str, ChaosRule]:
                 max_attempt = int(cap_text)
             except ValueError:
                 raise ValueError(
-                    f"bad chaos attempt cap {cap_text!r} for mode {mode!r}"
+                    f"bad REPRO_CHAOS attempt cap {cap_text!r} for mode {mode!r}"
                 ) from None
             if max_attempt < 1:
                 raise ValueError(
-                    f"chaos attempt cap must be >= 1, got {max_attempt}"
+                    f"REPRO_CHAOS attempt cap must be >= 1, got {max_attempt}"
                 )
         spec[mode] = ChaosRule(probability, max_attempt)
     return spec
@@ -333,7 +306,7 @@ class ChaosSpec:
 
     @classmethod
     def from_env(cls, explicit: Optional[str] = None) -> "ChaosSpec":
-        text = explicit if explicit is not None else os.environ.get("REPRO_CHAOS")
+        text = explicit if explicit is not None else env_text("REPRO_CHAOS")
         return cls(rules=tuple(sorted(parse_chaos_spec(text).items())))
 
     def __bool__(self) -> bool:

@@ -115,6 +115,7 @@ from repro.sim.streamstore import (
 from repro.sim.system import RunResult
 from repro.telemetry.events import EventLog, ProgressRenderer, SweepTelemetry
 from repro.telemetry.manifest import RunManifest
+from repro.utils.env import env_flag, env_number, env_text
 from repro.workloads import SINGLE_THREAD_SUBSET, mix_cores
 
 if TYPE_CHECKING:  # experiments builds on this module
@@ -141,15 +142,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     Raises ValueError for non-positive or non-integer settings.
     """
     if jobs is None:
-        raw = os.environ.get("REPRO_JOBS")
-        if raw is None:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_JOBS must be an integer, got {raw!r}"
-            ) from None
+        return env_number("REPRO_JOBS", 1)
     if jobs < 1:
         raise ValueError(f"job count must be positive, got {jobs}")
     return jobs
@@ -296,13 +289,10 @@ def _run_cell(task: Cell) -> Tuple[str, object, CellResult]:
     workload, scheme = task
     result = _run_cell_on(_WORKER_CACHE, task)
     if isinstance(result, RunResult):
-        # The stripped cache is cyclic garbage (its frame placeholders
-        # and its policy refer back to it) that only a full collection
-        # frees.  Drop what it holds now rather than let it wait: the
-        # array replay state, and the policy (recency stacks, next-use
-        # lists, predictor tables), which the cache's link was the last
-        # reference to.
-        result.cache._array_state = None
+        # The policy refers back to the cache, so the stripped cache
+        # would be cyclic garbage that only a full collection frees.
+        # Cut the policy (recency stacks, next-use lists, predictor
+        # tables) loose now, and the cache goes by refcount.
         result.cache.policy = None
         result.cache = None
         result.observers = ()
@@ -452,7 +442,7 @@ def _sweep_telemetry(
     """Resolve the observability knobs into a :class:`SweepTelemetry`.
 
     Argument ``None`` defers to the environment: ``REPRO_EVENTS_FILE``
-    (NDJSON sink path), ``REPRO_PROGRESS`` (truthy enables the stderr
+    (NDJSON sink path), ``REPRO_PROGRESS`` (on enables the stderr
     renderer), ``REPRO_MANIFEST`` (manifest path).  The manifest default
     places it next to the checkpoint store (``<store>/manifest.json``)
     when one is attached, or next to the events file otherwise; with no
@@ -461,13 +451,11 @@ def _sweep_telemetry(
     nothing.
     """
     if events_file is None:
-        events_file = os.environ.get("REPRO_EVENTS_FILE") or None
+        events_file = env_text("REPRO_EVENTS_FILE")
     if progress is None:
-        progress = os.environ.get(
-            "REPRO_PROGRESS", ""
-        ).strip().lower() in ("1", "true", "yes", "on")
+        progress = env_flag("REPRO_PROGRESS")
     if manifest_path is None:
-        manifest_path = os.environ.get("REPRO_MANIFEST") or None
+        manifest_path = env_text("REPRO_MANIFEST")
     if manifest_path is None:
         if store is not None:
             manifest_path = os.path.join(os.fspath(store.root), "manifest.json")

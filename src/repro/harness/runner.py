@@ -8,26 +8,11 @@ L1/L2 filtering so the six techniques of Figure 4 (and the benchmark
 suite's many processes' worth of figures) share one filtering pass per
 workload, a Figure-10 mix's members included.
 
-Environment overrides:
-
-=========================  =======================================  ========
-Variable                   Meaning                                  Default
-=========================  =======================================  ========
-``REPRO_SCALE``            divide every cache capacity by this      8
-``REPRO_INSTRUCTIONS``     instruction budget per benchmark         400000
-``REPRO_SEED``             workload generation seed                 1
-``REPRO_CORES``            cores in the multicore experiments       4
-``REPRO_JOBS``             worker processes for a figure's cells    1
-``REPRO_CHECKPOINT_DIR``   persist completed figure cells here      (off)
-``REPRO_EVENTS_FILE``      NDJSON progress events of each figure    (off)
-``REPRO_MANIFEST``         run manifest path of each figure         (off)
-``REPRO_CELL_TIMEOUT``     per-cell wall-clock budget, seconds      (off)
-``REPRO_CELL_RETRIES``     parallel retry rounds per failed cell    2
-``REPRO_RETRY_BACKOFF``    base backoff between retry rounds, s     0.1
-``REPRO_PARANOID``         per-access cache invariant checking      0
-``REPRO_STREAM_CACHE``     compiled workload store directory        (off)
-``REPRO_SHM``              shared-memory workload fan-out           0
-=========================  =======================================  ========
+Environment overrides: ``REPRO_SCALE``, ``REPRO_INSTRUCTIONS``,
+``REPRO_SEED`` and ``REPRO_CORES`` set :class:`ExperimentConfig` through
+:meth:`ExperimentConfig.from_env`.  README's knob block lists every
+``REPRO_*`` knob, its default and the one rule by which
+:mod:`repro.utils.env` reads them all.
 
 ``REPRO_JOBS`` is read by :mod:`repro.harness.parallel`, not here: every
 figure function runs its cells through that module's one driver, so it
@@ -55,8 +40,7 @@ exact machine and budget (at Python speed: bring a cluster and patience).
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.sim.hierarchy import FilteredTrace, MachineConfig
@@ -68,22 +52,10 @@ from repro.sim.streamstore import (
     stream_compile_required,
 )
 from repro.sim.system import SingleCoreSystem
+from repro.utils.env import env_number
 from repro.workloads import build_trace, mix_cores, mix_members, workload_spec_digest
 
 __all__ = ["ExperimentConfig", "WorkloadCache"]
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -95,14 +67,22 @@ class ExperimentConfig:
     seed: int = 1
     num_cores: int = 4  # for the multicore experiments
 
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise ValueError(
+                    f"{field.name} must be a positive integer, got {value!r}"
+                )
+
     @classmethod
     def from_env(cls) -> "ExperimentConfig":
         """Build from ``REPRO_*`` environment variables (see module doc)."""
         return cls(
-            scale=_env_int("REPRO_SCALE", 8),
-            instructions=_env_int("REPRO_INSTRUCTIONS", 400_000),
-            seed=_env_int("REPRO_SEED", 1),
-            num_cores=_env_int("REPRO_CORES", 4),
+            scale=env_number("REPRO_SCALE", cls.scale),
+            instructions=env_number("REPRO_INSTRUCTIONS", cls.instructions),
+            seed=env_number("REPRO_SEED", cls.seed),
+            num_cores=env_number("REPRO_CORES", cls.num_cores),
         )
 
     def machine(self) -> MachineConfig:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import threading
 import time
 import uuid
@@ -56,6 +55,7 @@ from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.sim.streamstore import StreamStore
 from repro.service.jobs import cell_key, config_from_dict, config_to_dict
 from repro.utils.atomic import atomic_write
+from repro.utils.env import env_number
 
 __all__ = ["FleetCoordinator", "Lease", "WorkerInfo"]
 
@@ -65,19 +65,6 @@ DEFAULT_LEASE_TTL = 60.0
 DEFAULT_HEARTBEAT_SECONDS = 5.0
 #: Default max cells per lease grant.
 DEFAULT_LEASE_CELLS = 4
-
-
-def _env_positive_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 @dataclass
@@ -145,13 +132,11 @@ class FleetCoordinator:
         self.scheduler = scheduler
         self.lease_ttl = (
             float(lease_ttl) if lease_ttl is not None
-            else _env_positive_float("REPRO_LEASE_TTL", DEFAULT_LEASE_TTL)
+            else env_number("REPRO_LEASE_TTL", DEFAULT_LEASE_TTL, float)
         )
         self.heartbeat_seconds = (
             float(heartbeat_seconds) if heartbeat_seconds is not None
-            else _env_positive_float(
-                "REPRO_HEARTBEAT_SEC", DEFAULT_HEARTBEAT_SECONDS
-            )
+            else env_number("REPRO_HEARTBEAT_SEC", DEFAULT_HEARTBEAT_SECONDS, float)
         )
         if self.lease_ttl <= 0 or self.heartbeat_seconds <= 0:
             raise ValueError("lease_ttl and heartbeat_seconds must be positive")

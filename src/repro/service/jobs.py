@@ -91,9 +91,10 @@ def config_from_dict(raw: Optional[Dict]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a request's ``config``
     object (missing fields take the dataclass defaults).
 
-    Raises ValueError on unknown fields or non-positive values, so a
-    typo'd submission fails loudly at the API boundary instead of
-    silently running the default configuration.
+    Raises ValueError on unknown fields, and :class:`ExperimentConfig`
+    raises it on values that are not positive integers, so a typo'd
+    submission fails loudly at the API boundary instead of silently
+    running the default configuration.
     """
     raw = dict(raw or {})
     known = {"scale", "instructions", "seed", "cores"}
@@ -103,17 +104,9 @@ def config_from_dict(raw: Optional[Dict]) -> ExperimentConfig:
             f"unknown config field(s): {', '.join(unknown)} "
             f"(valid: {', '.join(sorted(known))})"
         )
-    defaults = ExperimentConfig()
-    values = {
-        "scale": raw.get("scale", defaults.scale),
-        "instructions": raw.get("instructions", defaults.instructions),
-        "seed": raw.get("seed", defaults.seed),
-        "num_cores": raw.get("cores", defaults.num_cores),
-    }
-    for name, value in values.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise ValueError(f"config.{name} must be a positive integer, got {value!r}")
-    return ExperimentConfig(**values)
+    if "cores" in raw:
+        raw["num_cores"] = raw.pop("cores")
+    return ExperimentConfig(**raw)
 
 
 def config_to_dict(config: ExperimentConfig) -> Dict[str, int]:

@@ -55,7 +55,7 @@ from repro.harness.checkpoint import result_to_wire
 from repro.harness.faults import KILL_EXIT_CODE, ChaosSpec, cell_label
 from repro.harness.parallel import _run_cell_timed
 from repro.harness.runner import ExperimentConfig, WorkloadCache
-from repro.sim.streamstore import CompiledWorkload, StreamStore
+from repro.sim.streamstore import CompiledWorkload, StreamStore, verify_blob
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import config_from_dict
 
@@ -416,12 +416,9 @@ class FleetWorker:
             try:
                 self.stats["blob_fetches"] += 1
                 if self.stream_store is not None:
-                    # Verifies decode + digest, persists for next time.
+                    # Verifies the blob, persists it for next time.
                     return self.stream_store.store_raw(raw, digest)
-                compiled = CompiledWorkload.from_buffer(raw)
-                if StreamStore.digest_for_key(compiled.key) != digest:
-                    raise ValueError("blob key does not hash to its digest")
-                return compiled
+                return verify_blob(raw, digest)
             except ValueError as exc:
                 self.stats["blob_torn_transfers"] += 1
                 print(

@@ -65,16 +65,11 @@ wraps the ``pc``/``addr``/``gap``/``flags`` views as the
 generated trace has -- so no per-record object is built unless a caller
 asks for :attr:`~repro.sim.trace.Trace.records`.
 
-Environment knobs:
-
-========================  =============================================
-``REPRO_STREAM_CACHE``    store root directory (unset = store disabled)
-``REPRO_SHM``             truthy = shared-memory fan-out in parallel
-                          sweeps
-``REPRO_STREAM_REQUIRE``  truthy = raise instead of compiling a
-                          workload from scratch (test/CI guard proving
-                          the warm path is actually taken)
-========================  =============================================
+Environment knobs: ``REPRO_STREAM_CACHE`` (the store root),
+``REPRO_SHM`` (shared-memory fan-out in parallel sweeps) and
+``REPRO_STREAM_REQUIRE`` (raise instead of compiling a workload from
+scratch: a test/CI guard proving the warm path is taken); README's knob
+block lists every ``REPRO_*`` knob and the rule they are all read by.
 """
 
 from __future__ import annotations
@@ -95,6 +90,7 @@ from repro.sim.hierarchy import (
 )
 from repro.sim.trace import Trace
 from repro.utils.atomic import atomic_write
+from repro.utils.env import env_flag, env_text
 
 __all__ = [
     "CompiledWorkload",
@@ -108,6 +104,7 @@ __all__ = [
     "resolve_stream_cache_dir",
     "shared_memory_enabled",
     "stream_compile_required",
+    "verify_blob",
 ]
 
 _MAGIC = b"RPSTRM01"
@@ -117,23 +114,18 @@ _FORMAT = 1
 # invalidates every v1 key without touching how blobs decode.
 _KEY_FORMAT = 2
 _ALIGN = 8
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
 
 
 def shared_memory_enabled(explicit: Optional[bool] = None) -> bool:
     """Shared-memory fan-out: explicit argument, else ``REPRO_SHM``."""
     if explicit is not None:
         return bool(explicit)
-    return _env_flag("REPRO_SHM")
+    return env_flag("REPRO_SHM")
 
 
 def stream_compile_required() -> bool:
     """True when ``REPRO_STREAM_REQUIRE`` forbids cold compiles."""
-    return _env_flag("REPRO_STREAM_REQUIRE")
+    return env_flag("REPRO_STREAM_REQUIRE")
 
 
 def resolve_stream_cache_dir(
@@ -143,10 +135,8 @@ def resolve_stream_cache_dir(
     else None (store disabled)."""
     if explicit is not None:
         return Path(explicit)
-    raw = os.environ.get("REPRO_STREAM_CACHE")
-    if raw is None or not raw.strip():
-        return None
-    return Path(raw)
+    raw = env_text("REPRO_STREAM_CACHE")
+    return Path(raw) if raw is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -480,6 +470,21 @@ class StoreEntry:
     instructions: int
 
 
+def verify_blob(blob: bytes, digest: str) -> CompiledWorkload:
+    """Decode a transferred blob and check it is the one ``digest`` names.
+
+    Raises ValueError when the blob is torn (it does not decode) or
+    mislabeled (its embedded key does not hash to ``digest``).
+    """
+    compiled = CompiledWorkload.from_buffer(blob)
+    if StreamStore.digest_for_key(compiled.key) != digest:
+        raise ValueError(
+            f"blob key digest mismatch: decoded key {compiled.key!r} "
+            f"does not hash to {digest!r} (torn or mislabeled transfer)"
+        )
+    return compiled
+
+
 class StreamStore:
     """Content-addressed on-disk store of compiled workloads.
 
@@ -570,18 +575,12 @@ class StreamStore:
     def store_raw(self, blob: bytes, digest: str) -> CompiledWorkload:
         """Verify and persist a transferred blob under its digest.
 
-        The blob must decode (:meth:`CompiledWorkload.from_buffer`
-        raises ValueError on torn or truncated bytes) and its embedded
-        key must hash to ``digest`` -- only then is it written, so a
-        fetched blob in the local store is exactly as trustworthy as a
-        locally compiled one.  Returns the decoded workload.
+        The blob must pass :func:`verify_blob` -- only then is it
+        written, so a fetched blob in the local store is exactly as
+        trustworthy as a locally compiled one.  Returns the decoded
+        workload.
         """
-        compiled = CompiledWorkload.from_buffer(blob)
-        if self.digest_for_key(compiled.key) != digest:
-            raise ValueError(
-                f"blob key digest mismatch: decoded key {compiled.key!r} "
-                f"does not hash to {digest!r} (torn or mislabeled transfer)"
-            )
+        compiled = verify_blob(blob, digest)
         atomic_write(self.path_for_key(compiled.key), bytes(blob))
         return compiled
 

@@ -14,6 +14,8 @@ This subpackage deliberately contains only dependency-free helpers:
   depending on global :mod:`random` state.
 * :mod:`repro.utils.atomic` -- the temp-file-plus-``os.replace`` write
   every on-disk store publishes its files through.
+* :mod:`repro.utils.env` -- the one reader of the ``REPRO_*`` environment
+  knobs (text, flag and number), so every knob follows one rule.
 """
 
 from repro.utils.bits import (

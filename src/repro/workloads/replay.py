@@ -40,13 +40,13 @@ import gzip
 import hashlib
 import io
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.sim.trace import Trace
 from repro.sim.traceio import load_trace, trace_lines
 from repro.utils.atomic import atomic_write
+from repro.utils.env import env_text
 from repro.workloads.base import WorkloadGenerator
 from repro.workloads.patterns import (
     WorkloadSpecError,
@@ -100,7 +100,7 @@ class TraceLibrary:
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         if root is None:
-            root = os.environ.get(_ENV_ROOT, "") or _DEFAULT_ROOT
+            root = env_text(_ENV_ROOT) or _DEFAULT_ROOT
         self.root = Path(root)
         self._index_path = self.root / "index.json"
         self._blob_dir = self.root / "blobs"

@@ -180,6 +180,25 @@ class TestBlobTransfer:
             target.store_raw(raw, "0" * 64)  # wrong address
         assert not list((tmp_path / "target").glob("*.rsc"))
 
+    def test_worker_without_store_rejects_mislabeled_blob(self, tmp_path, monkeypatch):
+        # A blob that decodes but arrives under another digest is never
+        # used: with no local store the worker checks it exactly as
+        # store_raw does, counts each attempt torn, and falls back.
+        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
+        source = StreamStore(tmp_path / "source")
+        raw = source.load_raw(StreamStore.digest_for_key(self._compiled(source).key))
+
+        class ServingClient:
+            def fetch_blob(self, digest, attempt=1):
+                return raw
+
+        worker = FleetWorker(
+            "http://127.0.0.1:1", name="w", client=ServingClient(), reconnect_base=0.0
+        )
+        assert worker.stream_store is None
+        assert worker._fetch_blob("0" * 64, "perlbench") is None
+        assert worker.stats["blob_torn_transfers"] == worker.blob_retries
+
     def test_path_for_digest_rejects_traversal(self, tmp_path):
         store = StreamStore(tmp_path / "s")
         assert store.path_for_digest("../../etc/passwd") is None

@@ -230,10 +230,11 @@ class TestWorkloadCacheClear:
 
 
 class TestRunCellFreesPolicy:
-    """A pool worker's finished cell frees its policy by refcount: the
-    cache <-> policy cycle would otherwise keep recency stacks, the
-    optimal next-use list and predictor tables alive until a full
-    collection."""
+    """A pool worker's finished cell frees its policy and its cache by
+    refcount: the cache <-> policy cycle, or a frame placeholder's link
+    back to its cache, would otherwise keep recency stacks, the optimal
+    next-use list, predictor tables and the committed array state alive
+    until a full collection."""
 
     @pytest.mark.parametrize(
         "technique", ["lru", "tdbp", "cdbp", "dip", "rrip", "sampler", "optimal"]
@@ -245,10 +246,12 @@ class TestRunCellFreesPolicy:
         )
         run_cell_on = harness_parallel._run_cell_on
         policies = []
+        caches = []
 
         def recording_run_cell_on(cache, cell):
             result = run_cell_on(cache, cell)
             policies.append(weakref.ref(result.cache.policy))
+            caches.append(weakref.ref(result.cache))
             return result
 
         monkeypatch.setattr(harness_parallel, "_run_cell_on", recording_run_cell_on)
@@ -258,6 +261,7 @@ class TestRunCellFreesPolicy:
             _, _, result = harness_parallel._run_cell(("mcf", technique))
             assert result.cache is None
             assert len(policies) == 1 and policies[0]() is None
+            assert len(caches) == 1 and caches[0]() is None
         finally:
             if was_enabled:
                 gc.enable()
