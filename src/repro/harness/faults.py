@@ -12,23 +12,25 @@ around it.  This module supplies the pieces
 * :class:`FaultPolicy` -- the timeout / retry / degradation knobs, each
   overridable from the environment (``REPRO_CELL_TIMEOUT``,
   ``REPRO_CELL_RETRIES``, ``REPRO_RETRY_BACKOFF``);
-* :func:`run_cells_supervised` -- the supervision loop: rounds of
-  ``imap_unordered`` over the not-yet-completed cells with a parent-side
-  watchdog (catches workers that die without reporting), bounded retry
-  with exponential backoff between rounds, then graceful degradation to
-  serial in-process execution of whatever still fails, and only then a
-  partial result or :class:`SweepAborted`.  Without a pool it runs every
-  cell in-process under the same taxonomy, so ``allow_partial`` means
-  the same thing at every job count;
+* :func:`run_cells_supervised` -- the supervision loop: rounds over the
+  not-yet-completed cells that lease each workload to one pool worker
+  (:func:`next_lease`), with a parent-side watchdog and worker-death
+  detection (catching workers that die without reporting), bounded
+  retry with exponential backoff between rounds, then graceful
+  degradation to serial in-process execution of whatever still fails,
+  and only then a partial result or :class:`SweepAborted`.  Without a
+  pool it runs every cell in-process under the same taxonomy, so
+  ``allow_partial`` means the same thing at every job count;
 * one deterministic fault-injection harness (``REPRO_CHAOS``,
   :class:`ChaosSpec`) that kills, stalls, or faults sweep-pool workers
   and fleet workers on demand.
 
 Per-cell timeouts are enforced *inside* the worker with ``SIGALRM``
 (each worker is a separate process, so its main thread can take the
-alarm); a worker that dies outright never reports, which the parent's
-watchdog converts into :class:`CellCrashed` for every cell that was
-still outstanding.  Retried and resumed sweeps stay bit-identical to an
+alarm); a worker that dies outright never reports its cell, which the
+round records as :class:`CellCrashed` once every cell still out is on a
+dead worker (or the parent's watchdog sees no result for a full
+window).  Retried and resumed sweeps stay bit-identical to an
 uninterrupted serial run because cells are pure functions of
 ``(config, seed, benchmark, technique)`` -- supervision decides only
 *whether* a cell's result was obtained, never *what* it is.
@@ -59,14 +61,29 @@ deterministically survives.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing
 import os
+import queue
 import signal
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.utils.env import env_number, env_text
 
@@ -82,6 +99,7 @@ __all__ = [
     "cell_label",
     "drain_cleanup_hooks",
     "maybe_inject_fault",
+    "next_lease",
     "parse_chaos_spec",
     "run_cells_supervised",
 ]
@@ -432,17 +450,149 @@ def drain_cleanup_hooks(
 # the supervision loop
 # ----------------------------------------------------------------------
 #: Wire format a supervised worker returns:
-#: (benchmark, technique_key, status, payload, timing) with status "ok"
-#: carrying the cell result, "timeout"/"error" carrying a diagnostic
-#: string.  ``timing`` is the cell's timing record (wall and CPU
-#: seconds, store hits and misses, replay kernel and fallback) measured
-#: inside the worker, None when the cell never ran to a measurable end;
-#: it feeds the success callback, the sweep's events and run manifest.
-WireResult = Tuple[str, Optional[str], str, object, Optional[Dict[str, object]]]
+#: (benchmark, technique_key, status, payload, timing, pid) with status
+#: "ok" carrying the cell result, "timeout"/"error" carrying a
+#: diagnostic string.  ``timing`` is the cell's timing record (wall and
+#: CPU seconds, store hits and misses, the index, plane and timing-plan
+#: builds, replay kernel and fallback) measured inside the worker, None
+#: when the cell never ran to a measurable end; it feeds the success
+#: callback, the sweep's events and run manifest.  ``pid`` is the
+#: reporting worker's, which the round leases its next cell to.
+WireResult = Tuple[
+    str, Optional[str], str, object, Optional[Dict[str, object]], Optional[int]
+]
 
 #: An in-process cell executor: returns the cell's result and timing
 #: record, or raises.
 InProcess = Callable[[Cell], Tuple[object, Dict[str, object]]]
+
+
+#: How often a round waiting on its workers looks for dead ones, in
+#: seconds.
+_DEATH_POLL = 0.1
+
+
+def next_lease(
+    held: Optional[str], backlog: Mapping[str, int], leased: Collection[str]
+) -> Optional[str]:
+    """The workload an idle pool worker takes its next cell from.
+
+    ``held`` is the workload the worker holds (``None`` for a fresh
+    worker), ``backlog`` the count of undispatched cells per workload in
+    work-list order, and ``leased`` the workloads other workers hold.
+    The worker keeps its own workload while it has cells; else it leases
+    the unleased workload with the most cells; else it steals from the
+    leased workload with the most.  Ties go to the earlier workload, and
+    ``None`` means no cell is left.
+    """
+    if held is not None and backlog.get(held):
+        return held
+    open_workloads = [workload for workload, count in backlog.items() if count]
+    if not open_workloads:
+        return None
+    unleased = [workload for workload in open_workloads if workload not in leased]
+    return max(unleased or open_workloads, key=backlog.__getitem__)
+
+
+def _worker_pids(pool: multiprocessing.pool.Pool) -> Set[int]:
+    """Pids of ``pool``'s current workers.
+
+    ``multiprocessing.Pool`` has no public view of them: it keeps its
+    processes in ``_pool`` and swaps a dead worker for a fresh one there,
+    which is how a round sees that a worker died holding a cell.
+    """
+    return {process.pid for process in list(pool._pool)}
+
+
+def _lease_round(
+    pool: multiprocessing.pool.Pool,
+    worker: Callable[..., WireResult],
+    cells: Sequence[Cell],
+    attempt: int,
+    timeout: Optional[float],
+    watchdog: float,
+    report: Callable[[Cell, str, object, Optional[Dict[str, object]]], None],
+) -> None:
+    """Run one supervised round of ``cells`` on ``pool`` under workload
+    leases, passing each result to ``report(cell, status, payload,
+    timing)``.
+
+    Every worker has one cell in flight.  A result names its worker's
+    pid, and the round answers with that worker's next cell by
+    :func:`next_lease`, so one worker runs most of a workload's cells
+    and builds the workload's replay index, prediction plane and timing
+    plan once.  (A mix is keyed by its name.)  The answer goes to the
+    pool's one task queue, which the idle worker reads; when another
+    worker is idle at the same moment, the cell may land on that one,
+    which costs a rebuild, never a different result.
+
+    A worker that dies loses the one cell it held.  Its replacement gets
+    a new cell, so the round stays as wide as the pool, and the round
+    ends once every cell still out is on a dead worker, or when no
+    result arrives for ``watchdog`` seconds.  Cells that never reported
+    stay pending for the caller.
+    """
+    backlog: Dict[str, Deque[Cell]] = {}
+    for cell in dict.fromkeys(cells):  # a cell listed twice runs once
+        backlog.setdefault(cell[0], deque()).append(cell)
+    results: "queue.SimpleQueue[WireResult]" = queue.SimpleQueue()
+    leases: Dict[int, str] = {}  # worker pid -> the workload it holds
+    # Cells out -> the pid they were sent to, None for a fresh worker,
+    # whose first cell's workload counts as leased until it reports.
+    holders: Dict[Cell, Optional[int]] = {}
+    lost = 0  # workers that died this round, each holding one cell
+
+    def dispatch(pid: Optional[int]) -> None:
+        workload = next_lease(
+            leases.get(pid),
+            {name: len(queued) for name, queued in backlog.items()},
+            {name for other, name in leases.items() if other != pid}
+            | {cell[0] for cell, holder in holders.items() if holder is None},
+        )
+        if workload is None:
+            return
+        cell = backlog[workload].popleft()
+        if pid is not None:
+            leases[pid] = workload
+        holders[cell] = pid
+        pool.apply_async(
+            worker,
+            ((cell[0], cell[1], attempt, timeout),),
+            callback=results.put,
+            error_callback=lambda exc, cell=cell: results.put(
+                (*cell, "error", f"{type(exc).__name__}: {exc}", None, None)
+            ),
+        )
+
+    pids = _worker_pids(pool)
+    for _ in pids:
+        dispatch(None)
+    deadline = time.monotonic() + watchdog
+    while len(holders) > lost:
+        try:
+            wire = results.get(
+                timeout=max(0.0, min(_DEATH_POLL, deadline - time.monotonic()))
+            )
+        except queue.Empty:
+            if time.monotonic() >= deadline:
+                # No result for a full watchdog window: the round is
+                # wedged.  Abandon it; the caller records what is out.
+                return
+        else:
+            deadline = time.monotonic() + watchdog
+            benchmark, key, status, payload, timing, pid = wire
+            cell = (benchmark, key)
+            del holders[cell]
+            report(cell, status, payload, timing)
+            if pid is not None:
+                leases[pid] = benchmark
+            dispatch(pid)
+        alive = _worker_pids(pool)
+        for pid in pids - alive:
+            leases.pop(pid, None)
+            lost += 1
+            dispatch(None)
+        pids = alive
 
 
 def run_cells_supervised(
@@ -528,10 +678,23 @@ def _run_cells_supervised(
             on_event(kind, cell_label(cell) if cell is not None else "", **payload)
 
     def succeed(cell: Cell, payload: object, timing) -> None:
-        pending.remove(cell)
+        pending[:] = [other for other in pending if other != cell]
         failures.pop(cell, None)
         on_success(cell, payload, timing)
         emit("finished", cell, status="ok", timing=timing)
+
+    def report(attempt: int, cell: Cell, status: str, payload: object, timing) -> None:
+        if status == "ok":
+            succeed(cell, payload, timing)
+        elif status == "timeout":
+            failures[cell] = CellTimeout(
+                cell[0], cell[1], attempts=attempt, detail=str(payload)
+            )
+            emit("timed_out", cell, timeout_seconds=policy.cell_timeout)
+        else:
+            failures[cell] = CellCrashed(
+                cell[0], cell[1], attempts=attempt, detail=str(payload)
+            )
 
     rounds = policy.max_retries + 1 if make_pool is not None else 0
     for attempt in range(1, rounds + 1):
@@ -547,42 +710,12 @@ def _run_cells_supervised(
                 )
             if policy.backoff > 0:
                 time.sleep(policy.backoff * 2.0 ** (attempt - 2))
-        tasks = [
-            (benchmark, key, attempt, policy.cell_timeout)
-            for benchmark, key in pending
-        ]
         pool = make_pool()
         try:
-            results = pool.imap_unordered(worker, tasks)
-            received = 0
-            while received < len(tasks):
-                try:
-                    benchmark, key, status, payload, timing = results.next(
-                        timeout=watchdog
-                    )
-                except StopIteration:  # pragma: no cover - defensive
-                    break
-                except multiprocessing.TimeoutError:
-                    # No result for a full watchdog window: the round is
-                    # wedged (lost workers).  Abandon it; outstanding
-                    # cells are recorded as crashed below.
-                    break
-                received += 1
-                cell = (benchmark, key)
-                if status == "ok":
-                    succeed(cell, payload, timing)
-                elif status == "timeout":
-                    failures[cell] = CellTimeout(
-                        benchmark, key, attempts=attempt, detail=str(payload)
-                    )
-                    emit(
-                        "timed_out", cell,
-                        timeout_seconds=policy.cell_timeout,
-                    )
-                else:
-                    failures[cell] = CellCrashed(
-                        benchmark, key, attempts=attempt, detail=str(payload)
-                    )
+            _lease_round(
+                pool, worker, pending, attempt, policy.cell_timeout, watchdog,
+                functools.partial(report, attempt),
+            )
         finally:
             # terminate(), not close(): a wedged round must not block the
             # parent on workers that will never finish.

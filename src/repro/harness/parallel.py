@@ -67,7 +67,10 @@ fresh (no inherited interpreter state can leak into a cell).  Worker
 processes each hold a private :class:`WorkloadCache`; without the
 compiled workload store, a workload's generation + L1/L2 filtering pass
 is repeated once per worker that draws a cell of that benchmark (or of
-a mix it is a member of) -- the price of process isolation.  With the
+a mix it is a member of) -- the price of process isolation.  The
+supervision loop leases each workload to one worker
+(:func:`~repro.harness.faults.next_lease`), so that is one worker for
+most workloads, plus any worker that steals cells at the end.  With the
 store enabled (``REPRO_STREAM_CACHE`` / ``stream_cache=``) the parent
 compiles or loads each workload and mix member exactly once and workers
 take the warm path: they load the compiled blob from disk, or -- with
@@ -105,6 +108,7 @@ from repro.harness.faults import (
 )
 from repro.harness.runner import ExperimentConfig, WorkloadCache
 from repro.harness.techniques import TECHNIQUES, Scheme, validate_techniques
+from repro.sim.hierarchy import BUILDS
 from repro.sim.streamstore import (
     SharedStreamExport,
     StreamManifest,
@@ -245,30 +249,40 @@ def _run_cell_on(cache: WorkloadCache, cell: Cell) -> CellResult:
     return result
 
 
-def _cell_clock(cache: WorkloadCache) -> Tuple[float, float, int, int]:
-    """Start readings for :func:`_cell_timing`: wall and CPU clocks plus
-    the workload cache's store hit and miss counters."""
+#: Start readings of one cell: wall and CPU clocks, the workload cache's
+#: store hit and miss counters, and this process's :data:`BUILDS`.
+CellClock = Tuple[float, float, int, int, Dict[str, int]]
+
+
+def _cell_clock(cache: WorkloadCache) -> CellClock:
+    """Start readings for :func:`_cell_timing`."""
     return (
         time.perf_counter(),
         time.process_time(),
         cache.stream_hits,
         cache.stream_misses,
+        dict(BUILDS),
     )
 
 
 def _cell_timing(
-    cache: WorkloadCache, start: Tuple[float, float, int, int], result: CellResult
+    cache: WorkloadCache, start: CellClock, result: CellResult
 ) -> Dict[str, object]:
     """The per-cell timing record the NDJSON events and the manifest
-    carry: wall and CPU seconds and store hits/misses since ``start``,
-    plus the replay kernel and any fallback reason the cell reported."""
-    wall_start, cpu_start, hits_start, misses_start = start
+    carry: wall and CPU seconds and store hits/misses since ``start``;
+    how many replay indexes, prediction planes and timing plans the cell
+    built (``replay_index_builds`` and so on; 0 means it reused the
+    workload's cached one or needed none); and the replay kernel and any
+    fallback reason the cell reported."""
+    wall_start, cpu_start, hits_start, misses_start, builds_start = start
     timing: Dict[str, object] = {
         "wall_seconds": time.perf_counter() - wall_start,
         "cpu_seconds": time.process_time() - cpu_start,
         "store_hits": cache.stream_hits - hits_start,
         "store_misses": cache.stream_misses - misses_start,
     }
+    for kind, count in BUILDS.items():
+        timing[f"{kind}_builds"] = count - builds_start[kind]
     if result.kernel is not None:
         timing["kernel"] = result.kernel
     if result.kernel_fallback is not None:
@@ -305,22 +319,24 @@ def _run_cell_supervised(
     """Supervised worker entry: deadline, fault injection, and exception
     capture around :func:`_run_cell`.
 
-    Returns the :data:`~repro.harness.faults.WireResult` wire format;
-    exceptions travel back as strings so any failure pickles cleanly.
-    Wall/CPU time is measured here, inside the worker, so the parent's
-    events and manifest carry real per-cell costs rather than
+    Returns the :data:`~repro.harness.faults.WireResult` wire format,
+    tagged with this worker's pid so the parent can lease it its next
+    cell; exceptions travel back as strings so any failure pickles
+    cleanly.  Wall/CPU time is measured here, inside the worker, so the
+    parent's events and manifest carry real per-cell costs rather than
     queue-inclusive latencies.
     """
     benchmark, technique_key, attempt, timeout = task
+    pid = os.getpid()
     start = _cell_clock(_WORKER_CACHE)
     try:
         with cell_deadline(timeout):
             maybe_inject_fault((benchmark, technique_key), attempt)
             _, _, result = _run_cell((benchmark, technique_key))
         timing = _cell_timing(_WORKER_CACHE, start, result)
-        return benchmark, technique_key, "ok", result, timing
+        return benchmark, technique_key, "ok", result, timing, pid
     except DeadlineExceeded:
-        return benchmark, technique_key, "timeout", f"exceeded {timeout}s", None
+        return benchmark, technique_key, "timeout", f"exceeded {timeout}s", None, pid
     except Exception as exc:
         return (
             benchmark,
@@ -328,6 +344,7 @@ def _run_cell_supervised(
             "error",
             f"{type(exc).__name__}: {exc}",
             None,
+            pid,
         )
 
 

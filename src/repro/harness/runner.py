@@ -55,7 +55,14 @@ from repro.sim.system import SingleCoreSystem
 from repro.utils.env import env_number
 from repro.workloads import build_trace, mix_cores, mix_members, workload_spec_digest
 
-__all__ = ["ExperimentConfig", "WorkloadCache"]
+__all__ = ["ExperimentConfig", "WorkloadCache", "check_positive_int"]
+
+
+def check_positive_int(name: str, value: object) -> None:
+    """Raise ValueError, naming ``name``, unless ``value`` is a positive
+    ``int`` (a ``bool`` is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-                raise ValueError(
-                    f"{field.name} must be a positive integer, got {value!r}"
-                )
+            check_positive_int(field.name, getattr(self, field.name))
 
     @classmethod
     def from_env(cls) -> "ExperimentConfig":

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.harness.checkpoint import CheckpointStore
-from repro.harness.runner import ExperimentConfig
+from repro.harness.runner import ExperimentConfig, check_positive_int
 from repro.utils.atomic import atomic_write
 
 __all__ = [
@@ -105,6 +105,8 @@ def config_from_dict(raw: Optional[Dict]) -> ExperimentConfig:
             f"(valid: {', '.join(sorted(known))})"
         )
     if "cores" in raw:
+        # Checked under the name the client sent, not the dataclass's.
+        check_positive_int("cores", raw["cores"])
         raw["num_cores"] = raw.pop("cores")
     return ExperimentConfig(**raw)
 

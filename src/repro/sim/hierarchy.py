@@ -28,6 +28,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.sim.trace import DEPENDS_BIT, WRITE_BIT, Trace
 
 __all__ = [
+    "BUILDS",
     "FilteredTrace",
     "HierarchyFilter",
     "MachineConfig",
@@ -39,6 +40,15 @@ __all__ = [
 
 #: Hit-level codes stored per trace record.
 L1_HIT, L2_HIT, LLC_LEVEL = 1, 2, 3
+
+#: How many of each cached per-workload structure this process has
+#: built: a stream's ``replay_index`` and ``prediction_plane`` and a
+#: trace's ``timing_plan``.  Each is built on first use and reused by
+#: every later technique; a sweep cell's timing record carries the
+#: builds it caused (:func:`repro.harness.parallel._cell_timing`).
+BUILDS: Dict[str, int] = dict.fromkeys(
+    ("replay_index", "prediction_plane", "timing_plan"), 0
+)
 
 
 @dataclass(frozen=True)
@@ -290,6 +300,7 @@ class PreparedStream:
             index = ReplayIndex.build(
                 self.set_indices, self.tags, self.writes, num_sets
             )
+            BUILDS["replay_index"] += 1
             self._replay_index = index
         return index
 
@@ -310,6 +321,7 @@ class PreparedStream:
             plane = PredictionPlane.build(
                 self.pcs, self.set_indices, self.tags, num_sets
             )
+            BUILDS["prediction_plane"] += 1
             self._prediction_plane = plane
         return plane
 
@@ -504,6 +516,7 @@ class FilteredTrace:
                 config.width,
                 config.window,
             )
+            BUILDS["timing_plan"] += 1
             self._plans[key] = plan
         return plan
 

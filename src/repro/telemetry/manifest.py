@@ -14,7 +14,10 @@ seed, code revision, and environment produced it.  A
 * the compiled-workload-store configuration and hit/miss counters
   (sweep-level summary in ``stream_store``, per-cell ``store_hits`` /
   ``store_misses``), so a results file can prove whether its workloads
-  came off the warm path (see docs/performance.md).
+  came off the warm path (see docs/performance.md);
+* per-cell ``replay_index_builds`` / ``prediction_plane_builds`` /
+  ``timing_plan_builds``, which say whether a cell built its workload's
+  cached replay index, prediction plane and timing plan or reused them.
 
 Manifests are written atomically (temp file + ``os.replace``) next to
 the checkpoint store by default, so a manifest on disk always describes
@@ -144,6 +147,9 @@ class RunManifest:
                         "cpu_seconds",
                         "store_hits",
                         "store_misses",
+                        "replay_index_builds",
+                        "prediction_plane_builds",
+                        "timing_plan_builds",
                         "kernel",
                         "kernel_fallback",
                     )

@@ -54,6 +54,9 @@ SMALL = ExperimentConfig(instructions=20_000)
 #: Fast supervision for tests: no backoff sleeps, short watchdog.
 FAST = dict(backoff=0.0, watchdog=4.0)
 
+#: The per-cell build counters every timing record carries.
+BUILD_KEYS = ("replay_index_builds", "prediction_plane_builds", "timing_plan_builds")
+
 
 def serial_reference():
     return single_thread_comparison(WorkloadCache(SMALL), TECHNIQUE_KEYS, BENCHMARKS)
@@ -326,6 +329,12 @@ class TestCrashRecovery:
             assert entry["status"] == "ok"
             assert entry["kernel"] in ("array", "object")
             assert "store_hits" in entry and "store_misses" in entry
+            for key in BUILD_KEYS:
+                assert entry[key] in (0, 1)
+        # In one process each workload's index and timing plan are built
+        # once and reused by its later cells.
+        for key in ("replay_index_builds", "timing_plan_builds"):
+            assert sum(entry[key] for entry in cells.values()) == len(BENCHMARKS)
 
     def test_unrecoverable_crash_aborts_with_taxonomy(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "kill:1.0")

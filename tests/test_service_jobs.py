@@ -121,6 +121,16 @@ class TestConfigFromDict:
         with pytest.raises(ValueError, match="positive integer"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("cores", [0, -2, True, "4"])
+    def test_bad_cores_named_as_sent(self, cores):
+        # The wire field is ``cores``; the error must not name the
+        # dataclass field ``num_cores`` the client never sent.
+        with pytest.raises(ValueError) as excinfo:
+            config_from_dict({"cores": cores})
+        message = str(excinfo.value)
+        assert message.startswith("cores must be a positive integer")
+        assert "num_cores" not in message
+
 
 class TestJobStore:
     def test_save_load_roundtrip(self, tmp_path):

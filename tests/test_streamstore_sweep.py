@@ -117,6 +117,14 @@ class TestParallelStorePath:
         assert cell_counter(manifest, "store_hits") >= 1
         for cell in manifest["cells"].values():
             assert "store_hits" in cell and "store_misses" in cell
+            for key in (
+                "replay_index_builds", "prediction_plane_builds", "timing_plan_builds",
+            ):
+                assert cell[key] in (0, 1)
+        # Each worker builds a workload's index at most once, and at
+        # least one worker builds each workload's.
+        index_builds = cell_counter(manifest, "replay_index_builds")
+        assert len(BENCHMARKS) <= index_builds <= 2 * len(BENCHMARKS)
 
     def test_parallel_shm_attach_without_recompile(
         self, reference, tmp_path, monkeypatch
