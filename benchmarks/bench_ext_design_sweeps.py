@@ -14,32 +14,19 @@ quantitative claim in the text, so we regenerate the evidence:
   burst-length collapse at the LLC versus an unfiltered L1-level stream.
 """
 
-from repro.core import DBRBPolicy, SamplingDeadBlockPredictor
+from repro.core import DBRBPolicy
 from repro.harness import format_table
+from repro.harness.experiments import shape_sweep_experiment
 from repro.predictors import BurstFilter, RefTracePredictor
 from repro.replacement import LRUPolicy
-from repro.sim.metrics import geometric_mean
 
 SWEEP_BENCHMARKS = ("hmmer", "libquantum", "soplex", "zeusmp", "astar")
 
 
-def _gmean_speedup(workload_cache, predictor_kwargs):
-    speedups = []
-    for benchmark in SWEEP_BENCHMARKS:
-        filtered = workload_cache.filtered(benchmark)
-        base = workload_cache.system.run(
-            filtered, lambda g, a: LRUPolicy(), "lru"
-        )
-        result = workload_cache.system.run(
-            filtered,
-            lambda g, a, kw=predictor_kwargs: DBRBPolicy(
-                LRUPolicy(), SamplingDeadBlockPredictor(**kw)
-            ),
-            "sweep",
-        )
-        if base.ipc > 0 and result.ipc > 0:
-            speedups.append(result.ipc / base.ipc)
-    return geometric_mean(speedups)
+def _sweep(workload_cache, argument, values):
+    """``(value, gmean speedup)`` rows: one predictor argument's sweep."""
+    shapes = [{argument: value} for value in values]
+    return list(zip(values, shape_sweep_experiment(workload_cache, shapes, SWEEP_BENCHMARKS)))
 
 
 def test_ext_sampler_set_sweep(benchmark, workload_cache, report):
@@ -47,10 +34,7 @@ def test_ext_sampler_set_sweep(benchmark, workload_cache, report):
     set_counts = (4, 8, 16, 32, 64)
 
     def run():
-        return [
-            (sets, _gmean_speedup(workload_cache, dict(sampler_sets=sets)))
-            for sets in set_counts
-        ]
+        return _sweep(workload_cache, "sampler_sets", set_counts)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     text = format_table(
@@ -73,10 +57,7 @@ def test_ext_threshold_sweep(benchmark, workload_cache, report):
     thresholds = (2, 4, 6, 8, 9)
 
     def run():
-        return [
-            (threshold, _gmean_speedup(workload_cache, dict(threshold=threshold)))
-            for threshold in thresholds
-        ]
+        return _sweep(workload_cache, "threshold", thresholds)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     text = format_table(
@@ -98,10 +79,7 @@ def test_ext_sampler_associativity_sweep(benchmark, workload_cache, report):
     associativities = (8, 10, 12, 14, 16)
 
     def run():
-        return [
-            (assoc, _gmean_speedup(workload_cache, dict(sampler_assoc=assoc)))
-            for assoc in associativities
-        ]
+        return _sweep(workload_cache, "sampler_assoc", associativities)
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     text = format_table(

@@ -52,7 +52,10 @@ from the hot loop entirely:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.predictor import PredictorShape
 
 __all__ = ["PredictionPlane", "ReplayIndex", "SoACache"]
 
@@ -135,7 +138,8 @@ class ReplayIndex:
 
 
 class PredictionPlane:
-    """Per-(workload, LLC geometry) precompute for the DBRB array kernel.
+    """Per-(workload, LLC geometry, predictor shape) precompute for the
+    DBRB array kernel.
 
     The sampling predictor trains exclusively through its sampler, and
     the sampler observes every access to a sampled set whether the LLC
@@ -143,7 +147,7 @@ class PredictionPlane:
     function of the access stream, independent of LLC contents (see
     :func:`repro.core.sampler.simulate_sampled_stream` for the proof
     sketch).  This plane caches that one-pass simulation per
-    ``(workload, num_llc_sets)`` on the
+    ``(workload, num_llc_sets, shape)`` on the
     :class:`~repro.sim.hierarchy.PreparedStream`:
 
     * ``dead[p]``: the per-access prediction bit, evaluated after
@@ -154,13 +158,13 @@ class PredictionPlane:
       predictor objects at the end of its replay (copies, never
       aliases: the plane is shared across techniques).
 
-    Built only for the paper-default predictor shape (32x12 sampler,
-    15-bit tags/signatures, 3x4096 2-bit tables, threshold 8); the DBRB
-    kernel's ``supports`` declines everything else to the object path.
+    ``shape`` is the :class:`~repro.core.predictor.PredictorShape`
+    simulated: the paper's, a Figure 6 variant's or a design-sweep point's.
     """
 
     __slots__ = (
         "num_llc_sets",
+        "shape",
         "dead",
         "sampler_ways",
         "sampler_stacks",
@@ -171,6 +175,7 @@ class PredictionPlane:
     def __init__(
         self,
         num_llc_sets: int,
+        shape: "PredictorShape",
         dead: bytearray,
         sampler_ways: List[List[Tuple[int, int, bool]]],
         sampler_stacks: List[List[int]],
@@ -178,6 +183,7 @@ class PredictionPlane:
         sampler_counters: Tuple[int, int, int],
     ) -> None:
         self.num_llc_sets = num_llc_sets
+        self.shape = shape
         self.dead = dead
         self.sampler_ways = sampler_ways
         self.sampler_stacks = sampler_stacks
@@ -191,15 +197,16 @@ class PredictionPlane:
         set_indices: Sequence[int],
         tags: Sequence[int],
         num_llc_sets: int,
+        shape: "PredictorShape",
     ) -> "PredictionPlane":
-        """Simulate the sampler over a decomposed stream's columns
-        (default shape)."""
+        """Simulate a sampler of ``shape`` over a decomposed stream's
+        columns."""
         from repro.core.sampler import simulate_sampled_stream
 
         dead, ways, stacks, tables, counters = simulate_sampled_stream(
-            set_indices, tags, pcs, num_llc_sets
+            set_indices, tags, pcs, num_llc_sets, shape
         )
-        return cls(num_llc_sets, dead, ways, stacks, tables, counters)
+        return cls(num_llc_sets, shape, dead, ways, stacks, tables, counters)
 
     def install(self, predictor) -> None:
         """Copy the final sampler/table state into a fresh predictor.

@@ -23,7 +23,7 @@ The constructor exposes every knob of the paper's Figure 6 ablation:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.core.sampler import Sampler, pc_signature
 from repro.core.skewed import SkewedCounterTable
@@ -32,18 +32,35 @@ from repro.predictors.base import DeadBlockPredictor
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import Cache, CacheAccess
 
-__all__ = ["SamplingDeadBlockPredictor"]
+__all__ = ["PAPER_SHAPE", "PredictorShape", "SamplingDeadBlockPredictor"]
 
 _LAST_PC_KEY = "sdbp_last_pc"
 
-#: Default table geometry (paper Section III-E / IV-C).
-_SKEWED_TABLES = 3
-_SKEWED_ENTRIES = 4096
-_SKEWED_THRESHOLD = 8
-#: Single-table ablation: one table, 4x the entries, threshold for a lone
-#: 2-bit counter (the conventional weakly-dead threshold).
-_SINGLE_ENTRIES = 4 * _SKEWED_ENTRIES
-_SINGLE_THRESHOLD = 2
+
+class PredictorShape(NamedTuple):
+    """What a sampler and its tables are sized by, and so the key of a
+    stream's :class:`~repro.cache.soa.PredictionPlane`."""
+
+    sampler_sets: int
+    sampler_assoc: int
+    tag_bits: int
+    pc_bits: int
+    num_tables: int
+    entries_per_table: int
+    counter_bits: int
+    threshold: int
+
+
+#: The paper's shape (Sections III-A/B/E, IV-C): a 32-set, 12-way sampler
+#: of 15-bit partial tags and PC signatures training three skewed
+#: 4,096-entry tables of 2-bit counters, dead at a confidence of 8.
+PAPER_SHAPE = PredictorShape(32, 12, 15, 15, 3, 4096, 2, 8)
+
+#: Single-table ablation: one table of 4x the entries, and the threshold
+#: for a lone 2-bit counter (the conventional weakly-dead threshold).
+_SINGLE_TABLE = PAPER_SHAPE._replace(
+    num_tables=1, entries_per_table=4 * PAPER_SHAPE.entries_per_table, threshold=2
+)
 
 
 class SamplingDeadBlockPredictor(DeadBlockPredictor):
@@ -57,51 +74,45 @@ class SamplingDeadBlockPredictor(DeadBlockPredictor):
         threshold: override the confidence threshold; None picks the
             paper's value for the chosen table organization.
         tag_bits / pc_bits: partial tag and signature widths (paper: 15).
+
+    ``shape`` is the resulting :class:`PredictorShape`.
     """
 
     name = "sampler"
 
     def __init__(
         self,
-        sampler_sets: int = 32,
-        sampler_assoc: int = 12,
+        sampler_sets: int = PAPER_SHAPE.sampler_sets,
+        sampler_assoc: int = PAPER_SHAPE.sampler_assoc,
         use_sampler: bool = True,
         skewed: bool = True,
         threshold: Optional[int] = None,
-        tag_bits: int = 15,
-        pc_bits: int = 15,
+        tag_bits: int = PAPER_SHAPE.tag_bits,
+        pc_bits: int = PAPER_SHAPE.pc_bits,
     ) -> None:
         super().__init__()
-        if skewed:
-            self.tables = SkewedCounterTable(
-                num_tables=_SKEWED_TABLES,
-                entries_per_table=_SKEWED_ENTRIES,
-                threshold=threshold if threshold is not None else _SKEWED_THRESHOLD,
-            )
-        else:
-            self.tables = SkewedCounterTable(
-                num_tables=1,
-                entries_per_table=_SINGLE_ENTRIES,
-                threshold=threshold if threshold is not None else _SINGLE_THRESHOLD,
-            )
+        base = PAPER_SHAPE if skewed else _SINGLE_TABLE
+        self.shape = shape = base._replace(
+            sampler_sets=sampler_sets,
+            sampler_assoc=sampler_assoc,
+            tag_bits=tag_bits,
+            pc_bits=pc_bits,
+            threshold=base.threshold if threshold is None else threshold,
+        )
+        self.tables = SkewedCounterTable(
+            shape.num_tables, shape.entries_per_table, shape.counter_bits, shape.threshold
+        )
         self.use_sampler = use_sampler
         self.skewed = skewed
-        self._sampler_sets = sampler_sets
-        self._sampler_assoc = sampler_assoc
-        self._tag_bits = tag_bits
-        self._pc_bits = pc_bits
         self.sampler: Optional[Sampler] = None
 
     def bind(self, cache: "Cache") -> None:
         super().bind(cache)
         if self.use_sampler:
+            shape = self.shape
             self.sampler = Sampler(
-                self.tables,
-                cache_sets=cache.geometry.num_sets,
-                num_sets=self._sampler_sets,
-                associativity=self._sampler_assoc,
-                tag_bits=self._tag_bits,
-                pc_bits=self._pc_bits,
+                self.tables, cache.geometry.num_sets, shape.sampler_sets,
+                shape.sampler_assoc, shape.tag_bits, shape.pc_bits,
             )
 
     # ------------------------------------------------------------------
@@ -110,7 +121,7 @@ class SamplingDeadBlockPredictor(DeadBlockPredictor):
     def _signature(self, pc: int) -> int:
         # Shared process-wide memo (repro.core.sampler.pc_signature): the
         # fold is pure and the distinct-PC set of a workload is small.
-        return pc_signature(pc, self._pc_bits)
+        return pc_signature(pc, self.shape.pc_bits)
 
     def _predict(self, pc: int) -> bool:
         return self.tables.predict(self._signature(pc))
@@ -188,7 +199,7 @@ class SamplingDeadBlockPredictor(DeadBlockPredictor):
                 f"sampler={self.sampler.num_sets}x{self.sampler.associativity}"
             )
         elif self.use_sampler:
-            parts.append(f"sampler={self._sampler_sets}x{self._sampler_assoc}")
+            parts.append(f"sampler={self.shape.sampler_sets}x{self.shape.sampler_assoc}")
         else:
             parts.append("no-sampler")
         parts.append("skewed" if self.skewed else "single-table")

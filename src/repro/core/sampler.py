@@ -27,16 +27,18 @@ Training protocol on an access to a sampled set:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.skewed import SkewedCounterTable, skewed_indices
 from repro.utils.bits import ilog2, mask
 from repro.utils.hashing import fold_xor
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.predictor import PredictorShape
+
 __all__ = [
     "Sampler",
     "SamplerEntry",
-    "partial_tag",
     "pc_signature",
     "simulate_sampled_stream",
 ]
@@ -51,16 +53,6 @@ def pc_signature(pc: int, pc_bits: int) -> int:
     path's prediction-plane precompute serves every technique of a sweep.
     """
     return fold_xor(pc, pc_bits)
-
-
-def partial_tag(tag: int, tag_bits: int) -> int:
-    """Lower-order bits of a full tag (paper Section III-A).
-
-    Shared by the sampler object and the plane precompute; a
-    single AND, so unlike :func:`pc_signature` a memo would cost more
-    than the computation.
-    """
-    return tag & mask(tag_bits)
 
 
 class SamplerEntry:
@@ -253,14 +245,7 @@ def simulate_sampled_stream(
     tags: Sequence[int],
     pcs: Sequence[int],
     cache_sets: int,
-    num_sets: int = 32,
-    associativity: int = 12,
-    tag_bits: int = 15,
-    pc_bits: int = 15,
-    num_tables: int = 3,
-    entries_per_table: int = 4096,
-    counter_bits: int = 2,
-    threshold: int = 8,
+    shape: "PredictorShape",
 ) -> Tuple[
     bytearray,
     List[List[Tuple[int, int, bool]]],
@@ -277,9 +262,9 @@ def simulate_sampled_stream(
     Section V-B -- and ``install`` does not sample).  Sampler and table
     evolution is therefore a pure function of the access stream,
     independent of LLC contents, so it can be simulated once per
-    workload and shared across every technique that wraps the default
-    predictor -- the heart of the array-native DBRB kernel
-    (:mod:`repro.sim.replay_array`).
+    workload and :class:`~repro.core.predictor.PredictorShape` and
+    shared across every technique of that shape -- the heart of the
+    array-native DBRB kernel (:mod:`repro.sim.replay_array`).
 
     Returns ``(dead, sampler_ways, sampler_stacks, tables, counters)``:
 
@@ -299,6 +284,8 @@ def simulate_sampled_stream(
     when a training event actually changes a counter, so the unsampled
     ~98.4% of accesses cost one dict probe each.
     """
+    num_sets, associativity, tag_bits, pc_bits = shape[:4]
+    num_tables, entries_per_table, counter_bits, threshold = shape[4:]
     eff_sets = min(num_sets, cache_sets)
     interval = max(1, cache_sets // eff_sets)
     index_bits = ilog2(entries_per_table)

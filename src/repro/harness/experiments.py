@@ -17,7 +17,8 @@ Function                        Paper experiment
 :func:`characterization_table`    Table III
 ==============================  =========================================
 
-Every one of them, and :func:`pattern_sweep_experiment`, is a list of
+Every one of them, :func:`shape_sweep_experiment` (the sampler design
+sweeps) and :func:`pattern_sweep_experiment` is a list of
 (workload, scheme) cells plus a reducer: the cells run through
 :func:`repro.harness.parallel.sweep`, so each figure honours
 ``REPRO_JOBS``, ``REPRO_CHECKPOINT_DIR`` and ``REPRO_EVENTS_FILE`` /
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.accuracy import AccuracyObserver
+from repro.core.predictor import PAPER_SHAPE, SamplingDeadBlockPredictor
 from repro.harness.faults import Cell, CellError
 from repro.harness.parallel import parallel_single_thread_comparison, sweep
 from repro.harness.runner import WorkloadCache
@@ -62,6 +64,7 @@ __all__ = [
     "multicore_comparison",
     "pattern_axis",
     "pattern_sweep_experiment",
+    "shape_sweep_experiment",
     "single_thread_comparison",
     "timeseries_experiment",
     "zipf_skew_axis",
@@ -230,6 +233,37 @@ ABLATION_VARIANTS: Tuple[Tuple[str, dict, float], ...] = (
 )
 
 
+def _shape_scheme(arguments: Mapping[str, object]):
+    """The plain ``sampler`` cell for the paper's predictor, else a shaped one."""
+    predictor = SamplingDeadBlockPredictor(**arguments)
+    if predictor.use_sampler and predictor.shape == PAPER_SHAPE:
+        return "sampler"
+    return Scheme("sampler", shape=tuple(sorted(arguments.items())))
+
+
+def shape_sweep_experiment(
+    cache: WorkloadCache,
+    shapes: Sequence[Mapping[str, object]],
+    benchmarks: Sequence[str] = SINGLE_THREAD_SUBSET,
+    command: str = "shape-sweep",
+) -> List[float]:
+    """Gmean speedup over LRU of sampler-driven DBRB for each shape, a
+    dict of ``SamplingDeadBlockPredictor`` arguments: Figure 6 and the
+    sampler design sweeps.  Benchmarks with a non-positive IPC are left
+    out of a shape's mean."""
+    schemes = [_shape_scheme(arguments) for arguments in shapes]
+    runs, _ = sweep(cache, comparison_cells(benchmarks, schemes), command=command)
+    speedups = []
+    for scheme in schemes:
+        ratios = []
+        for benchmark in benchmarks:
+            base, result = runs[(benchmark, None)], runs[(benchmark, scheme)]
+            if base.ipc > 0 and result.ipc > 0:
+                ratios.append(result.ipc / base.ipc)
+        speedups.append(geometric_mean(ratios))
+    return speedups
+
+
 def ablation_experiment(
     cache: WorkloadCache,
     benchmarks: Sequence[str] = SINGLE_THREAD_SUBSET,
@@ -239,20 +273,13 @@ def ablation_experiment(
     Returns ``(variant label, measured gmean speedup, paper's value)``
     triples in the paper's presentation order.
     """
-    schemes = [
-        Scheme("sampler", shape=tuple(sorted(shape.items()))) if shape else "sampler"
-        for _, shape, _ in ABLATION_VARIANTS
+    speedups = shape_sweep_experiment(
+        cache, [shape for _, shape, _ in ABLATION_VARIANTS], benchmarks, "figure6"
+    )
+    return [
+        (label, speedup, paper)
+        for (label, _, paper), speedup in zip(ABLATION_VARIANTS, speedups)
     ]
-    runs, _ = sweep(cache, comparison_cells(benchmarks, schemes), command="figure6")
-    rows = []
-    for (label, _, paper), scheme in zip(ABLATION_VARIANTS, schemes):
-        speedups = []
-        for benchmark in benchmarks:
-            base, result = runs[(benchmark, None)], runs[(benchmark, scheme)]
-            if base.ipc > 0 and result.ipc > 0:
-                speedups.append(result.ipc / base.ipc)
-        rows.append((label, geometric_mean(speedups), paper))
-    return rows
 
 
 # ----------------------------------------------------------------------

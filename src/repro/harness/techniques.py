@@ -233,7 +233,8 @@ class Scheme:
 
     ``shape`` is a sorted tuple of ``SamplingDeadBlockPredictor`` keyword
     arguments that replaces the ``sampler`` technique's default predictor
-    (Figure 6's component combinations).  A plain run is named by its
+    (Figure 6's combinations and the design sweeps' points, replayed over
+    the prediction plane of their shape).  A plain run is named by its
     technique key alone, never by a ``Scheme``, so the identity of plain
     cells does not change; a scheme's ``str`` is its content key
     (``sampler|measure=accuracy``, ``sampler|shape=skewed=False``), which

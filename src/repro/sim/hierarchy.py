@@ -25,6 +25,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.cache.cache import CacheAccess
 from repro.cache.geometry import CacheGeometry
+from repro.core.predictor import PAPER_SHAPE, PredictorShape
 from repro.sim.trace import DEPENDS_BIT, WRITE_BIT, Trace
 
 __all__ = [
@@ -304,22 +305,21 @@ class PreparedStream:
             self._replay_index = index
         return index
 
-    def prediction_plane(self, num_sets: int):
-        """The stream's :class:`~repro.cache.soa.PredictionPlane`, built
-        on first use and cached -- the sampler-side analog of
-        :meth:`replay_index`.  Sampler and table evolution depend only on
-        the access stream and the LLC set count (the sampler interval),
-        so one plane serves both ``sampler`` and ``random_sampler`` (and
-        any other default-shape DBRB technique) of a sweep.  Only the
-        paper-default predictor shape is precomputed; ablation shapes
-        run the reference loop and never ask for a plane.
+    def prediction_plane(self, num_sets: int, shape: PredictorShape = PAPER_SHAPE):
+        """The stream's :class:`~repro.cache.soa.PredictionPlane` for a
+        predictor ``shape``, cached in one slot that a new ``(num_sets,
+        shape)`` replaces -- the sampler-side analog of
+        :meth:`replay_index`.  It serves every DBRB technique of that
+        shape (``sampler`` and ``random_sampler`` at the paper's; Figure
+        6 and the design sweeps at theirs); cells run workload-major, so
+        a sweep builds each shape once per workload.
         """
         plane = self._prediction_plane
-        if plane is None or plane.num_llc_sets != num_sets:
+        if plane is None or plane.num_llc_sets != num_sets or plane.shape != shape:
             from repro.cache.soa import PredictionPlane
 
             plane = PredictionPlane.build(
-                self.pcs, self.set_indices, self.tags, num_sets
+                self.pcs, self.set_indices, self.tags, num_sets, shape
             )
             BUILDS["prediction_plane"] += 1
             self._prediction_plane = plane

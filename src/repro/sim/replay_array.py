@@ -51,15 +51,16 @@ Loop shape notes (all measured on real filtered LLC streams):
   common case under mostly-distant insertion), take the first by C
   ``list.index``; otherwise age by the deficit in one slice-assign.
 
-* **Dead-block batched** (the paper's headline ``sampler`` /
-  ``random_sampler`` techniques): with the default sampling predictor,
-  all training flows through the sampler, which observes every access
-  to a sampled set regardless of LLC hit/miss -- so the per-access
-  prediction bits and the final sampler/table state are a pure function
-  of the stream, precomputed once per workload as a
+* **Dead-block batched** (``sampler`` / ``random_sampler``, and the
+  Figure 6 and design-sweep shapes that keep the sampler): with the
+  sampling predictor, all training flows through the sampler, which
+  observes every access to a sampled set regardless of LLC hit/miss --
+  so the per-access prediction bits and the final sampler/table state
+  are a pure function of the stream and the predictor's shape,
+  precomputed once per workload and shape as a
   :class:`~repro.cache.soa.PredictionPlane` (cached on the
-  :class:`~repro.sim.hierarchy.PreparedStream`, shared by every
-  default-shape DBRB technique).  The LLC-side replay then reduces to
+  :class:`~repro.sim.hierarchy.PreparedStream`, shared by every DBRB
+  technique of that shape).  The LLC-side replay then reduces to
   the default policy's kernel shape plus three sparse twists: a dead
   prediction on a miss bypasses, a predicted-dead way (LRU-first for an
   LRU default, way-order for random) overrides the victim, and hits
@@ -88,12 +89,12 @@ loop.  A kernel narrows its type's eligibility with an optional
 
 * DIP and DRRIP decline thread-aware set dueling (``thread-aware-dip``,
   ``thread-aware-drrip``);
-* DBRB declines other predictors (``dbrb-predictor:<Name>``) and every
-  Figure 6 ablation shape with a ``dbrb-*`` reason: ``use_sampler=False``,
-  single-table, non-default sampler or table geometry, bypass or
-  replacement knob off, a default other than LRU/random (other than LRU
-  for reftrace/counting, so ``random_cdbp`` reports
-  ``dbrb-default:RandomPolicy``), and pre-trained predictors;
+* DBRB declines other predictors (``dbrb-predictor:<Name>``), a
+  default other than LRU/random (other than LRU for reftrace/counting,
+  so ``random_cdbp`` reports ``dbrb-default:RandomPolicy``), the bypass
+  or replacement knob off, ``use_sampler=False`` and pre-trained
+  predictors, each with a ``dbrb-*`` reason (any sampler shape is
+  eligible);
 * optimal declines a future annotation whose length is not the
   stream's (``optimal-seq``), so the object path keeps its
   ``IndexError`` contract.
@@ -639,8 +640,8 @@ class _DBRBKernel:
 
     **Sampling predictor** (LRU or random default).  The predictor side
     is entirely precomputed: the shared
-    :class:`~repro.cache.soa.PredictionPlane` carries ``dead[p]`` -- the
-    prediction the object path would assign on a hit (``touch``) and
+    :class:`~repro.cache.soa.PredictionPlane` of the predictor's shape
+    carries ``dead[p]`` -- the prediction the object path would assign on a hit (``touch``) and
     consult on a miss (``predict_fill`` / ``install``, identical within
     one access since no training separates them) -- plus the final
     sampler/table state, installed into this replay's fresh predictor
@@ -692,29 +693,12 @@ class _DBRBKernel:
             return "dbrb-no-replacement"
         if not predictor.use_sampler:
             return "dbrb-no-sampler"
-        if not predictor.skewed:
-            return "dbrb-single-table"
-        if (
-            predictor._sampler_sets != 32
-            or predictor._sampler_assoc != 12
-            or predictor._tag_bits != 15
-            or predictor._pc_bits != 15
-        ):
-            return "dbrb-sampler-geometry"
-        tables = predictor.tables
-        if (
-            tables.num_tables != 3
-            or len(tables.tables[0]) != 4096
-            or tables.threshold != 8
-            or tables.counter_max != 3
-        ):
-            return "dbrb-table-geometry"
         sampler = predictor.sampler
         if (
             sampler is None
             or sampler.accesses
             or any(entry.valid for entries in sampler.sets for entry in entries)
-            or any(map(any, tables.tables))
+            or any(map(any, predictor.tables.tables))
         ):
             # The plane simulates from a cold predictor; a pre-trained
             # one (warmup experiments) runs the reference loop.
@@ -748,7 +732,7 @@ class _DBRBKernel:
             return self._run_reftrace(cache, policy, stream, index, soa)
         if kind is CountingPredictor:
             return self._run_counting(cache, policy, stream, index, soa)
-        plane = stream.prediction_plane(cache.geometry.num_sets)
+        plane = stream.prediction_plane(cache.geometry.num_sets, policy.predictor.shape)
         if type(policy.default) is LRUPolicy:
             result = self._run_lru(cache, policy, stream, index, soa, plane)
         else:
@@ -1144,8 +1128,8 @@ def _commit_recency(soa, index, ods, way_fill, pred, filled_by_set,
 # These are the policy types Table V's techniques build; every other
 # policy runs the reference loop with fallback reason ``policy:<Name>``.
 # A kernel's ``supports`` hook narrows eligibility further (thread-aware
-# DIP and DRRIP, DBRB ablation shapes, optimal over another stream's
-# annotation).
+# DIP and DRRIP, DBRB knobs and predictors without a kernel, optimal
+# over another stream's annotation).
 _KERNELS = {
     LRUPolicy: _LRUKernel(),
     RandomPolicy: _RandomKernel(),

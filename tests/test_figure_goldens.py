@@ -34,6 +34,13 @@ from repro.harness.techniques import (
 BENCHMARKS = ("mcf", "libquantum")
 MIX = ("mix1",)
 ZIPF_SPECS = tuple(experiments.zipf_skew_axis((0.8, 1.4)))
+#: The design sweeps of ``benchmarks/bench_ext_design_sweeps.py``, three
+#: points per axis: name -> (predictor argument, values).
+DESIGN_SWEEPS = {
+    "sweep-sets": ("sampler_sets", (4, 32, 64)),
+    "sweep-threshold": ("threshold", (2, 8, 9)),
+    "sweep-assoc": ("sampler_assoc", (8, 12, 16)),
+}
 
 
 def tiny_config(seed: int) -> ExperimentConfig:
@@ -97,6 +104,11 @@ def figure_output(name: str, cache: WorkloadCache):
         return experiments.characterization_table(cache, BENCHMARKS)
     if name == "patterns":
         return asdict(experiments.pattern_sweep_experiment(cache, ZIPF_SPECS))
+    if name in DESIGN_SWEEPS:
+        argument, values = DESIGN_SWEEPS[name]
+        shapes = [{argument: value} for value in values]
+        speedups = experiments.shape_sweep_experiment(cache, shapes, BENCHMARKS)
+        return [[value, speedup] for value, speedup in zip(values, speedups)]
     raise ValueError(name)
 
 
@@ -123,9 +135,20 @@ GOLDEN = {
     ("fig10", 7): "4d8b83df228420a712c8b27810a14b5e79b8f380bcd60e60b9fbe8e93f23e43f",
     ("table3", 7): "12beca283d89beb95503cfeaaf5b530c0b8dab958569a77d29ddc1f9fa04d8e9",
     ("patterns", 7): "0dd4f3bb24152336c14f39ece729142e15af2b4d5f1e2d28cd6f65c8daf3f400",
+    # Recorded from the design sweeps' hand loop (one LRU baseline and
+    # one DBRB run per benchmark and point) before they became cells.
+    ("sweep-sets", 1): "4643d3faf93e3f3642f41af683932a85ade80a871dbf8e7e47d45062ca7f5af0",
+    ("sweep-threshold", 1): "e701da18eb9e25dbbee6df5b15a4f26f4af77925829011224c68d17792235be1",
+    ("sweep-assoc", 1): "6e7babb627ee1c962ad19be3d475ac29769507032bf7ad35c6cdf3fd38dedc15",
+    ("sweep-sets", 7): "a2538d569d7121500e66979c1f8ce805a297d97673bfa35410cef69d148d3ff0",
+    ("sweep-threshold", 7): "3e58826535e44f318f8ad892f6ceba3d44b1253a171d743c1d4b092ff35cd2cb",
+    ("sweep-assoc", 7): "1018bf543cde85ffe4ced63cbaf59cc713cfcf9771716c13d09e9e2b8715e77d",
 }
 
-FIGURES = ("fig01", "fig04", "fig06", "fig07", "fig09", "fig10", "table3", "patterns")
+FIGURES = (
+    "fig01", "fig04", "fig06", "fig07", "fig09", "fig10", "table3", "patterns",
+    *DESIGN_SWEEPS,
+)
 
 
 @pytest.fixture(scope="module")

@@ -197,17 +197,34 @@ SUBJECTS = {
         _dbrb(LRUPolicy, lambda: _SAMPLER(use_sampler=False)), "dbrb-no-sampler",
         None, True, True,
     ),
+    # Figure 6's and the design sweeps' sampler shapes: each replays on
+    # the plane of its own shape.
     "dbrb-single-table": Subject(
-        _dbrb(LRUPolicy, lambda: _SAMPLER(skewed=False)), "dbrb-single-table",
-        None, True, True,
+        _dbrb(LRUPolicy, lambda: _SAMPLER(skewed=False)), "array", None, True, True
     ),
     "dbrb-sampler-geometry": Subject(
-        _dbrb(LRUPolicy, lambda: _SAMPLER(sampler_assoc=16)), "dbrb-sampler-geometry",
-        None, True, True,
+        _dbrb(LRUPolicy, lambda: _SAMPLER(sampler_assoc=16)), "array", None, True, True
     ),
     "dbrb-table-geometry": Subject(
-        _dbrb(LRUPolicy, lambda: _SAMPLER(threshold=4)), "dbrb-table-geometry",
+        _dbrb(LRUPolicy, lambda: _SAMPLER(threshold=4)), "array", None, True, True
+    ),
+    "dbrb-single-table-16way": Subject(
+        _dbrb(LRUPolicy, lambda: _SAMPLER(skewed=False, sampler_assoc=16)), "array",
         None, True, True,
+    ),
+    "dbrb-sampler-sets-4": Subject(
+        _dbrb(LRUPolicy, lambda: _SAMPLER(sampler_sets=4)), "array", None, True, True
+    ),
+    # More sampler sets than GEOMETRY has sets: the sampler clamps to one
+    # per cache set.
+    "dbrb-sampler-sets-64": Subject(
+        _dbrb(LRUPolicy, lambda: _SAMPLER(sampler_sets=64)), "array", None, True, True
+    ),
+    "dbrb-threshold-2": Subject(
+        _dbrb(LRUPolicy, lambda: _SAMPLER(threshold=2)), "array", None, True, True
+    ),
+    "dbrb-threshold-9": Subject(
+        _dbrb(LRUPolicy, lambda: _SAMPLER(threshold=9)), "array", None, True, True
     ),
     # TDBP / CDBP outside Table V's shape (CDBP over the random default
     # is the ``random_cdbp`` technique above).
@@ -566,8 +583,7 @@ FALLBACKS = {
 REASONS = {
     "paranoid", "observers", "probe", "cache-subclass", "warm-cache",
     "optimal-seq", "thread-aware-dip", "thread-aware-drrip",
-    "dbrb-no-bypass", "dbrb-no-replacement", "dbrb-no-sampler", "dbrb-single-table",
-    "dbrb-sampler-geometry", "dbrb-table-geometry", "dbrb-warm-predictor",
+    "dbrb-no-bypass", "dbrb-no-replacement", "dbrb-no-sampler", "dbrb-warm-predictor",
     "dbrb-predictor:AIPPredictor", "dbrb-default:RandomPolicy",
     "dbrb-default:TreePLRUPolicy", "policy:DBRBPolicy",
     "policy:SHiPPolicy", "policy:TreePLRUPolicy", "policy:SRRIPPolicy",
