@@ -128,38 +128,6 @@ class MachineConfig:
         return self.llc_latency if llc_hit else self.memory_latency
 
 
-class _FastLRU:
-    """Minimal LRU cache used for the fixed L1/L2 levels.
-
-    Per-set MRU-ordered tag lists; an order of magnitude faster than the
-    full policy-driven :class:`repro.cache.Cache`, which matters because
-    the L1 sees every reference of every workload.
-    """
-
-    __slots__ = ("assoc", "index_mask", "offset_bits", "sets")
-
-    def __init__(self, geometry: CacheGeometry) -> None:
-        self.offset_bits = geometry.offset_bits
-        self.index_mask = geometry.num_sets - 1
-        self.assoc = geometry.associativity
-        self.sets: List[List[int]] = [[] for _ in range(geometry.num_sets)]
-
-    def access(self, address: int) -> bool:
-        """Access and update recency; True on a hit."""
-        block = address >> self.offset_bits
-        bucket = self.sets[block & self.index_mask]
-        tag = block >> 0  # full block address as tag: exact, no aliasing
-        if tag in bucket:
-            if bucket[0] != tag:
-                bucket.remove(tag)
-                bucket.insert(0, tag)
-            return True
-        bucket.insert(0, tag)
-        if len(bucket) > self.assoc:
-            bucket.pop()
-        return False
-
-
 def decompose(
     addresses: Sequence[int], geometry: CacheGeometry
 ) -> Tuple[List[int], List[int]]:
@@ -565,20 +533,42 @@ class HierarchyFilter:
         Both levels allocate on miss (write-allocate); writeback traffic is
         not modeled, matching the paper's demand-miss accounting.
         """
-        l1 = _FastLRU(self.config.l1)
-        l2 = _FastLRU(self.config.l2)
+        # Both levels are inlined into one loop: per-set MRU-first lists
+        # of full block addresses (exact, no tag aliasing), an order of
+        # magnitude faster than the policy-driven :class:`repro.cache.Cache`
+        # -- which matters because the L1 sees every reference.
+        l1, l2 = self.config.l1, self.config.l2
+        l1_shift, l1_mask, l1_assoc = l1.offset_bits, l1.num_sets - 1, l1.associativity
+        l2_shift, l2_mask, l2_assoc = l2.offset_bits, l2.num_sets - 1, l2.associativity
+        l1_sets: List[List[int]] = [[] for _ in range(l1.num_sets)]
+        l2_sets: List[List[int]] = [[] for _ in range(l2.num_sets)]
         levels: List[int] = []
         llc_indices: List[int] = []
         append_level = levels.append
         append_llc = llc_indices.append
-        l1_access = l1.access
-        l2_access = l2.access
         for index, address in enumerate(trace.addresses):
-            if l1_access(address):
+            block = address >> l1_shift
+            bucket = l1_sets[block & l1_mask]
+            if block in bucket:
+                if bucket[0] != block:
+                    bucket.remove(block)
+                    bucket.insert(0, block)
                 append_level(L1_HIT)
-            elif l2_access(address):
+                continue
+            bucket.insert(0, block)
+            if len(bucket) > l1_assoc:
+                bucket.pop()
+            block = address >> l2_shift
+            bucket = l2_sets[block & l2_mask]
+            if block in bucket:
+                if bucket[0] != block:
+                    bucket.remove(block)
+                    bucket.insert(0, block)
                 append_level(L2_HIT)
-            else:
-                append_level(LLC_LEVEL)
-                append_llc(index)
+                continue
+            bucket.insert(0, block)
+            if len(bucket) > l2_assoc:
+                bucket.pop()
+            append_level(LLC_LEVEL)
+            append_llc(index)
         return FilteredTrace(trace, levels, llc_indices)

@@ -6,9 +6,11 @@ seed, code revision, and environment produced it.  A
 
 * the experiment config (scale, instructions, seed, cores) and the
   technique keys and benchmarks swept;
-* the git SHA (and a dirty flag) of the working tree, when available;
+* the git SHA (and a dirty flag) of the checkout holding the running
+  ``repro`` package, when it is one;
 * every ``REPRO_*`` environment knob that was set;
-* interpreter and relevant library versions;
+* interpreter and relevant library versions (read from installed
+  distribution metadata, so stamping a manifest imports none of them);
 * wall-clock duration plus per-cell wall/CPU timings measured inside
   the workers;
 * the compiled-workload-store configuration and hit/miss counters
@@ -44,14 +46,22 @@ MANIFEST_VERSION = 1
 #: Libraries whose presence/version can change results or performance.
 _INTERESTING_LIBRARIES = ("numpy", "pytest", "hypothesis", "pytest_benchmark")
 
+#: The directory of the ``repro`` package: the checkout a manifest stamps.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def git_revision(cwd: Optional[str] = None) -> Dict[str, Any]:
-    """Best-effort git identity of the working tree.
+    """Best-effort git identity of the checkout holding the running code.
 
-    Returns ``{"sha": ..., "dirty": ...}``; outside a git checkout (or
-    without a git binary) the values are ``None`` rather than failing --
-    a manifest must never break a sweep.
+    Git runs in ``cwd``, by default the ``repro`` package's directory --
+    not the process's working directory, which may be another repository
+    or none.  Returns ``{"sha": ..., "dirty": ...}``; outside a git
+    checkout (an installed package) or without a git binary the values
+    are ``None`` rather than failing -- a manifest must never break a
+    sweep.
     """
+    if cwd is None:
+        cwd = _PACKAGE_DIR
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -75,12 +85,21 @@ def git_revision(cwd: Optional[str] = None) -> Dict[str, Any]:
 
 
 def _library_versions() -> Dict[str, Optional[str]]:
+    """Installed version of each interesting library, ``None`` if absent.
+
+    Read from distribution metadata: importing numpy just to read its
+    ``__version__`` would cost a sweep's parent process a third of a
+    second and its BLAS threads before the pool starts.
+    """
+    # Imported here: ``importlib.metadata`` costs every process that
+    # imports the harness ~17 ms and 2 MB, and only manifests need it.
+    from importlib import metadata
+
     versions: Dict[str, Optional[str]] = {}
     for name in _INTERESTING_LIBRARIES:
         try:
-            module = __import__(name)
-            versions[name] = getattr(module, "__version__", None)
-        except ImportError:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:
             versions[name] = None
     return versions
 

@@ -8,8 +8,14 @@ run manifests, sweep events, exporters -- plus the sweep integration
 
 from __future__ import annotations
 
+import importlib.metadata
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.harness import ExperimentConfig, WorkloadCache
 from repro.harness.parallel import parallel_single_thread_comparison
 from repro.replacement import LRUPolicy
 from repro.sim.replay import replay
+from repro.telemetry import manifest as manifest_module
 from repro.telemetry import (
     EventLog,
     IntervalRecorder,
@@ -28,6 +35,7 @@ from repro.telemetry import (
     RunManifest,
     SweepTelemetry,
     collect_environment,
+    git_revision,
     read_events,
     render_report,
     sparkline,
@@ -195,6 +203,79 @@ def test_manifest_load_rejects_non_manifests(tmp_path):
 def test_collect_environment_shape():
     env = collect_environment()
     assert set(env) >= {"python", "platform", "repro_env", "libraries"}
+    assert set(env["libraries"]) == set(manifest_module._INTERESTING_LIBRARIES)
+
+
+def test_library_versions_map_missing_distributions_to_none(monkeypatch):
+    missing = "repro-manifest-no-such-distribution"
+    monkeypatch.setattr(
+        manifest_module,
+        "_INTERESTING_LIBRARIES",
+        manifest_module._INTERESTING_LIBRARIES + (missing,),
+    )
+    versions = manifest_module._library_versions()
+    assert versions[missing] is None
+    assert versions["pytest"] == importlib.metadata.version("pytest")
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git binary")
+def test_git_revision_stamps_the_package_checkout(tmp_path, monkeypatch):
+    """The SHA is the checkout holding the running code, not whichever
+    repository the process happens to run in."""
+    other = tmp_path / "other-repo"
+    other.mkdir()
+    identity = ["-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+    subprocess.run(["git", "init", "-q"], cwd=other, check=True)
+    subprocess.run(
+        ["git", *identity, "commit", "-q", "--allow-empty", "-m", "other"],
+        cwd=other, check=True,
+    )
+    monkeypatch.chdir(other)
+    package_dir = Path(manifest_module.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        ["git", "-C", str(package_dir), "rev-parse", "HEAD"],
+        capture_output=True, text=True,
+    )
+    expected = probe.stdout.strip() if probe.returncode == 0 else None
+    assert git_revision()["sha"] == expected
+    assert RunManifest().git["sha"] == expected
+
+
+_FRESH_SWEEP = """
+import sys
+import repro.harness.parallel as parallel
+from repro.harness import ExperimentConfig
+from repro.telemetry import manifest
+parallel.parallel_single_thread_comparison(
+    ExperimentConfig(scale=32, instructions=20_000, seed=3),
+    ("sampler",), ("mcf",), jobs=1, events_file=sys.argv[1],
+)
+print([name for name in manifest._INTERESTING_LIBRARIES if name in sys.modules])
+"""
+
+
+def test_fresh_sweep_imports_no_stamped_library(tmp_path):
+    """A pool worker's import and a manifest-writing sweep load none of
+    the libraries the manifest stamps; the stamped versions still equal
+    the installed distributions'."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(manifest_module.__file__).resolve().parents[2])
+    events_path = tmp_path / "sweep.ndjson"
+    run = subprocess.run(
+        [sys.executable, "-c", _FRESH_SWEEP, str(events_path)],
+        env=env, cwd=tmp_path, check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    assert run.stdout.strip() == "[]"
+    libraries = RunManifest.load(str(tmp_path / "sweep.ndjson.manifest.json"))[
+        "environment"
+    ]["libraries"]
+    for name in manifest_module._INTERESTING_LIBRARIES:
+        try:
+            expected = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
+            expected = None
+        assert libraries[name] == expected
 
 
 # ----------------------------------------------------------------------
